@@ -281,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_wrk.add_argument(
         "--poll-interval", type=float, default=0.5, metavar="SECS",
-        help="idle sleep between empty lease polls (default: 0.5)",
+        help="longest the daemon holds one lease request waiting for "
+        "work, at most 5 (default: 0.5)",
     )
     p_wrk.add_argument(
         "--retries", type=int, default=1,

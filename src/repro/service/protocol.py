@@ -41,6 +41,7 @@ from repro.utils.rng import stable_hash64
 
 __all__ = [
     "MAX_CHECKPOINT_BYTES",
+    "MAX_LEASE_WAIT",
     "MAX_STREAM_JOBS",
     "PROTOCOL_VERSION",
     "Checkpoint",
@@ -71,6 +72,11 @@ MAX_TRACE_LENGTH = 2_000_000
 #: worker ids are short printable names, not payloads.
 MAX_LEASE_JOBS = 64
 MAX_WORKER_ID_LEN = 120
+
+#: Longest hold (seconds) a lease request may ask for with ``wait``. It must
+#: stay below the worker transport's 10 s timeout and the router's 30 s
+#: forward timeout, or a held request would read as a dead peer.
+MAX_LEASE_WAIT = 5.0
 
 #: Bound on one ``POST /v1/stream`` request: a stream is a sweep, not a
 #: bulk-import channel; bigger sweeps open several streams.
@@ -286,10 +292,16 @@ class Job:
 
 @dataclasses.dataclass(frozen=True)
 class LeaseRequest:
-    """A worker asking for work: ``POST /v1/leases`` body."""
+    """A worker asking for work: ``POST /v1/leases`` body.
+
+    ``wait`` makes the request a long-poll: when the queue is empty the
+    server holds it for up to that many seconds and grants the first job
+    queued meanwhile. ``0`` answers at once, as a request without it does.
+    """
 
     worker: str
     capacity: int = 1
+    wait: float = 0.0
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LeaseRequest":
@@ -298,7 +310,7 @@ class LeaseRequest:
             raise SpecError(
                 f"lease request must be a JSON object, got {type(data).__name__}"
             )
-        unknown = sorted(set(data) - {"worker", "capacity"})
+        unknown = sorted(set(data) - {"worker", "capacity", "wait"})
         if unknown:
             raise SpecError(f"unknown lease-request field(s): {', '.join(unknown)}")
         worker = data.get("worker")
@@ -311,11 +323,20 @@ class LeaseRequest:
             raise SpecError("lease capacity must be an integer")
         if not 1 <= capacity <= MAX_LEASE_JOBS:
             raise SpecError(f"lease capacity must be in 1..{MAX_LEASE_JOBS}")
-        return cls(worker=worker, capacity=capacity)
+        wait = data.get("wait", 0.0)
+        if isinstance(wait, bool) or not isinstance(wait, (int, float)):
+            raise SpecError("lease wait must be a number of seconds")
+        if not 0.0 <= wait <= MAX_LEASE_WAIT:  # also rejects NaN
+            raise SpecError(f"lease wait must be in 0..{MAX_LEASE_WAIT:g} seconds")
+        return cls(worker=worker, capacity=capacity, wait=float(wait))
 
     def to_dict(self) -> dict[str, Any]:
-        """Wire form of the request (what the worker POSTs)."""
-        return {"worker": self.worker, "capacity": self.capacity}
+        """Wire form of the request (what the worker POSTs); ``wait`` is
+        left out when zero, so an immediate request reads as it always has."""
+        body: dict[str, Any] = {"worker": self.worker, "capacity": self.capacity}
+        if self.wait:
+            body["wait"] = self.wait
+        return body
 
 
 @dataclasses.dataclass

@@ -27,7 +27,10 @@ Routing rules:
   *inside* a lease grant stay unprefixed: the worker only ever echoes them
   back through the prefixed lease endpoints, which already name the shard.
 - ``POST /v1/leases``: round-robin over healthy shards, first non-empty
-  grant wins — workers stay shard-agnostic.
+  grant wins — workers stay shard-agnostic. The sweep asks each shard
+  without a hold; only when every shard is empty is the worker's ``wait``
+  held on the round-robin shard, so a routed worker never parks on an
+  empty shard while another has work.
 - ``GET /healthz`` / ``GET /metrics``: aggregated across shards (summed
   counters, per-shard breakdown, ring description).
 
@@ -60,6 +63,7 @@ from __future__ import annotations
 import asyncio
 import bisect
 import contextlib
+import dataclasses
 import json
 import math
 import signal
@@ -86,6 +90,7 @@ from repro.service.http import (
 )
 from repro.service.protocol import (
     PROTOCOL_VERSION,
+    LeaseRequest,
     SpecError,
     parse_stream_request,
 )
@@ -203,7 +208,8 @@ class RouterConfig:
     #: Seconds a connection-refusing shard stays marked down (503 window).
     cooldown: float = 2.0
     #: Forwarding timeout for unary requests (admission is fast; this only
-    #: guards against a wedged shard pinning a router task).
+    #: guards against a wedged shard pinning a router task). It must stay
+    #: above ``MAX_LEASE_WAIT``: a held lease request is not a wedged shard.
     timeout: float = 30.0
     #: Per-read timeout while relaying a shard's stream (the gap between
     #: two results, not the whole stream).
@@ -496,11 +502,17 @@ class SimulationRouter:
     # Leases
 
     async def _lease_create(self, request: Request) -> tuple[int, Any, dict[str, str]]:
-        """Round-robin over healthy shards; first non-empty grant wins."""
+        """Round-robin over healthy shards, without a hold; first non-empty
+        grant wins. Only when every shard is empty is the worker's ``wait``
+        held, on the first shard that answered."""
         try:
             data = request.json()
         except ValueError as exc:
             return 400, {"error": f"invalid JSON body: {exc}"}, {}
+        try:
+            req = LeaseRequest.from_dict(data)
+        except SpecError as exc:
+            return 400, {"error": str(exc)}, {}
         healthy = self._healthy()
         if not healthy:
             self.counters["unavailable"] += 1
@@ -511,22 +523,33 @@ class SimulationRouter:
             )
         self._lease_rr += 1
         order = healthy[self._lease_rr % len(healthy):] + healthy[: self._lease_rr % len(healthy)]
-        empty: tuple[int, Any, dict[str, str]] | None = None
+        sweep = dataclasses.replace(req, wait=0.0).to_dict()
+        empty: tuple[Shard, tuple[int, Any, dict[str, str]]] | None = None
         for shard in order:
-            reply = await self._forward(shard, "POST", "/v1/leases", data)
+            reply = await self._forward(shard, "POST", "/v1/leases", sweep)
             if reply is None:
                 continue  # just went down; try the next shard
-            status, payload, extra = reply
-            if status != 200:
-                return status, payload, extra  # bad request: same everywhere
-            if payload.get("lease"):
-                payload = dict(payload)
-                payload["lease"] = self._prefix_ids(shard, payload["lease"])
-                return 200, payload, extra
-            empty = (status, payload, extra)
-        if empty is not None:
-            return empty
-        return self._unavailable(order[0])
+            if reply[0] != 200 or reply[1].get("lease"):
+                return self._lease_reply(shard, reply)
+            empty = empty or (shard, reply)
+        if empty is None:
+            return self._unavailable(order[0])
+        shard, reply = empty
+        if req.wait:
+            held = await self._forward(shard, "POST", "/v1/leases", req.to_dict())
+            if held is not None:
+                return self._lease_reply(shard, held)
+        return reply
+
+    def _lease_reply(
+        self, shard: Shard, reply: tuple[int, Any, dict[str, str]]
+    ) -> tuple[int, Any, dict[str, str]]:
+        """A shard's lease answer with its grant's lease id shard-prefixed."""
+        status, payload, extra = reply
+        if status == 200 and payload.get("lease"):
+            payload = dict(payload)
+            payload["lease"] = self._prefix_ids(shard, payload["lease"])
+        return status, payload, extra
 
     async def _lease_action(
         self, rid: str, action: str, request: Request, method: str = "POST"

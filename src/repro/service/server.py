@@ -32,6 +32,12 @@ endpoints::
     POST /v1/leases/{id}/heartbeat     extends the lease deadline
     POST /v1/leases/{id}/result        uploads per-job outcomes, ends the lease
 
+A lease request carrying ``wait`` is a bounded long-poll: when the queue is
+empty the connection is parked, and the first job queued or requeued
+meanwhile is granted to it at once; the empty grant comes back only when
+``wait`` runs out. A parked worker counts as active, so the hold never
+hands the queue to the local dispatcher.
+
 Leased jobs stay RUNNING under a heartbeat deadline; a lease whose deadline
 passes is expired by the housekeeping tick and its unfinished jobs are
 *requeued* for redelivery — at most ``max_redeliveries`` times, after which
@@ -224,6 +230,8 @@ class SimulationService:
         self.checkpoints: dict[str, Checkpoint] = {}
         #: worker id -> wall-clock of last contact (lease/heartbeat/result).
         self.workers: dict[str, float] = {}
+        #: Parked long-poll lease requests: wake-up future -> worker id.
+        self._lease_waiters: dict[asyncio.Future[None], str] = {}
         self.counters = {
             "submitted": 0,
             "queued": 0,
@@ -314,7 +322,16 @@ class SimulationService:
         """Begin the drain (signal handler; also callable from tests)."""
         self._draining = True
         self._shutdown.set()
+        # Parked lease requests wake to answer 409, so none holds the drain.
+        self._wake_all()
+
+    def _wake_all(self) -> None:
+        """Wake the dispatcher and every parked lease request: a job was
+        queued or requeued, or the drain began."""
         self._wake.set()
+        for waiter in self._lease_waiters:
+            if not waiter.done():
+                waiter.set_result(None)
 
     # ------------------------------------------------------------------
     # Dispatcher
@@ -328,7 +345,7 @@ class SimulationService:
                 return
             self._expire_leases()
             self._evict_checkpoints()
-            if not len(self.queue) or self._workers_active():
+            if not len(self.queue) or self._active_workers():
                 # Idle, or the worker fleet owns the queue: sleep one
                 # housekeeping tick (the timeout keeps lease expiry and the
                 # local-fallback check live even with no submissions).
@@ -498,9 +515,16 @@ class SimulationService:
                     # Streaming replies write their own (chunked) framing.
                     await self._stream(request, writer)
                     return
-                status, payload, extra = self._route(
-                    request.method, request.path, request.body
-                )
+                if (
+                    request.method == "POST"
+                    and request.path.split("?", 1)[0].rstrip("/") == "/v1/leases"
+                ):
+                    # A lease request may be held until work arrives.
+                    status, payload, extra = await self._lease_long_poll(request.body)
+                else:
+                    status, payload, extra = self._route(
+                        request.method, request.path, request.body
+                    )
             except PayloadTooLarge:
                 status, payload, extra = 413, {"error": "request body too large"}, {}
             except Exception as exc:  # route bug: report, don't kill the server
@@ -530,7 +554,8 @@ class SimulationService:
         if path == "/v1/leases":
             if method != "POST":
                 return 405, {"error": "use POST to lease jobs"}, {}
-            return self._lease_create(body)
+            req = self._lease_request(body)
+            return self._lease_create(req) if isinstance(req, LeaseRequest) else req
         if path.startswith("/v1/leases/"):
             lease_id, _, action = path.removeprefix("/v1/leases/").partition("/")
             if action == "checkpoint":
@@ -554,17 +579,20 @@ class SimulationService:
     # ------------------------------------------------------------------
     # Leases (distributed workers)
 
-    def _workers_active(self) -> bool:
-        """True while any worker has been heard from within the grace
-        window — the signal that the local dispatcher should leave the
-        queue to the fleet."""
+    def _active_workers(self) -> int:
+        """Workers heard from within the grace window or parked in a lease
+        hold. While there is one, the local dispatcher leaves the queue to
+        the fleet: a hold longer than ``worker_grace`` must not hand a
+        waiting worker's job to the local path."""
         now = time.time()
         cutoff = now - self.cfg.worker_grace
         # Bound the table: a worker silent for an hour is gone, not resting.
         for wid, seen in list(self.workers.items()):
             if now - seen > 3600.0:
                 del self.workers[wid]
-        return any(seen >= cutoff for seen in self.workers.values())
+        active = {wid for wid, seen in self.workers.items() if seen >= cutoff}
+        active.update(self._lease_waiters.values())
+        return len(active)
 
     def _expire_leases(self) -> None:
         """Reap leases past their heartbeat deadline, redelivering jobs."""
@@ -599,23 +627,56 @@ class SimulationService:
             return
         self.counters["redelivered"] += 1
         self.queue.requeue(job)
-        self._wake.set()
+        self._wake_all()
 
-    def _lease_create(self, body: bytes) -> tuple[int, dict[str, Any], dict[str, str]]:
-        if self._draining:
-            return 409, {"error": "server is shutting down"}, {}
+    @staticmethod
+    def _lease_request(body: bytes) -> LeaseRequest | tuple[int, dict[str, Any], dict[str, str]]:
+        """Parse a ``POST /v1/leases`` body, or the 400 reply refusing it."""
         try:
             data = json.loads(body.decode("utf-8") or "{}")
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             return 400, {"error": f"invalid JSON body: {exc}"}, {}
         try:
-            req = LeaseRequest.from_dict(data)
+            return LeaseRequest.from_dict(data)
         except SpecError as exc:
             return 400, {"error": str(exc)}, {}
+
+    async def _lease_long_poll(self, body: bytes) -> tuple[int, dict[str, Any], dict[str, str]]:
+        """``POST /v1/leases``, held for up to the request's ``wait``.
+
+        An empty queue parks the request until :meth:`_wake_all` reports a
+        queued or requeued job (or the drain), then the grant is tried
+        again; the empty grant is answered only once ``wait`` has run out.
+        A request without ``wait`` is answered at once.
+        """
+        req = self._lease_request(body)
+        if not isinstance(req, LeaseRequest):
+            return req
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + req.wait
+        while True:
+            reply = self._lease_create(req)
+            remaining = deadline - loop.time()
+            if reply[0] != 200 or reply[1]["lease"] is not None or remaining <= 0:
+                return reply
+            waiter = loop.create_future()
+            self._lease_waiters[waiter] = req.worker
+            try:
+                await asyncio.wait((waiter,), timeout=remaining)
+            finally:
+                del self._lease_waiters[waiter]
+
+    def _lease_create(self, req: LeaseRequest) -> tuple[int, dict[str, Any], dict[str, str]]:
+        """Grant up to ``req.capacity`` queued jobs now, or an empty grant."""
+        if self._draining:
+            return 409, {"error": "server is shutting down"}, {}
         self.workers[req.worker] = time.time()
         batch = self.queue.next_batch(req.capacity)
         if not batch:
-            return 200, {"lease": None, "jobs": [], "poll_after": self.cfg.tick}, {}
+            empty: dict[str, Any] = {"lease": None, "jobs": []}
+            if not req.wait:
+                empty["poll_after"] = self.cfg.tick
+            return 200, empty, {}
         now = time.time()
         lease = Lease(
             id=self._new_id(),
@@ -882,7 +943,7 @@ class SimulationService:
             return admitted, False
         self._register(admitted)
         self.counters["queued"] += 1
-        self._wake.set()
+        self._wake_all()
         return admitted, True
 
     def _submit(self, body: bytes) -> tuple[int, dict[str, Any], dict[str, str]]:
@@ -1082,11 +1143,7 @@ class SimulationService:
             "trace_artifact": schema_info(),
             "uptime_secs": round(time.time() - self.started_at, 3),
             "stored_results": len(self.store),
-            "active_workers": sum(
-                1
-                for seen in self.workers.values()
-                if seen >= time.time() - self.cfg.worker_grace
-            ),
+            "active_workers": self._active_workers(),
         }
 
     def _metrics(self) -> dict[str, Any]:
@@ -1117,11 +1174,7 @@ class SimulationService:
             },
             "workers": {
                 "known": len(self.workers),
-                "active": sum(
-                    1
-                    for seen in self.workers.values()
-                    if seen >= time.time() - self.cfg.worker_grace
-                ),
+                "active": self._active_workers(),
                 "leases_active": len(self.leases),
                 "leased": c["leased"],
                 "lease_expired": c["lease_expired"],

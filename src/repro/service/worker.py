@@ -3,8 +3,12 @@
 ``dwarn-sim worker --server URL`` runs this loop against a
 :mod:`repro.service` daemon::
 
-    POST /v1/leases                     ask for up to --capacity jobs
-      -> empty?  sleep poll_after (jittered), ask again
+    POST /v1/leases {wait}              ask for up to --capacity jobs; the
+                                        server holds the request until a
+                                        job is queued or wait runs out
+                                        (wait = --poll-interval, at most
+                                        MAX_LEASE_WAIT seconds)
+      -> empty?  the hold ran out: ask again at once
       -> lease!  start a heartbeat thread, execute the batch locally
     POST /v1/leases/{id}/heartbeat      every lease_ttl/3 while executing
     POST /v1/leases/{id}/result         upload per-job outcomes, end lease
@@ -67,7 +71,9 @@ from repro.obs.manifest import RunManifest
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (
     MAX_CHECKPOINT_BYTES,
+    MAX_LEASE_WAIT,
     JobSpec,
+    LeaseRequest,
     SpecError,
     result_payload,
 )
@@ -98,7 +104,7 @@ class WorkerConfig:
     worker_id: str = ""                  # "" = derived from host+pid
     concurrency: int = 1                 # processes per run_pairs call
     capacity: int = 4                    # jobs requested per lease
-    poll_interval: float = 0.5           # idle sleep between empty leases
+    poll_interval: float = 0.5           # longest hold of one lease request
     retries: int = 1                     # per-pair retries inside a batch
     backend: str = "process"             # run_pairs engine: process | vec
     vec_kernel: str = "auto"             # vec stepping engine: auto | array | lane
@@ -175,12 +181,13 @@ class Worker:
     # -- leasing ---------------------------------------------------------
 
     def _lease(self) -> dict[str, Any] | None:
-        """One ``POST /v1/leases``; ``None`` when the queue had nothing
-        (after sleeping the server's advertised ``poll_after``)."""
+        """One held ``POST /v1/leases``; ``None`` when no job arrived
+        before the hold ran out."""
+        wait = max(0.0, min(self.cfg.poll_interval, MAX_LEASE_WAIT))
         status, payload, headers = self.transport.request(
             "POST",
             "/v1/leases",
-            {"worker": self.id, "capacity": self.cfg.capacity},
+            LeaseRequest(self.id, self.cfg.capacity, wait).to_dict(),
         )
         if status in (429, 503):
             # Backpressure, not failure: the router says "come back later"
@@ -192,7 +199,10 @@ class Worker:
         if status != 200:
             raise ServiceError(f"lease refused: HTTP {status}: {payload}", status, payload)
         if not payload.get("jobs"):
-            self._sleep(max(self.cfg.poll_interval, float(payload.get("poll_after", 0.0))))
+            # A held reply is empty only once its wait ran out, so ask again
+            # at once; an unheld one (wait 0) says when to retry.
+            if "poll_after" in payload:
+                self._sleep(float(payload["poll_after"]))
             return None
         return payload
 

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.config import SimulationConfig
 from repro.service.protocol import (
     MAX_LEASE_JOBS,
+    MAX_LEASE_WAIT,
     Job,
     JobResult,
     JobSpec,
@@ -239,6 +240,38 @@ class TestLeaseMessageFuzz:
     def test_lease_request_round_trip(self, worker, capacity):
         req = LeaseRequest.from_dict({"worker": worker, "capacity": capacity})
         assert LeaseRequest.from_dict(req.to_dict()) == req
+
+    @given(
+        wait=st.floats(0.0, MAX_LEASE_WAIT)
+        | st.integers(0, int(MAX_LEASE_WAIT))
+    )
+    def test_lease_request_wait_round_trip(self, wait):
+        req = LeaseRequest.from_dict({"worker": "w", "wait": wait})
+        assert req.wait == wait
+        assert LeaseRequest.from_dict(req.to_dict()) == req
+
+    def test_lease_request_without_wait_keeps_its_wire_form(self):
+        req = LeaseRequest.from_dict({"worker": "w", "capacity": 2})
+        assert req.wait == 0.0
+        assert req.to_dict() == {"worker": "w", "capacity": 2}
+
+    @pytest.mark.parametrize(
+        "wait",
+        [True, False, -0.5, -1, float("nan"), float("inf"), -float("inf"),
+         MAX_LEASE_WAIT + 0.001, int(MAX_LEASE_WAIT) + 1, "1", None, [1]],
+    )
+    def test_lease_request_bad_wait_rejected(self, wait):
+        with pytest.raises(SpecError, match="lease wait"):
+            LeaseRequest.from_dict({"worker": "w", "wait": wait})
+
+    def test_hold_fits_inside_every_transport_timeout(self):
+        """A held lease request must not look like a dead peer: the cap
+        stays below the worker client's and the router's forward timeout."""
+        from repro.service.client import ServiceClient
+        from repro.service.router import RouterConfig
+
+        assert MAX_LEASE_WAIT < ServiceClient().timeout
+        assert MAX_LEASE_WAIT < RouterConfig().timeout
 
     @given(data=_json_values())
     def test_lease_request_fuzz(self, data):

@@ -279,6 +279,43 @@ class TestLiveRouting:
         assert m["router"]["shards_up"] == 1
 
 
+class TestLiveLeaseRouting:
+    def test_held_lease_sweeps_every_shard_before_parking(self, fleet):
+        """A lease with ``wait`` is granted at once while any shard has
+        work, whichever shard the round-robin starts on; only when every
+        shard is empty is it held, then answered empty."""
+        lease = {"worker": "w", "capacity": 1}
+        # Register the worker on both shards: their local dispatchers then
+        # leave the queued jobs to it.
+        status, payload, _ = fleet.client.request("POST", "/v1/leases", lease)
+        assert status == 200 and payload["lease"] is None
+        seed = 100
+        for _ in range(2):  # consecutive requests start on different shards
+            seed = _seed_owned_by("s1", start=seed + 1)
+            job = fleet.client.submit(_spec(seed))
+            t0 = time.monotonic()
+            status, payload, _ = fleet.client.request(
+                "POST", "/v1/leases", {**lease, "wait": 3}
+            )
+            assert time.monotonic() - t0 < 1.5, "parked on the empty shard"
+            assert status == 200, payload
+            assert payload["lease"]["id"].startswith("s1@")
+            assert [e["id"] for e in payload["jobs"]] == [job["id"].split("@", 1)[1]]
+        t0 = time.monotonic()
+        status, payload, _ = fleet.client.request(
+            "POST", "/v1/leases", {**lease, "wait": 1}
+        )
+        assert time.monotonic() - t0 >= 0.9
+        assert status == 200 and payload == {"lease": None, "jobs": []}
+
+    def test_bad_wait_rejected_before_forwarding(self, fleet):
+        status, payload, _ = fleet.client.request(
+            "POST", "/v1/leases", {"worker": "w", "wait": -1}
+        )
+        assert status == 400 and "lease wait" in payload["error"]
+        assert fleet.client.metrics()["router"]["routed"] == 0  # never forwarded
+
+
 class TestLiveAdmissionControl:
     def test_rate_limited_client_gets_429_with_budget_headers(self, tmp_path):
         f = LiveFleet(tmp_path, router_flags=("--rate", "1", "--burst", "2"))

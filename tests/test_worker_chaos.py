@@ -214,10 +214,18 @@ class TestHeartbeatLoss:
                 capacity=4, max_leases=1, poll_interval=0.1, quiet=True,
                 trace_cache_dir=str(tmp_path / "worker-traces"),
             )
-            worker, thread = _run_worker_thread(cfg, transport)
+            # Queue both jobs before the worker's first lease, so that one
+            # lease holds both: a worker already parked would be granted
+            # the first job alone. An unheld lease request registers
+            # "flaky", which keeps the local dispatcher off the queue.
+            status, _, _ = srv.client.request(
+                "POST", "/v1/leases", {"worker": "flaky", "capacity": 4}
+            )
+            assert status == 200
             _wait_metric(srv.client, ("workers", "active"), 1)
             specs = _specs(2)
             jobs = [srv.client.submit(sp) for sp in specs]
+            worker, thread = _run_worker_thread(cfg, transport)
             thread.join(timeout=120)
             assert not thread.is_alive()
 
