@@ -170,11 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep engine: process pool, or the in-process lockstep "
         "vectorized batch backend (bit-identical results)",
     )
-    p_rep.add_argument(
-        "--vec-kernel", choices=("auto", "array", "lane"), default="auto",
-        help="vec-backend stepping engine: auto (array when numpy is "
-        "present), the array-stepped kernel, or per-lane stepping",
-    )
 
     p_cache = sub.add_parser(
         "cache", help="inspect or wipe the result/trace caches"
@@ -223,11 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("process", "vec"), default="process",
         help="batch engine: process pool, or the in-process lockstep "
         "vectorized batch backend (bit-identical results)",
-    )
-    p_srv.add_argument(
-        "--vec-kernel", choices=("auto", "array", "lane"), default="auto",
-        help="vec-backend stepping engine: auto (array when numpy is "
-        "present), the array-stepped kernel, or per-lane stepping",
     )
     p_srv.add_argument(
         "--store", default=".cache/service/results.jsonl", metavar="PATH",
@@ -292,11 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=("process", "vec"), default="process",
         help="batch engine: process pool, or the in-process lockstep "
         "vectorized batch backend (bit-identical results)",
-    )
-    p_wrk.add_argument(
-        "--vec-kernel", choices=("auto", "array", "lane"), default="auto",
-        help="vec-backend stepping engine: auto (array when numpy is "
-        "present), the array-stepped kernel, or per-lane stepping",
     )
     p_wrk.add_argument(
         "--trace-cache", default=None, metavar="DIR",
@@ -369,10 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument(
         "--backend", choices=("process", "vec"), default="process",
         help="batch engine for supervised shards",
-    )
-    p_rt.add_argument(
-        "--vec-kernel", choices=("auto", "array", "lane"), default="auto",
-        help="vec-backend stepping engine for supervised shards",
     )
     p_rt.add_argument(
         "--lease-ttl", type=float, default=15.0, metavar="SECS",
@@ -787,7 +768,6 @@ def _serve_command(args: argparse.Namespace) -> int:
         processes=args.processes,
         retries=args.retries,
         backend=args.backend,
-        vec_kernel=args.vec_kernel,
         ttl=args.ttl,
         store_path=args.store or None,
         cache_dir=args.cache_dir or None,
@@ -816,7 +796,6 @@ def _worker_command(args: argparse.Namespace) -> int:
         poll_interval=args.poll_interval,
         retries=args.retries,
         backend=args.backend,
-        vec_kernel=args.vec_kernel,
         trace_cache_dir=trace_dir,
         checkpoint_interval=args.checkpoint_interval,
         max_leases=args.max_leases,
@@ -833,7 +812,6 @@ def _route_command(args: argparse.Namespace) -> int:
         "--batch-max", str(args.batch_max),
         "--processes", str(args.processes),
         "--backend", args.backend,
-        "--vec-kernel", args.vec_kernel,
         "--lease-ttl", str(args.lease_ttl),
     ]
     cfg = RouterConfig(
@@ -991,7 +969,6 @@ def main(argv: list[str] | None = None) -> int:
                     manifest=manifest,
                     sweep=machine,
                     backend=args.backend,
-                    vec_kernel=args.vec_kernel,
                 )
                 print(
                     f"[prefetch] {machine}: {n} simulations "
@@ -1013,7 +990,6 @@ def main(argv: list[str] | None = None) -> int:
                 progress=seed_progress,
                 manifest=manifest,
                 backend=args.backend,
-                vec_kernel=args.vec_kernel,
             )
             print(
                 f"[prefetch] seed sweep: {n} simulations "

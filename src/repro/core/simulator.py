@@ -355,8 +355,8 @@ class Simulator:
     # arrived. Everything that could end such a span is driven by a known
     # future cycle — the event wheel, the pipe head's frontend-depth
     # deadline, a thread's fetch-ready cycle — so the span can be *skipped*
-    # wholesale instead of stepped. The array-stepped batch kernel
-    # (``repro.core.vec.kernel``) parks quiescent lanes on exactly this
+    # wholesale instead of stepped. The vec batch driver
+    # (``repro.core.vec.batch``) parks quiescent lanes on exactly this
     # contract; the backend-parity gate pins it cycle-exact.
 
     def quiescent_wake(self, cycle: int | None = None) -> int | None:
@@ -456,7 +456,7 @@ class Simulator:
         Behavior-identical to :meth:`run_cycles` — the skipped cycles are
         exactly those :meth:`quiescent_wake` proves to be no-ops — but
         idle spans cost one jump instead of per-cycle stepping. This is
-        the array-stepped batch kernel's entry point; cycles skipped are
+        how the vec batch driver steps its lanes; cycles skipped are
         accounted in :attr:`idle_cycles_skipped`.
         """
         if n <= 0:

@@ -1,40 +1,17 @@
 """Vectorized batch backend: many simulations advanced in lockstep.
 
-See :mod:`repro.core.vec.batch` for the driver design and
-:mod:`repro.core.vec.kernel` for the stepping engines. Public surface:
+See :mod:`repro.core.vec.batch` for the driver design. Public surface:
 
 - :class:`VecBatchSimulator` — the batch engine (``run() -> list[SimResult]``)
 - :class:`Lane` — one (workload, policy, seed) run specification
 - :func:`run_batch` — one-call convenience wrapper
-- :data:`VEC_KERNELS` — accepted ``vec_kernel`` knob values
-  (``auto`` | ``array`` | ``lane``); :func:`resolve_kernel` maps the knob
-  to the effective engine (``auto`` → ``array`` with numpy, else ``lane``)
-- :data:`HAVE_NUMPY` — whether the numpy control plane is active (the
-  backend falls back to pure Python when numpy is absent)
 """
 
-from repro.core.vec.batch import (
-    HAVE_NUMPY,
-    Lane,
-    VecBatchSimulator,
-    VecLaneError,
-    run_batch,
-)
-from repro.core.vec.kernel import (
-    VEC_KERNELS,
-    ArrayKernel,
-    LaneKernel,
-    resolve_kernel,
-)
+from repro.core.vec.batch import Lane, VecBatchSimulator, VecLaneError, run_batch
 
 __all__ = [
-    "HAVE_NUMPY",
-    "VEC_KERNELS",
-    "ArrayKernel",
     "Lane",
-    "LaneKernel",
     "VecBatchSimulator",
     "VecLaneError",
-    "resolve_kernel",
     "run_batch",
 ]

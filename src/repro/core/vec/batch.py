@@ -4,12 +4,12 @@ One :class:`VecBatchSimulator` advances a whole batch of (workload, policy,
 seed) runs — *lanes* — through the measurement window together, in fixed
 lockstep chunks, and returns the same ``SimResult`` objects the per-run
 ``Simulator.run()`` API produces. Results are **cycle-exact**: every active
-cycle steps through the reference fused kernel (the default *array* kernel
-additionally parks lanes across provably-idle spans — see
-:mod:`repro.core.vec.kernel`), and the batch driver reproduces
-``Simulator._run_loop``'s pause points (warm-up boundary, 64-cycle-aligned
-commit-limit checkpoints) exactly, so a lane's result is bit-identical to
-running it alone. ``repro.utils.perfguard --backend-parity`` pins this.
+cycle steps through the reference fused kernel, lanes park across
+provably-idle spans (``Simulator.quiescent_wake``), and the batch driver
+reproduces ``Simulator._run_loop``'s pause points (warm-up boundary,
+64-cycle-aligned commit-limit checkpoints) exactly, so a lane's result is
+bit-identical to running it alone. ``repro.utils.perfguard
+--backend-parity`` pins this.
 
 Where the batch wins (the reason the backend exists):
 
@@ -20,14 +20,18 @@ Where the batch wins (the reason the backend exists):
   (machine, programs), so the first lane of each group warms the hierarchy
   and the siblings clone it (``repro.core.columnar.capture_warm_hierarchy``)
   instead of re-filling thousands of cache lines each.
+- **Idle skipping.** A lane steps through the fused loop via
+  ``Simulator.run_cycles_skip_idle``, which jumps quiescent spans in place,
+  and at each segment edge it *parks* with its next wake cycle. A parked
+  lane crosses later segments with one ``advance_idle`` counter bump each,
+  never re-entering the interpreter cycle loop.
 - **Paused GC.** One simulation allocates millions of short-lived tuples;
   B simulations in one process thrash the collector B times harder. The
-  batch driver disables GC for the stepping phase and restores it after.
-- **Columnar control plane.** Per-lane progress counters live in ``(B, T)``
-  numpy arrays — commit-limit checkpoints are one vectorized comparison
-  across the whole batch, and the finished batch exposes its results as
-  matrices (:meth:`VecBatchSimulator.ipc_matrix`) for sweep-level analysis.
-  Pure-Python fallbacks keep the backend importable without numpy.
+  batch driver disables GC for the build and stepping phases and restores
+  it after. It first runs one full collection: a finished ``Simulator`` is
+  cyclic garbage (its policy points back at it), so without that collect
+  the previous batches' lanes would stay resident until CPython's gen-2
+  heuristic happened to fire.
 
 The batch runs in *one* process — it removes the per-worker duplicated
 setup that process pools pay, and composes with them (each worker can run
@@ -47,21 +51,10 @@ from repro.core.columnar import capture_warm_hierarchy, restore_warm_hierarchy
 from repro.core.policies import make_policy
 from repro.core.result import SimResult
 from repro.core.simulator import Simulator
-from repro.core.vec.kernel import VEC_KERNELS, LaneStepError, make_kernel
 from repro.trace.artifact import TraceArtifactCache
 from repro.workloads import build_programs, build_single, get_workload
 
-try:  # numpy is optional: the control plane has a pure-Python fallback
-    import numpy as _numpy
-
-    _np: Any = _numpy
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    _np = None
-
-HAVE_NUMPY: bool = _np is not None
-
 __all__ = [
-    "HAVE_NUMPY",
     "Lane",
     "VecBatchSimulator",
     "VecLaneError",
@@ -70,10 +63,6 @@ __all__ = [
 
 #: Progress callback: (finished_lanes, total_lanes, current_cycle).
 BatchProgressFn = Callable[[int, int, int], None]
-
-#: Sentinel pad for the commit-limit base matrix: lanes/threads that can
-#: never trip the limit compare against this (committed - 2**62 < limit).
-_PAD_BASE = 1 << 62
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,13 +115,15 @@ def _build_lane_programs(
 class _LaneRun:
     """One lane's live state inside the batch."""
 
-    __slots__ = ("lane", "sim", "result", "index")
+    __slots__ = ("lane", "sim", "result", "wake")
 
-    def __init__(self, index: int, lane: Lane, sim: Simulator) -> None:
-        self.index = index
+    def __init__(self, lane: Lane, sim: Simulator) -> None:
         self.lane = lane
         self.sim = sim
         self.result: SimResult | None = None
+        #: Parked wake cycle: the lane is proven idle until this cycle
+        #: (``Simulator.quiescent_wake``); -1 means runnable.
+        self.wake = -1
 
 
 class VecBatchSimulator:
@@ -148,14 +139,6 @@ class VecBatchSimulator:
     multiple of 64 so commit-limit checkpoints stay aligned); it only
     bounds how often the driver regains control — any chunking is
     behavior-neutral, exactly like ``Simulator.run_cycles``.
-
-    ``vec_kernel`` selects the stepping engine (see
-    :mod:`repro.core.vec.kernel`): ``"array"`` is the array-stepped kernel
-    (columnar park/wake control plane + quiescent-span skipping),
-    ``"lane"`` per-lane stepping through the fused scalar loop, and
-    ``"auto"`` (default) picks ``"array"`` when numpy is present. Results
-    are bit-identical either way — the backend-parity gate pins it — so
-    the knob exists for A/B measurement and the no-numpy fallback.
     """
 
     def __init__(
@@ -167,23 +150,14 @@ class VecBatchSimulator:
         trace_cache: TraceArtifactCache | None = None,
         chunk: int = 512,
         progress: BatchProgressFn | None = None,
-        vec_kernel: str = "auto",
     ) -> None:
         self.machine = machine
         self.simcfg = simcfg
         self.lanes: list[Lane] = [Lane.coerce(s) for s in lanes]
         if not self.lanes:
             raise ValueError("VecBatchSimulator needs at least one lane")
-        if vec_kernel not in VEC_KERNELS:
-            raise ValueError(
-                f"vec_kernel must be one of {VEC_KERNELS}, got {vec_kernel!r}"
-            )
-        self.vec_kernel = vec_kernel
-        #: Effective kernel name after :func:`resolve_kernel` ran ("array"
-        #: or "lane"); None until :meth:`run` resolves it.
-        self.kernel_used: str | None = None
-        #: Idle cycles the array kernel skipped as parked spans (0 for the
-        #: lane kernel) — telemetry for docs/benchmarks.
+        #: Cycles the lanes skipped as proven-idle spans, parked or inside
+        #: the fused loop — telemetry for docs/benchmarks.
         self.idle_cycles_skipped = 0
         self.trace_cache = trace_cache
         self.chunk = max(64, chunk - chunk % 64)
@@ -226,7 +200,7 @@ class VecBatchSimulator:
                 sim0 = Simulator(self.machine, programs, make_policy(lane0.policy), cfg)
             except Exception as exc:
                 raise VecLaneError(f"lane setup failed: {exc!r}", lane0) from exc
-            runs[members[0]] = _LaneRun(members[0], lane0, sim0)
+            runs[members[0]] = _LaneRun(lane0, sim0)
             if len(members) == 1:
                 continue
             template = capture_warm_hierarchy(sim0.hierarchy) if cfg.prewarm_caches else None
@@ -241,7 +215,7 @@ class VecBatchSimulator:
                         restore_warm_hierarchy(sim.hierarchy, template)
                 except Exception as exc:
                     raise VecLaneError(f"lane setup failed: {exc!r}", lane) from exc
-                runs[i] = _LaneRun(i, lane, sim)
+                runs[i] = _LaneRun(lane, sim)
         self._runs = [r for r in runs if r is not None]
         assert len(self._runs) == len(self.lanes)
 
@@ -250,21 +224,8 @@ class VecBatchSimulator:
     def _commit_hits(self, active: list[_LaneRun], limit: int) -> list[_LaneRun]:
         """Lanes whose per-thread windowed commits reached ``limit``.
 
-        Mirrors the per-run loop's checkpoint test exactly; with numpy the
-        whole batch is one ``(B, T)`` comparison, without it a small loop.
+        Mirrors the per-run loop's checkpoint test exactly.
         """
-        if _np is not None:
-            tmax = max(r.sim.num_threads for r in active)
-            committed = _np.zeros((len(active), tmax), dtype=_np.int64)
-            base = _np.full((len(active), tmax), _PAD_BASE, dtype=_np.int64)
-            for row, r in enumerate(active):
-                n = r.sim.num_threads
-                committed[row, :n] = r.sim.stats.committed
-                warm = r.sim._warm_committed
-                if warm is not None:
-                    base[row, :n] = warm
-            hit_rows = _np.nonzero(((committed - base) >= limit).any(axis=1))[0]
-            return [active[int(row)] for row in hit_rows]
         hits: list[_LaneRun] = []
         for r in active:
             warm = r.sim._warm_committed
@@ -284,6 +245,14 @@ class VecBatchSimulator:
         batch: all lanes share the same phase boundaries (same simcfg), so
         one stop schedule serves every active lane, and each pause point is
         one the per-run loop would also have paused at (behavior-neutral).
+
+        Each segment advances every active lane to ``stop``. A lane parked
+        past ``cyc`` first jumps its idle span with one ``advance_idle``
+        (possibly the whole segment). A lane still short of ``stop`` steps
+        the rest through ``run_cycles_skip_idle`` and, if it ends quiescent,
+        parks with its next wake cycle. By ``Simulator.quiescent_wake``'s
+        contract every jumped cycle is one the fused loop would have run as
+        a pure no-op.
         """
         if self.results is not None:
             return self.results
@@ -302,8 +271,10 @@ class VecBatchSimulator:
             if self.progress is not None:
                 self.progress(finished, n_lanes, r.sim.cycle)
 
-        stepper = make_kernel(self.vec_kernel, len(self.lanes))
-        self.kernel_used = stepper.name
+        # Free earlier batches' lanes (cyclic garbage: a policy points back
+        # at its simulator) before pausing GC, so peak memory does not hinge
+        # on when the gen-2 heuristic last fired.
+        gc.collect()
         gc_was_enabled = gc.isenabled()
         gc.disable()  # trace walks and stepping both churn short-lived tuples
         t0 = time.perf_counter()
@@ -322,13 +293,26 @@ class VecBatchSimulator:
                         stop = ckpt
                 if cyc + chunk < stop:
                     stop = cyc + chunk
-                try:
-                    stepper.advance(active, stop)
-                except LaneStepError as exc:
-                    raise VecLaneError(
-                        f"lane failed at cycle {cyc}: {exc.cause!r}",
-                        self.lanes[exc.index],
-                    ) from exc
+                for r in active:
+                    sim = r.sim
+                    try:
+                        if r.wake > cyc:
+                            sim.advance_idle(min(r.wake, stop) - cyc)
+                        if sim.cycle < stop:
+                            r.wake = -1
+                            sim.run_cycles_skip_idle(stop - sim.cycle)
+                            wake = sim.quiescent_wake(stop)
+                            if wake is not None:
+                                if wake <= stop:
+                                    raise RuntimeError(
+                                        f"idle-skip invariant broken: wake {wake} "
+                                        f"not past segment edge {stop}"
+                                    )
+                                r.wake = wake
+                    except Exception as exc:
+                        raise VecLaneError(
+                            f"lane failed at cycle {cyc}: {exc!r}", r.lane
+                        ) from exc
                 cyc = stop
                 if limit and cyc > warmup and (cyc & 63) == 0:
                     for r in self._commit_hits(active, limit):
@@ -350,33 +334,6 @@ class VecBatchSimulator:
         self.lane_seconds = [self.batch_seconds * w / wsum for w in weights]
         return self.results
 
-    # ---------------------------------------------------------- analysis
-
-    def ipc_matrix(self) -> Any:
-        """Per-thread IPCs as a ``(B, Tmax)`` matrix, NaN-padded.
-
-        A numpy array when numpy is available, else a list of lists (padded
-        with ``float("nan")``) — the shape sweep-level analysis wants.
-        """
-        if self.results is None:
-            raise RuntimeError("run() the batch first")
-        tmax = max(res.num_threads for res in self.results)
-        if _np is not None:
-            out = _np.full((len(self.results), tmax), _np.nan)
-            for row, res in enumerate(self.results):
-                out[row, : res.num_threads] = res.ipc
-            return out
-        nan = float("nan")
-        return [list(res.ipc) + [nan] * (tmax - res.num_threads) for res in self.results]
-
-    def throughputs(self) -> Any:
-        """Per-lane throughput (sum of per-thread IPCs), ``(B,)``-shaped."""
-        if self.results is None:
-            raise RuntimeError("run() the batch first")
-        if _np is not None:
-            return _np.array([res.throughput for res in self.results])
-        return [res.throughput for res in self.results]
-
 
 def run_batch(
     machine: MachineConfig,
@@ -386,7 +343,6 @@ def run_batch(
     trace_cache: TraceArtifactCache | None = None,
     chunk: int = 512,
     progress: BatchProgressFn | None = None,
-    vec_kernel: str = "auto",
 ) -> list[SimResult]:
     """One-call convenience: build a :class:`VecBatchSimulator` and run it."""
     return VecBatchSimulator(
@@ -396,5 +352,4 @@ def run_batch(
         trace_cache=trace_cache,
         chunk=chunk,
         progress=progress,
-        vec_kernel=vec_kernel,
     ).run()

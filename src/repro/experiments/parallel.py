@@ -365,7 +365,6 @@ def run_pairs(
     sweep: str = "sweep",
     seed: int | None = None,
     backend: str = "process",
-    vec_kernel: str = "auto",
 ) -> list[tuple[str, str, SimResult]]:
     """Run pairs in a process pool; returns (workload, policy, result) in
     the order the pairs were given.
@@ -383,9 +382,6 @@ def run_pairs(
     bit-identical results (perfguard's backend-parity gate pins this),
     much higher throughput on many-pairs/short-run screening sweeps, and
     a serial-path fallback (honoring ``retries``) if the batch aborts.
-    ``vec_kernel`` picks the vec backend's stepping engine (``"auto"`` |
-    ``"array"`` | ``"lane"``, see :mod:`repro.core.vec.kernel`); ignored
-    by the process backend.
 
     When ``manifest`` is given, every completed pair is recorded into it as
     ``source="simulated"`` (with its in-worker seconds and retry count,
@@ -426,9 +422,7 @@ def run_pairs(
     if backend == "vec":
         trace_cache = TraceArtifactCache(trace_cache_dir) if trace_cache_dir else None
         try:
-            batch = VecBatchSimulator(
-                machine, simcfg, pairs, trace_cache=trace_cache, vec_kernel=vec_kernel
-            )
+            batch = VecBatchSimulator(machine, simcfg, pairs, trace_cache=trace_cache)
             batch_results = batch.run()
         except VecLaneError:
             # The batch engine could not finish (one lane poisoned it at
@@ -532,7 +526,6 @@ def prefetch(
     manifest: "RunManifest | None" = None,
     sweep: str = "prefetch",
     backend: str = "process",
-    vec_kernel: str = "auto",
 ) -> int:
     """Fill the runner's caches for ``pairs`` using worker processes.
 
@@ -578,7 +571,6 @@ def prefetch(
         sweep=sweep,
         seed=seed,
         backend=backend,
-        vec_kernel=vec_kernel,
     )
     for wl, pol, res in results:
         runner.store_result(wl, pol, res)
@@ -596,7 +588,6 @@ def prefetch_seed_sweep(
     manifest: "RunManifest | None" = None,
     sweep: str = "seeds",
     backend: str = "process",
-    vec_kernel: str = "auto",
 ) -> int:
     """Prefetch ``pairs`` under several trace *seeds* (the ext_seeds sweep).
 
@@ -629,7 +620,6 @@ def prefetch_seed_sweep(
             manifest=manifest,
             sweep=sweep,
             backend=backend,
-            vec_kernel=vec_kernel,
         )
         runner.simulations_run += sub.simulations_run
     return total

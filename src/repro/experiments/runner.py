@@ -218,7 +218,6 @@ class ExperimentRunner:
         self,
         pairs: Iterable[tuple[str, str]],
         backend: str = "vec",
-        vec_kernel: str = "auto",
     ) -> list[SimResult]:
         """Simulate many (workload, policy) pairs at once; cached.
 
@@ -227,9 +226,6 @@ class ExperimentRunner:
         (``backend="vec"``, the default; bit-identical to :meth:`run`, see
         ``repro.core.vec``) or one at a time (``backend="serial"``) — and
         are installed into both caches. Results come back in pair order.
-        ``vec_kernel`` selects the vec backend's stepping engine
-        (``"auto"`` | ``"array"`` | ``"lane"``, see
-        :mod:`repro.core.vec.kernel`); the serial backend ignores it.
         """
         pairs = [(wl, pol) for wl, pol in pairs]
         out: dict[int, SimResult] = {}
@@ -249,7 +245,6 @@ class ExperimentRunner:
                     self.simcfg,
                     [pairs[i] for i in misses],
                     trace_cache=self.trace_cache,
-                    vec_kernel=vec_kernel,
                 )
                 fresh = batch.run()
                 self.simulations_run += len(fresh)

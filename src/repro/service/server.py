@@ -190,7 +190,6 @@ class ServiceConfig:
     processes: int = 1                    # worker processes per batch
     retries: int = 1                      # per-pair retries inside a batch
     backend: str = "process"              # run_pairs engine: process | vec
-    vec_kernel: str = "auto"              # vec stepping engine: auto | array | lane
     ttl: float | None = None              # result-store TTL seconds
     store_path: str | None = None         # None = in-memory store
     cache_dir: str | None = None          # ExperimentRunner result cache
@@ -402,7 +401,6 @@ class SimulationService:
                 sweep="service",
                 seed=simcfg.seed,
                 backend=self.cfg.backend,
-                vec_kernel=self.cfg.vec_kernel,
             )
         except Exception as exc:
             for job in batch:

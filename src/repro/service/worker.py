@@ -107,7 +107,6 @@ class WorkerConfig:
     poll_interval: float = 0.5           # longest hold of one lease request
     retries: int = 1                     # per-pair retries inside a batch
     backend: str = "process"             # run_pairs engine: process | vec
-    vec_kernel: str = "auto"             # vec stepping engine: auto | array | lane
     trace_cache_dir: str | None = None   # persistent trace artifacts
     checkpoint_interval: int = 0         # cycles between uploads; 0 = off
     max_leases: int | None = None        # exit after N non-empty leases (tests)
@@ -314,7 +313,6 @@ class Worker:
                 sweep="worker",
                 seed=simcfg.seed,
                 backend=self.cfg.backend,
-                vec_kernel=self.cfg.vec_kernel,
             )
         except Exception as exc:  # SweepError after retries, or anything else
             self.stats["jobs_failed"] += len(group)

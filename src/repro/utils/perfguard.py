@@ -47,8 +47,8 @@ preset) and compares two things against a checked-in baseline file
 
 6. **Digest-scale vec throughput** — the same guarded pairs the digests run
    (long windows, the shape cache-size sweeps and interval-telemetry runs
-   take), batched through the array-stepped kernel versus cold serial. This
-   gates the array kernel's win separately from the screening-scale gate:
+   take), batched with idle-span skipping versus cold serial. This gates
+   the batch's win there separately from the screening-scale gate:
    ``vec_digest.min_speedup`` is the floor and
    ``vec_digest_cycles_per_sec`` gets the host-normalized check.
    ``--json [PATH]`` additionally emits both vec sections as a
@@ -68,8 +68,7 @@ preset) and compares two things against a checked-in baseline file
 A separate mode, ``--backend-parity``, compares the staged, fused and
 vectorized engines bit-for-bit (results *and* per-thread gating cycles) on
 every guarded pair — the CI gate that pins the vectorized backend
-cycle-exact. ``--vec-kernel`` selects the batch arm's stepping engine, so
-CI runs the gate once per kernel.
+cycle-exact.
 
 Another separate mode, ``--service-bench PATH``, gates a ``dwarn-sim
 loadtest`` report (``BENCH_service.json``) against the baseline's
@@ -83,7 +82,7 @@ Usage::
 
     python -m repro.utils.perfguard --baseline benchmarks/baselines.json
     python -m repro.utils.perfguard --baseline benchmarks/baselines.json --update
-    python -m repro.utils.perfguard --backend-parity --vec-kernel array
+    python -m repro.utils.perfguard --backend-parity
     python -m repro.utils.perfguard --service-bench BENCH_service.json
 
 Exit status: 0 = within tolerance, 1 = regression or digest drift,
@@ -396,13 +395,11 @@ _VEC_DIGEST_MIN_SPEEDUP = 2.2
 def collect_vec_digest(repeats: int = _VEC_REPEATS) -> dict[str, Any]:
     """Measure the batched backend at *digest scale* (the guarded pairs'
     long windows — the shape design-space sweeps and interval-telemetry
-    runs take), cold serial versus one batch on the default stepping
-    kernel (the array kernel whenever numpy is importable).
+    runs take), cold serial versus one batch.
 
     Same methodology as :func:`collect_vec_speed` — alternating arms,
-    best-of-N, results asserted identical — plus the resolved kernel name
-    and its idle-span telemetry, so the artifact records which engine the
-    number belongs to.
+    best-of-N, results asserted identical — plus the batch's idle-span
+    telemetry.
     """
     from repro.core import Simulator, make_policy
     from repro.core.vec import VecBatchSimulator
@@ -426,7 +423,6 @@ def collect_vec_digest(repeats: int = _VEC_REPEATS) -> dict[str, Any]:
     serial_secs: list[float] = []
     batch_secs: list[float] = []
     batch_cycles = 0
-    kernel = "?"
     idle_skipped = 0
     for _ in range(repeats):
         s_secs, s_res = serial_cold()
@@ -440,14 +436,12 @@ def collect_vec_digest(repeats: int = _VEC_REPEATS) -> dict[str, Any]:
         serial_secs.append(s_secs)
         batch_secs.append(b_secs)
         batch_cycles = sum(r.cycles for r in b_res)
-        kernel = b.kernel_used or "?"
         idle_skipped = b.idle_cycles_skipped
     best_serial = min(serial_secs)
     best_batch = min(batch_secs)
     vec_cps = batch_cycles / best_batch
     return {
         "lanes": len(lanes),
-        "kernel": kernel,
         "idle_cycles_skipped": idle_skipped,
         "serial_secs": round(best_serial, 3),
         "batch_secs": round(best_batch, 3),
@@ -545,7 +539,7 @@ def collect_resume(repeats: int = _RESUME_REPEATS) -> dict[str, Any]:
     }
 
 
-def collect_backend_parity(vec_kernel: str = "auto") -> dict[str, Any]:
+def collect_backend_parity() -> dict[str, Any]:
     """Run every guarded (workload, policy) pair through all three engines
     — staged ``_step``, fused ``_run_fast``, and the vectorized batch — and
     compare results *and* per-thread gating statistics exactly.
@@ -553,9 +547,7 @@ def collect_backend_parity(vec_kernel: str = "auto") -> dict[str, Any]:
     The staged engine is forced the same way the property suite does: any
     instance-dict stage override makes ``_fast_eligible`` refuse the fused
     loop. The vec arm runs all pairs as one lockstep batch, which is
-    exactly how the backend amortizes setup in production; ``vec_kernel``
-    selects its stepping engine so CI can pin both the array-stepped
-    kernel and per-lane stepping.
+    exactly how the backend amortizes setup in production.
     """
     from repro.core import Simulator, make_policy
     from repro.core.vec import VecBatchSimulator
@@ -573,7 +565,7 @@ def collect_backend_parity(vec_kernel: str = "auto") -> dict[str, Any]:
         res = sim.run()
         return res, list(sim.stats.gated_cycles)
 
-    vec_batch = VecBatchSimulator(machine, simcfg, lanes, vec_kernel=vec_kernel)
+    vec_batch = VecBatchSimulator(machine, simcfg, lanes)
     vec_results = vec_batch.run()
     vec_gated = [list(r.sim.stats.gated_cycles) for r in vec_batch._runs]
 
@@ -593,11 +585,7 @@ def collect_backend_parity(vec_kernel: str = "auto") -> dict[str, Any]:
             "committed": list(staged_res.committed),
             "gated_cycles": staged_gated,
         }
-    return {
-        "pairs": pairs,
-        "all_match": all_match,
-        "kernel": vec_batch.kernel_used,
-    }
+    return {"pairs": pairs, "all_match": all_match}
 
 
 #: Instrumented-overhead measurement shape: long enough that per-window
@@ -759,7 +747,7 @@ def compare(
 
     # Digest-scale vec: same two checks as the screening gate, with its own
     # (lower) speedup floor — long windows amortize setup less, and the
-    # array kernel's win there is exactly what this section regression-gates.
+    # idle-skipping win there is exactly what this section regression-gates.
     base_vd = baseline.get("vec_digest", {})
     cur_vd = current.get("vec_digest", {})
     if base_vd and cur_vd:
@@ -820,10 +808,10 @@ def _build_current(skip_speed: bool, skip_sweep: bool) -> dict[str, Any]:
     return current
 
 
-def _backend_parity_check(vec_kernel: str = "auto") -> int:
+def _backend_parity_check() -> int:
     """The ``--backend-parity`` mode: staged vs fused vs vectorized, every
     guarded pair, results and gating stats bit-identical. Exit status."""
-    parity = collect_backend_parity(vec_kernel)
+    parity = collect_backend_parity()
     for key, rec in sorted(parity["pairs"].items()):
         status = "ok " if rec["match"] else "FAIL"
         print(
@@ -841,8 +829,7 @@ def _backend_parity_check(vec_kernel: str = "auto") -> int:
         return 1
     print(
         f"perfguard OK: staged, fused and vectorized engines "
-        f"(vec kernel: {parity['kernel']}) bit-identical on all {n} pairs "
-        f"(results and gating stats)"
+        f"bit-identical on all {n} pairs (results and gating stats)"
     )
     return 0
 
@@ -999,13 +986,6 @@ def main(argv: list[str] | None = None) -> int:
         "on every guarded pair (results and gating stats); no timing",
     )
     parser.add_argument(
-        "--vec-kernel",
-        choices=("auto", "array", "lane"),
-        default="auto",
-        help="stepping engine for the vectorized arm of --backend-parity "
-        "(default: auto = array when numpy is present)",
-    )
-    parser.add_argument(
         "--json",
         nargs="?",
         const="BENCH_vec.json",
@@ -1037,7 +1017,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.backend_parity:
-        return _backend_parity_check(args.vec_kernel)
+        return _backend_parity_check()
 
     if args.obs_overhead:
         return _obs_overhead_check(args.obs_tolerance)
@@ -1154,7 +1134,7 @@ def main(argv: list[str] | None = None) -> int:
     if vd is not None:
         print(
             f"perfguard OK: vec digest-scale {vd['digest_speedup']:.2f}x over "
-            f"cold serial ({vd['lanes']} lanes, kernel {vd['kernel']}, "
+            f"cold serial ({vd['lanes']} lanes, "
             f"{vd['idle_cycles_skipped']} idle cycles skipped), "
             f"{vd['vec_digest_cycles_per_sec']:,.0f} cycles/s"
         )

@@ -4,22 +4,24 @@
 through one process. Its contract is *bit-identity*: every lane's
 ``SimResult`` equals the one ``Simulator.run()`` would produce for that run
 alone — across policies, thread mixes, per-lane seeds, pre-warm template
-cloning, commit-limit early exit, and with or without numpy (the control
-plane falls back to pure Python). A hypothesis sweep fuzzes the batch
-against the *staged* reference engine, crossing both the lockstep driver
-and the fused/staged boundary in one property.
+cloning, idle-span parking and commit-limit early exit. A hypothesis sweep
+fuzzes the batch against the *staged* reference engine, crossing both the
+lockstep driver and the fused/staged boundary in one property.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import subprocess
+import sys
+import weakref
 
 import pytest
 
 from repro.config import SimulationConfig, baseline
 from repro.core import Simulator, make_policy
 from repro.core.vec import Lane, VecBatchSimulator, VecLaneError, run_batch
-from repro.core.vec import batch as vecbatch
 from repro.experiments.parallel import run_pairs
 from repro.workloads import build_programs, build_single, get_workload
 
@@ -50,10 +52,13 @@ def test_batch_matches_serial_across_policies():
     shape (shared trace walks, shared pre-warm template per group)."""
     simcfg = _simcfg()
     lanes = [(wl, pol) for wl in ("2-MEM", "4-MIX") for pol in SIX_POLICIES]
-    results = run_batch(baseline(), simcfg, lanes)
+    batch = VecBatchSimulator(baseline(), simcfg, lanes)
+    results = batch.run()
     assert len(results) == len(lanes)
     for (wl, pol), got in zip(lanes, results):
         assert got == _serial_result(wl, pol, simcfg), f"{wl}/{pol} diverged"
+    # Idle skipping actually engaged (otherwise this guards nothing).
+    assert batch.idle_cycles_skipped > 0
 
 
 def test_batch_matches_serial_with_mixed_seeds_and_lone_benchmark():
@@ -87,17 +92,6 @@ def test_batch_matches_serial_with_commit_limit():
     assert any(res.cycles < simcfg.total_cycles for res in results)
 
 
-def test_pure_python_fallback_matches_numpy_path(monkeypatch):
-    """With the numpy control plane disabled the backend must produce the
-    same results (the no-numpy CI leg runs this for real)."""
-    simcfg = _simcfg(commit_limit=120)
-    lanes = [("2-MEM", "icount"), ("2-MEM", "dwarn"), ("4-MIX", "pdg")]
-    with_np = run_batch(baseline(), simcfg, lanes)
-    monkeypatch.setattr(vecbatch, "_np", None)
-    without_np = run_batch(baseline(), simcfg, lanes)
-    assert with_np == without_np
-
-
 def test_chunk_size_is_behavior_neutral():
     simcfg = _simcfg()
     lanes = [("4-MIX", "dwarn"), ("4-MIX", "flush")]
@@ -123,16 +117,38 @@ def test_progress_callback_and_timing_attribution():
     assert again is batch.results
 
 
-def test_ipc_matrix_shape_and_padding():
+def test_batch_frees_previous_batches_lanes():
+    """A finished Simulator is cyclic garbage (its policy points back at
+    it), so with GC paused it would outlive its batch. The next batch
+    collects before it builds, whatever the caller's GC state."""
     simcfg = _simcfg()
-    batch = VecBatchSimulator(baseline(), simcfg, [("2-MEM", "icount"), ("4-MIX", "icount")])
-    results = batch.run()
-    mat = batch.ipc_matrix()
-    rows = [list(row) for row in mat]
-    assert len(rows) == 2 and len(rows[0]) == 4
-    assert rows[0][:2] == list(results[0].ipc)
-    assert all(x != x for x in rows[0][2:])  # NaN padding on the 2-thread lane
-    assert rows[1] == list(results[1].ipc)
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        first = VecBatchSimulator(
+            baseline(), simcfg, [("2-MEM", "icount"), ("2-MEM", "dwarn"), ("4-MIX", "meta")]
+        )
+        first.run()
+        refs = [weakref.ref(r.sim) for r in first._runs]
+        del first
+        run_batch(baseline(), simcfg, [("2-MEM", "flush")])
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def test_import_pulls_in_no_numpy():
+    """The package, CLI, daemon and sweep engine are pure Python."""
+    code = (
+        "import sys\n"
+        "import repro, repro.cli, repro.service.server, repro.experiments.parallel\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_lane_coercion_and_errors():

@@ -1,18 +1,17 @@
-"""The array-stepped vec kernel is cycle-exact and falls back cleanly.
+"""Idle-span skipping in the vec batch driver is cycle-exact.
 
-``repro.core.vec.kernel`` gives the batch backend two stepping engines: the
-per-lane reference (``LaneKernel``) and the array-stepped engine
-(``ArrayKernel``) whose ``(B,)`` park/wake columns skip proven-quiescent
-spans through ``Simulator.run_cycles_skip_idle``. The contract under test:
+The batch driver (``repro.core.vec.batch``) steps each lane through
+``Simulator.run_cycles_skip_idle`` and parks it across proven-quiescent
+spans with its next wake cycle. The contract under test:
 
 - the quiescence primitives (``quiescent_wake`` / ``advance_idle`` /
   ``run_cycles_skip_idle``) are behavior-identical to plain stepping on
   both the fused and the staged engine;
-- an array-kernel batch is bit-identical to the fused per-run reference
+- a batch equals each of its lanes stepped alone without skipping, and
+  only the batch reports skipped cycles;
+- a parked-and-woken batch is bit-identical to the fused per-run reference
   (hypothesis-fuzzed across policies x commit limits x seeds, mirroring
-  the vec-vs-staged sweep in test_vec_batch.py);
-- without numpy, ``vec_kernel="auto"`` degrades to per-lane stepping with
-  identical results, and an explicit ``"array"`` is a loud error.
+  the vec-vs-staged sweep in test_vec_batch.py).
 """
 
 from __future__ import annotations
@@ -23,9 +22,6 @@ from repro.config import SimulationConfig, baseline
 from repro.core import Simulator, make_policy
 from repro.core.simulator import IDLE_FOREVER
 from repro.core.vec import VecBatchSimulator, run_batch
-from repro.core.vec import batch as vecbatch
-from repro.core.vec import kernel as veckernel
-from repro.core.vec.kernel import make_kernel, resolve_kernel
 from repro.workloads import build_programs, build_single, get_workload
 
 SIX_POLICIES = ("icount", "stall", "flush", "dg", "pdg", "dwarn")
@@ -118,113 +114,32 @@ def test_idle_forever_sentinel_is_far_future():
 
 
 # ---------------------------------------------------------------------------
-# kernel selection and fallback
+# idle-skipping batch vs plain per-lane stepping
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_kernel_names():
-    assert resolve_kernel("lane") == "lane"
-    with pytest.raises(ValueError):
-        resolve_kernel("bogus")
-    if veckernel.HAVE_NUMPY:
-        assert resolve_kernel("auto") == "array"
-        assert resolve_kernel("array") == "array"
-        assert make_kernel("auto", 3).name == "array"
-    assert make_kernel("lane", 3).name == "lane"
-
-
-def test_resolve_kernel_without_numpy(monkeypatch):
-    monkeypatch.setattr(veckernel, "_np", None)
-    assert resolve_kernel("auto") == "lane"
-    assert resolve_kernel("lane") == "lane"
-    with pytest.raises(ValueError):
-        resolve_kernel("array")
-
-
-def test_batch_rejects_unknown_kernel():
-    with pytest.raises(ValueError):
-        VecBatchSimulator(baseline(), _simcfg(), [("2-MEM", "icount")], vec_kernel="bogus")
-
-
-def test_no_numpy_auto_falls_back_to_lane_with_identical_results(monkeypatch):
-    """The explicit no-numpy leg: auto degrades to per-lane stepping, same
-    results bit-for-bit; asking for the array kernel is a loud error."""
-    simcfg = _simcfg(commit_limit=120)
-    lanes = [("2-MEM", "icount"), ("2-MEM", "dwarn"), ("4-MIX", "pdg")]
-    with_np = run_batch(baseline(), simcfg, lanes, vec_kernel="auto")
-    monkeypatch.setattr(vecbatch, "_np", None)
-    monkeypatch.setattr(veckernel, "_np", None)
-    batch = VecBatchSimulator(baseline(), simcfg, lanes, vec_kernel="auto")
-    without_np = batch.run()
-    assert batch.kernel_used == "lane"
-    assert batch.idle_cycles_skipped == 0
-    assert with_np == without_np
-    with pytest.raises(ValueError):
-        VecBatchSimulator(baseline(), simcfg, lanes, vec_kernel="array").run()
-
-
-@pytest.mark.skipif(not veckernel.HAVE_NUMPY, reason="array kernel needs numpy")
 def test_array_and_lane_kernels_agree_and_report():
+    """The batch driver, which parks quiescent lanes, agrees with each lane
+    stepped alone without skipping, and each side reports its skip count."""
     simcfg = _simcfg()
     lanes = [("4-MIX", pol) for pol in SIX_POLICIES]
-    arr = VecBatchSimulator(baseline(), simcfg, lanes, vec_kernel="array")
-    arr_results = arr.run()
-    lane = VecBatchSimulator(baseline(), simcfg, lanes, vec_kernel="lane")
-    lane_results = lane.run()
-    assert arr.kernel_used == "array"
-    assert lane.kernel_used == "lane"
-    assert arr_results == lane_results
-    assert arr.idle_cycles_skipped > 0
-    assert lane.idle_cycles_skipped == 0
-
-
-# ---------------------------------------------------------------------------
-# pure-Python fallback of the batch accessors (satellite: previously only
-# exercised indirectly)
-# ---------------------------------------------------------------------------
-
-
-def test_ipc_matrix_and_throughputs_pure_python_fallback(monkeypatch):
-    simcfg = _simcfg()
-    lanes = [("2-MEM", "icount"), ("4-MIX", "dwarn")]
     batch = VecBatchSimulator(baseline(), simcfg, lanes)
-    results = batch.run()
-    numpy_mat = [list(row) for row in batch.ipc_matrix()]
-    numpy_thr = list(batch.throughputs())
-    monkeypatch.setattr(vecbatch, "_np", None)
-    mat = batch.ipc_matrix()
-    thr = batch.throughputs()
-    assert isinstance(mat, list) and isinstance(mat[0], list)
-    assert isinstance(thr, list)
-    assert len(mat) == len(lanes) and len(mat[0]) == 4
-    assert mat[0][:2] == list(results[0].ipc)
-    assert all(x != x for x in mat[0][2:])  # NaN padding on the 2-thread lane
-    assert mat[1] == list(results[1].ipc)
-    assert thr == [res.throughput for res in results]
-    # Same numbers either control plane (NaN-aware compare on the padding).
-    for np_row, py_row in zip(numpy_mat, mat):
-        for a, b in zip(np_row, py_row):
-            assert (a != a and b != b) or a == b
-    assert numpy_thr == thr
-
-
-def test_accessors_require_run_first():
-    batch = VecBatchSimulator(baseline(), _simcfg(), [("2-MEM", "icount")])
-    with pytest.raises(RuntimeError):
-        batch.ipc_matrix()
-    with pytest.raises(RuntimeError):
-        batch.throughputs()
+    batch_results = batch.run()
+    plain_sims = [_fresh_sim(wl, pol, simcfg) for wl, pol in lanes]
+    plain_results = [sim.run() for sim in plain_sims]
+    assert batch_results == plain_results
+    assert batch.idle_cycles_skipped > 0
+    assert all(sim.idle_cycles_skipped == 0 for sim in plain_sims)
 
 
 # ---------------------------------------------------------------------------
-# hypothesis: array-kernel batch vs the *fused* reference engine
+# hypothesis: idle-skipping batch vs the *fused* reference engine
 # ---------------------------------------------------------------------------
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 
-@pytest.mark.skipif(not veckernel.HAVE_NUMPY, reason="array kernel needs numpy")
 @settings(
     max_examples=10,
     deadline=None,
@@ -241,9 +156,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E
 def test_array_kernel_matches_fused_reference(
     workload, policies, seed, warmup, cycles, limit
 ):
-    """Randomized short runs: every array-stepped lane must equal the fused
-    per-run engine run alone — crossing the park/wake columns, warm-up
-    boundaries, commit-limit checkpoints, and the in-loop idle jumps."""
+    """Randomized short runs: every batched lane must equal the fused
+    per-run engine run alone — crossing parked spans, warm-up boundaries,
+    commit-limit checkpoints, and the in-loop idle jumps."""
     simcfg = SimulationConfig(
         warmup_cycles=warmup,
         measure_cycles=cycles,
@@ -252,7 +167,7 @@ def test_array_kernel_matches_fused_reference(
         commit_limit=limit,
     )
     lanes = [(workload, pol) for pol in policies]
-    results = run_batch(baseline(), simcfg, lanes, vec_kernel="array")
+    results = run_batch(baseline(), simcfg, lanes)
     for (wl, pol), got in zip(lanes, results):
         sim = _fresh_sim(wl, pol, simcfg)
         assert got == sim.run(), f"{wl}/{pol} diverged"
