@@ -237,10 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default: $DWARN_SIM_TRACE_CACHE, else {DEFAULT_TRACE_CACHE})",
     )
     p_srv.add_argument(
-        "--dispatch-delay", type=float, default=0.0, metavar="SECS",
-        help="sleep before dispatching each batch (testing backpressure)",
-    )
-    p_srv.add_argument(
         "--lease-ttl", type=float, default=15.0, metavar="SECS",
         help="heartbeat deadline per worker lease (default: 15)",
     )
@@ -772,7 +768,6 @@ def _serve_command(args: argparse.Namespace) -> int:
         store_path=args.store or None,
         cache_dir=args.cache_dir or None,
         trace_cache_dir=trace_dir,
-        dispatch_delay=args.dispatch_delay,
         port_file=args.port_file,
         lease_ttl=args.lease_ttl,
         max_redeliveries=args.max_redeliveries,

@@ -23,8 +23,8 @@ needs a long-lived process instead. ``dwarn-sim serve`` starts one:
   ``RunManifest``-derived record into a JSONL-backed result store with TTL
   eviction, reloaded on restart.
 - **Client** (:mod:`repro.service.client`): a blocking stdlib-only client
-  with timeouts, bounded retries and jittered backoff, used by the tests,
-  the CI smoke job and the examples in docs/SERVICE.md.
+  with timeouts, bounded retries and jittered backoff, used by the tests
+  and the examples in docs/SERVICE.md.
 - **Workers** (:mod:`repro.service.worker`): ``dwarn-sim worker`` runs a
   pull-based distributed worker that leases job batches over
   ``POST /v1/leases``, executes them through the same sweep engine and

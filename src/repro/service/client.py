@@ -20,9 +20,8 @@ Long sweeps can stream instead of poll: :meth:`ServiceClient.stream` POSTs
 a list of specs to ``/v1/stream`` and yields one record per job as the
 server (or the sharding router) writes them over a chunked response.
 
-Used by the test suite, the CI smoke job (``repro.service.smoke``), the
-load-test harness (``repro.service.loadtest``) and the examples in
-docs/SERVICE.md and docs/SCALING.md.
+Used by the test suite, the load-test harness (``repro.service.loadtest``)
+and the examples in docs/SERVICE.md and docs/SCALING.md.
 
 Usage::
 

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import queue
 import random
 import subprocess
@@ -150,10 +149,10 @@ class _Proc:
         self.proc: subprocess.Popen | None = None
         self.port: int | None = None
 
-    def start(self, extra: list[str] = []) -> None:
+    def start(self) -> None:
         self.port_file.unlink(missing_ok=True)
         self.proc = subprocess.Popen(
-            self.argv + extra, stdout=subprocess.DEVNULL, stderr=subprocess.STDOUT
+            self.argv, stdout=subprocess.DEVNULL, stderr=subprocess.STDOUT
         )
 
     def await_port(self, timeout: float = 30.0) -> int:
@@ -406,10 +405,7 @@ def run_loadtest(cfg: LoadTestConfig) -> int:
     fleet: Fleet | None = None
     if cfg.router_url is None:
         fleet = Fleet(cfg, state)
-        print(f"loadtest: booting {cfg.shards} shards + router "
-              f"(state: {state})", flush=True)
-        port = fleet.boot()
-        host = "127.0.0.1"
+        host, port = "127.0.0.1", 0
     else:
         addr = cfg.router_url.removeprefix("http://").rstrip("/")
         host, _, port_s = addr.rpartition(":")
@@ -419,6 +415,12 @@ def run_loadtest(cfg: LoadTestConfig) -> int:
         port = int(port_s)
 
     try:
+        if fleet is not None:
+            # Inside the try: a daemon that never reports a port must not
+            # leave the ones already started running.
+            print(f"loadtest: booting {cfg.shards} shards + router "
+                  f"(state: {state})", flush=True)
+            port = fleet.boot()
         return _drive(cfg, host, port, fleet)
     finally:
         if fleet is not None:

@@ -195,7 +195,6 @@ class ServiceConfig:
     cache_dir: str | None = None          # ExperimentRunner result cache
     trace_cache_dir: str | None = None    # persistent trace artifacts
     max_jobs: int = 4096                  # terminal jobs kept addressable
-    dispatch_delay: float = 0.0           # test hook: sleep before each batch
     port_file: str | None = None          # write the bound port here
     # -- distributed workers ------------------------------------------
     lease_ttl: float = 15.0               # heartbeat deadline per lease
@@ -352,15 +351,6 @@ class SimulationService:
                 with contextlib.suppress(asyncio.TimeoutError):
                     await asyncio.wait_for(self._wake.wait(), self.cfg.tick)
                 continue
-            if self.cfg.dispatch_delay:
-                # Interruptible sleep: a SIGTERM mid-delay must not stall
-                # the drain for the remainder of the delay.
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        self._shutdown.wait(), self.cfg.dispatch_delay
-                    )
-                if self._draining:
-                    return
             batch = self.queue.next_batch(self.cfg.batch_max)
             if batch:
                 await self._run_batch(batch)

@@ -1,7 +1,7 @@
 """CLI surface of the service subsystem: ``dwarn-sim version`` and the
 ``serve``/``route``/``loadtest`` argument wiring (the daemons themselves
 are exercised end-to-end by tests/test_service_e2e.py,
-tests/test_service_router.py and the CI smoke jobs)."""
+tests/test_service_router.py and tests/test_worker_chaos.py)."""
 
 from __future__ import annotations
 
@@ -57,7 +57,6 @@ class TestServeParser:
                 "serve", "--port", "0", "--port-file", "/tmp/p",
                 "--queue-capacity", "3", "--batch-max", "2",
                 "--processes", "4", "--ttl", "60.5", "--store", "",
-                "--dispatch-delay", "0.25",
             ]
         )
         assert args.port == 0
@@ -67,7 +66,6 @@ class TestServeParser:
         assert args.processes == 4
         assert args.ttl == pytest.approx(60.5)
         assert args.store == ""  # '' disables persistence
-        assert args.dispatch_delay == pytest.approx(0.25)
 
     def test_bad_subcommand_still_rejected(self, capsys):
         with pytest.raises(SystemExit):

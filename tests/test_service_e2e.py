@@ -143,6 +143,7 @@ class TestConcurrentSubmissions:
         spec = {"workload": "2-MEM", "policy": "flush", "seed": 9, **TINY}
         first = server.client.submit(spec)
         server.client.wait(first["id"], timeout=120.0)
+        assert server.client.healthz()["stored_results"] >= 1
         again = server.client.submit(spec)
         assert again["state"] == "done"
         assert again["source"] in ("store", "disk", "memory")
@@ -186,9 +187,16 @@ class TestBackpressure:
     def test_full_queue_429_with_retry_after(self, tmp_path):
         """Capacity 2, dispatcher stalled: the 3rd unique spec must bounce."""
         srv = LiveServer(
-            tmp_path, queue_capacity=2, dispatch_delay=30, batch_max=1
+            tmp_path, queue_capacity=2, worker_grace=60, batch_max=1
         )
         try:
+            # An unheld lease request registers worker "hold": while it is
+            # within the grace window, the local dispatcher leaves the
+            # queue to the fleet, and nothing ever leases from it.
+            status, _, _ = srv.client.request(
+                "POST", "/v1/leases", {"worker": "hold", "capacity": 1}
+            )
+            assert status == 200
             statuses = []
             for seed in (1, 2, 3, 4):
                 spec = {"workload": "2-MIX", "policy": "dwarn", "seed": seed, **TINY}
@@ -217,15 +225,20 @@ class TestShutdownDrain:
     def test_sigterm_drains_in_flight_and_persists(self, tmp_path):
         """SIGTERM mid-queue: running work finishes, queued work cancels,
         the store survives, exit status is 0."""
-        srv = LiveServer(tmp_path, dispatch_delay=0.4, batch_max=1)
+        srv = LiveServer(tmp_path, batch_max=1)
         try:
             specs = [
                 {"workload": "2-MIX", "policy": pol, "seed": s, **TINY}
                 for pol, s in (("dwarn", 1), ("icount", 1), ("flush", 1), ("stall", 1))
             ]
+            # A long first job holds the dispatcher (one job per batch)
+            # while the other three wait in the queue.
+            specs[0] = {**specs[0], "measure_cycles": 12_000, "trace_length": 20_000}
             jobs = [srv.client.submit(sp) for sp in specs]
-            # Let the dispatcher pick up (at most) the first batch, then drain.
-            time.sleep(0.6)
+            deadline = time.monotonic() + 30
+            while srv.client.status(jobs[0]["id"])["state"] != "running":
+                assert time.monotonic() < deadline, "first job never started"
+                time.sleep(0.02)
             status, out = srv.sigterm_and_wait()
             assert status == 0, out
             assert "drained" in out

@@ -20,6 +20,7 @@ import json
 
 import pytest
 
+from repro.service import loadtest
 from repro.service.loadtest import BENCH_SCHEMA, LoadTestConfig, build_spec_pool, run_loadtest
 
 
@@ -78,6 +79,39 @@ class TestHarnessConfig:
     def test_bad_router_url_rejected(self):
         cfg = LoadTestConfig(router_url="nonsense")
         assert run_loadtest(cfg) == 2
+
+
+class TestFailedBoot:
+    def test_router_without_port_stops_every_started_daemon(self, tmp_path, monkeypatch):
+        """The router never reports a port: ``run_loadtest`` raises, and
+        the shards and router it already started have all exited."""
+        started: list[loadtest._Proc] = []
+        real_start = loadtest._Proc.start
+        real_await_port = loadtest._Proc.await_port
+
+        def start(proc):
+            real_start(proc)
+            started.append(proc)
+
+        def await_port(proc, timeout=30.0):
+            if proc.name == "router":
+                raise RuntimeError("router did not report a port")
+            return real_await_port(proc, timeout)
+
+        monkeypatch.setattr(loadtest._Proc, "start", start)
+        monkeypatch.setattr(loadtest._Proc, "await_port", await_port)
+        cfg = LoadTestConfig(shards=2, jobs=1, state_dir=str(tmp_path / "state"))
+        try:
+            with pytest.raises(RuntimeError, match="router"):
+                run_loadtest(cfg)
+            assert [p.name for p in started] == ["s0", "s1", "router"]
+            leaked = [p.name for p in started if p.proc.poll() is None]
+            assert not leaked, f"daemons leaked: {leaked}"
+        finally:
+            for p in started:
+                if p.proc.poll() is None:
+                    p.proc.kill()
+                    p.proc.wait(timeout=10)
 
 
 if __name__ == "__main__":  # pragma: no cover

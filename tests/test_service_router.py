@@ -222,6 +222,7 @@ class TestLiveRouting:
             assert shard == _owner(_spec(seed))  # client-predictable placement
             jobs[seed] = job
         assert len({j["id"].split("@")[0] for j in jobs.values()}) == 2
+        assert fleet.client.metrics()["router"]["routed"] >= 8
 
         # Completion, status and results all route through the prefix.
         record = fleet.client.wait(jobs[1]["id"], timeout=120.0)

@@ -19,7 +19,11 @@ disposable workers, so these tests attack it directly:
   resumes from the captured cycle (not cycle 0), the job completes exactly
   once, and the result is bit-identical to an uninterrupted in-process
   reference run. Repeated both against a direct daemon and through the
-  sharding router (``dwarn-sim route``).
+  sharding router (``dwarn-sim route``), whose SIGTERM must then drain
+  the supervised shards with exit 0.
+- Worker-pool speedup (slow, needs 4 CPUs): two ``--concurrency 2``
+  worker processes run a heavy 16-job sweep at least 1.7x faster than a
+  lone daemon.
 
 ``FlakyTransport`` wraps the real ``ServiceClient`` and injects faults by
 URL substring — dropped requests raise :class:`ServiceError` exactly as an
@@ -35,6 +39,7 @@ and local-fallback logic — the things worth testing live.
 
 from __future__ import annotations
 
+import os
 import signal
 import subprocess
 import sys
@@ -253,10 +258,16 @@ class TestDuplicateUpload:
         """The upload is transmitted twice: the first copy consumes the
         lease, the retransmission answers 410, and every completion
         counter moves exactly once."""
-        srv = LiveServer(tmp_path, lease_ttl=10, dispatch_delay=30)
+        srv = LiveServer(tmp_path, lease_ttl=10)
         try:
+            # Register "dup" with an unheld lease request first: the local
+            # dispatcher then leaves the queued jobs to the worker.
+            status, _, _ = srv.client.request(
+                "POST", "/v1/leases", {"worker": "dup", "capacity": 1}
+            )
+            assert status == 200
             specs = _specs(3)
-            jobs = [srv.client.submit(sp) for sp in specs]  # dispatcher stalled
+            jobs = [srv.client.submit(sp) for sp in specs]
             transport = FlakyTransport(
                 ServiceClient("127.0.0.1", srv.port, timeout=30.0),
                 duplicate=("/result",),
@@ -365,17 +376,24 @@ def _reference_payload(spec: dict) -> dict:
     return result_payload(sim.run())
 
 
-def _checkpointing_worker_proc(port: int, trace_cache: str, name: str) -> subprocess.Popen:
+def _worker_proc(port: int, name: str, trace_cache: str, *flags: str) -> subprocess.Popen:
+    """A ``dwarn-sim worker`` subprocess leasing from ``port``."""
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "worker",
             "--server", f"http://127.0.0.1:{port}",
-            "--capacity", "1",
-            "--checkpoint-interval", str(CHECKPOINT_INTERVAL),
             "--worker-id", name,
             "--trace-cache", trace_cache,
+            *flags,
         ],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+
+
+def _checkpointing_worker_proc(port: int, trace_cache: str, name: str) -> subprocess.Popen:
+    return _worker_proc(
+        port, name, trace_cache,
+        "--capacity", "1", "--checkpoint-interval", str(CHECKPOINT_INTERVAL),
     )
 
 
@@ -493,8 +511,25 @@ class TestPreemptResumeRouted:
             worker_a.send_signal(signal.SIGKILL)
             worker_a.wait(timeout=10)
 
-            _assert_preempted_resume(client, job)
+            m = _assert_preempted_resume(client, job)
             assert heir.stats["resumes"] == 1, heir.stats
+            # The router's aggregated counters saw the kill and nothing
+            # else: one expired lease redelivered, no failure, no dead letter.
+            assert m["workers"]["lease_expired"] >= 1, m
+            assert m["workers"]["redelivered"] >= 1, m
+            assert m["jobs"]["failed"] == 0, m
+            assert m["workers"]["dead_letter"] == 0, m
+
+            # SIGTERM drains the supervised tree: the router exits 0 and
+            # takes both shard daemons down with it.
+            state = tmp_path / "router-state"
+            shard_ports = [int((state / f"s{i}" / "port").read_text()) for i in range(2)]
+            router.send_signal(signal.SIGTERM)
+            assert router.wait(timeout=60) == 0
+            for shard_port in shard_ports:
+                probe = ServiceClient("127.0.0.1", shard_port, timeout=2.0, retries=0)
+                with pytest.raises(ServiceError):
+                    probe.healthz()
         finally:
             if heir is not None:
                 heir.stop()
@@ -554,3 +589,74 @@ class TestTwoWorkerSweep:
             for worker, thread in workers:
                 thread.join(timeout=10)
             srv.kill()
+
+
+#: The worker-pool acceptance gate: two workers at concurrency 2 must run
+#: a 16-job sweep at least this many times faster than a lone daemon.
+MIN_POOL_SPEEDUP = 1.7
+
+
+def _timed_sweep(client: ServiceClient, specs: list[dict]) -> float:
+    """Submit a sweep, wait for every job; returns elapsed wall-clock."""
+    t0 = time.monotonic()
+    jobs = [client.submit(spec) for spec in specs]
+    for job in jobs:
+        record = client.wait(job["id"], timeout=600.0)
+        assert record["state"] == "done", record
+        assert record["result"]["throughput"] > 0, record
+    return time.monotonic() - t0
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 4,
+    reason="2 workers x concurrency 2 need 4 CPUs to run in parallel; on "
+    "fewer the ratio measures the scheduler, not the worker pool",
+)
+class TestWorkerPoolSpeedup:
+    def test_two_workers_beat_a_lone_daemon(self, tmp_path):
+        """The same 16-job sweep, heavy enough that compute dwarfs the
+        lease and HTTP overhead: a lone daemon, then a daemon whose every
+        job runs on two ``--concurrency 2`` worker processes."""
+        specs = [
+            {
+                "workload": wl, "policy": pol, "seed": seed,
+                "warmup_cycles": 200, "measure_cycles": 20_000,
+                "trace_length": 40_000,
+            }
+            for seed in (7, 8)
+            for wl in ("2-MIX", "2-MEM")
+            for pol in ("dwarn", "icount", "flush", "stall")
+        ]
+        (tmp_path / "lone").mkdir()
+        srv = LiveServer(tmp_path / "lone")
+        try:
+            lone_secs = _timed_sweep(srv.client, specs)
+        finally:
+            srv.kill()
+
+        (tmp_path / "pool").mkdir()
+        srv = LiveServer(tmp_path / "pool", lease_ttl=5)
+        workers: list[subprocess.Popen] = []
+        try:
+            for i in range(2):
+                workers.append(_worker_proc(
+                    srv.port, f"pool-w{i}", str(tmp_path / f"traces-w{i}"),
+                    "--concurrency", "2", "--capacity", "4", "--poll-interval", "0.2",
+                ))
+            _wait_metric(srv.client, ("workers", "active"), 2)
+            pool_secs = _timed_sweep(srv.client, specs)
+            m = srv.client.metrics()
+            assert m["workers"]["worker_results"] == len(specs), m
+        finally:
+            for proc in workers:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=10)
+            srv.kill()
+
+        speedup = lone_secs / pool_secs
+        assert speedup >= MIN_POOL_SPEEDUP, (
+            f"2 workers x concurrency 2 took {pool_secs:.1f}s against "
+            f"{lone_secs:.1f}s for a lone daemon: {speedup:.2f}x"
+        )
