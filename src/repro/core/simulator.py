@@ -357,7 +357,7 @@ class Simulator:
     # deadline, a thread's fetch-ready cycle — so the span can be *skipped*
     # wholesale instead of stepped. The vec batch driver
     # (``repro.core.vec.batch``) parks quiescent lanes on exactly this
-    # contract; the backend-parity gate pins it cycle-exact.
+    # contract; the engine-parity test pins it cycle-exact.
 
     def quiescent_wake(self, cycle: int | None = None) -> int | None:
         """Wake cycle if the machine is quiescent at ``cycle``, else None.

@@ -8,8 +8,8 @@ cycle steps through the reference fused kernel, lanes park across
 provably-idle spans (``Simulator.quiescent_wake``), and the batch driver
 reproduces ``Simulator._run_loop``'s pause points (warm-up boundary,
 64-cycle-aligned commit-limit checkpoints) exactly, so a lane's result is
-bit-identical to running it alone. ``repro.utils.perfguard
---backend-parity`` pins this.
+bit-identical to running it alone. The engine-parity test in
+``tests/test_vec_batch.py`` pins this.
 
 Where the batch wins (the reason the backend exists):
 

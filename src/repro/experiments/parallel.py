@@ -379,7 +379,7 @@ def run_pairs(
     ``backend`` selects the execution engine: ``"process"`` (default) is
     the pool described above; ``"vec"`` runs the whole batch in-process
     through the lockstep :class:`~repro.core.vec.VecBatchSimulator` —
-    bit-identical results (perfguard's backend-parity gate pins this),
+    bit-identical results (the engine-parity test pins this),
     much higher throughput on many-pairs/short-run screening sweeps, and
     a serial-path fallback (honoring ``retries``) if the batch aborts.
 

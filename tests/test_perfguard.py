@@ -3,14 +3,19 @@
 The expensive collection paths (digests, speed, sweep) run in CI's
 perf-smoke job; here we pin the *decision* logic: what counts as digest
 drift, a speed regression, a sweep regression, and a failed service
-load-test report.
+load-test report; that the committed baseline arms every row of the gate
+table; and what ``--update`` writes, with the collectors faked.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
-from repro.utils.perfguard import check_service_bench, compare, main
+import pytest
+
+from repro.utils import perfguard
+from repro.utils.perfguard import COLLECTORS, GATES, check_service_bench, compare, main
 
 
 def _base(**overrides):
@@ -209,3 +214,92 @@ class TestServiceBenchCli:
         missing = tmp_path / "nope.json"
         assert main(["--service-bench", str(missing), "--baseline", str(bp)]) == 2
         assert "not found" in capsys.readouterr().err
+
+
+COMMITTED_BASELINE = Path(__file__).resolve().parents[1] / "benchmarks" / "baselines.json"
+
+
+def _full_baseline():
+    """Every section a full run writes, with hand-set floors and an override."""
+    return _base(
+        ingest={"normalized_ingest_secs": 1.0},
+        vec={"normalized_vec_score": 10.0, "batch_speedup": 9.0, "min_speedup": 6.0},
+        vec_digest={
+            "normalized_vec_digest_score": 10.0,
+            "digest_speedup": 3.0,
+            "min_speedup": 2.5,
+        },
+        resume=_resume(min_speedup=1.4),
+        service={"min_jobs_per_min": 1000.0},
+        tolerance=0.2,
+        sweep_tolerance=0.5,
+    )
+
+
+class TestGateTable:
+    def test_committed_baseline_arms_every_row(self):
+        # A row is checked only when both files carry its section, so a
+        # renamed section or key would silently disarm its gate.
+        base = json.loads(COMMITTED_BASELINE.read_text())
+        for gate in GATES:
+            assert base[gate.section][gate.key] > 0, gate
+            if gate.floor:
+                assert "min_speedup" in base[gate.section], gate
+
+    def test_collectors_and_rows_cover_each_other(self):
+        assert {gate.section for gate in GATES} == set(COLLECTORS)
+
+    @pytest.mark.parametrize("gate", GATES, ids=lambda g: f"{g.section}.{g.key}")
+    def test_every_row_gates(self, gate):
+        cur = _full_baseline()
+        cur[gate.section][gate.key] = 0.0 if gate.better == "higher" else 1e9
+        failures = compare(_full_baseline(), cur, tolerance=0.20)
+        assert len(failures) == 1 and failures[0].startswith(gate.section)
+
+    @pytest.mark.parametrize("section", sorted(COLLECTORS))
+    def test_row_skipped_unless_both_files_carry_its_section(self, section):
+        full, partial = _full_baseline(), _full_baseline()
+        del partial[section]
+        assert compare(full, partial, tolerance=0.20) == []
+        assert compare(partial, full, tolerance=0.20) == []
+
+
+class TestUpdate:
+    FRESH_DIGESTS = {"4-MIX/dwarn": {"cycles": 1501, "committed": [11, 20]}}
+
+    @pytest.fixture(autouse=True)
+    def fake_collectors(self, monkeypatch):
+        monkeypatch.setattr(perfguard, "collect_digests", lambda: self.FRESH_DIGESTS)
+        for section in COLLECTORS:
+            monkeypatch.setitem(COLLECTORS, section, lambda s=section: {"measured": s})
+
+    def _update(self, path, *flags):
+        assert main(["--update", *flags, "--baseline", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    def test_skip_speed_refreshes_digests_and_keeps_the_rest(self, tmp_path):
+        path = tmp_path / "baselines.json"
+        path.write_text(json.dumps(_full_baseline()))
+        written = self._update(path, "--skip-speed")
+        assert written == {**_full_baseline(), "digests": self.FRESH_DIGESTS}
+
+    def test_seeds_default_floors_into_a_new_file(self, tmp_path):
+        written = self._update(tmp_path / "new" / "baselines.json")
+        assert set(written) == {"digests", "tolerance", "service", *COLLECTORS}
+        assert {g.section: written[g.section]["min_speedup"] for g in GATES if g.floor} == {
+            "vec": 5.0, "vec_digest": 2.2, "resume": 1.3,
+        }
+        assert written["tolerance"] == 0.2
+        assert written["service"] == {"min_jobs_per_min": 1000.0}
+
+    def test_keeps_the_prior_files_floors(self, tmp_path):
+        path = tmp_path / "baselines.json"
+        prior = _full_baseline()
+        path.write_text(json.dumps(prior))
+        written = self._update(path)
+        for section in COLLECTORS:
+            expected = {"measured": section}
+            if "min_speedup" in prior[section]:
+                expected["min_speedup"] = prior[section]["min_speedup"]
+            assert written[section] == expected
+        assert written["sweep_tolerance"] == 0.5

@@ -12,18 +12,25 @@ Three contracts:
 3. **Name resolution** — ingested names resolve through ``build_single``
    (so runner / service / CLI all see them) without shadowing native
    benchmarks, and path-shaped names never resolve.
+
+The committed fixture ``examples/traces/sample-mcf.dwit`` is checked end to
+end: it inspects cleanly, runs deterministically as a registered workload,
+and re-exports to the same payload CRC.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
+from repro import quick_run  # noqa: E402
+from repro.cli import main as cli_main  # noqa: E402
 from repro.config import SimulationConfig, baseline  # noqa: E402
 from repro.core import Simulator, make_policy  # noqa: E402
 from repro.trace import generate_trace, get_profile  # noqa: E402
@@ -219,3 +226,32 @@ def test_pathlike_names_never_resolve(name):
 
 def test_find_unknown_returns_none():
     assert ingest.find_ingested("definitely-not-registered") is None
+
+
+# ---------------------------------------------------------------------------
+# the committed fixture
+
+FIXTURE = Path(__file__).resolve().parents[1] / "examples" / "traces" / "sample-mcf.dwit"
+
+
+def test_committed_fixture_inspects_cleanly(capsys):
+    assert cli_main(["ingest", "inspect", str(FIXTURE)]) == 0
+    assert "valid trace file" in capsys.readouterr().out
+
+
+def test_committed_fixture_runs_deterministically_as_a_workload():
+    ingest.register_workload("fixture-mcf", FIXTURE)
+    try:
+        first = quick_run("fixture-mcf", "meta")
+        second = quick_run("fixture-mcf", "meta")
+    finally:
+        ingest._REGISTRY.pop("fixture-mcf", None)
+    assert dataclasses.asdict(first) == dataclasses.asdict(second)
+
+
+def test_committed_fixture_reexports_same_crc(tmp_path):
+    header = ingest.read_header(FIXTURE)
+    tf = ingest.read_trace_file(FIXTURE)
+    trace = ingest.materialize(tf, base=tf.header.base, seed=12345)
+    out = ingest.export_trace(trace, tmp_path / "roundtrip.dwit", name=header.name)
+    assert ingest.read_header(out).crc32 == header.crc32

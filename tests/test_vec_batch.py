@@ -4,9 +4,11 @@
 through one process. Its contract is *bit-identity*: every lane's
 ``SimResult`` equals the one ``Simulator.run()`` would produce for that run
 alone — across policies, thread mixes, per-lane seeds, pre-warm template
-cloning, idle-span parking and commit-limit early exit. A hypothesis sweep
-fuzzes the batch against the *staged* reference engine, crossing both the
-lockstep driver and the fused/staged boundary in one property.
+cloning, idle-span parking and commit-limit early exit. On every perfguard
+digest pair the staged, fused and vec engines agree exactly, gating
+statistics included. A hypothesis sweep fuzzes the batch against the
+*staged* reference engine, crossing both the lockstep driver and the
+fused/staged boundary in one property.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from repro.config import SimulationConfig, baseline
 from repro.core import Simulator, make_policy
 from repro.core.vec import Lane, VecBatchSimulator, VecLaneError, run_batch
 from repro.experiments.parallel import run_pairs
+from repro.utils.perfguard import _DIGEST_SIMCFG, GUARDED_POLICIES, GUARDED_WORKLOADS
 from repro.workloads import build_programs, build_single, get_workload
 
 SIX_POLICIES = ("icount", "stall", "flush", "dg", "pdg", "dwarn")
@@ -173,6 +176,42 @@ def test_run_pairs_vec_backend_matches_process_backend(tmp_path):
     assert [r for _, _, r in vec] == [r for _, _, r in serial]
     with pytest.raises(ValueError):
         run_pairs(baseline(), simcfg, list(pairs), 1, backend="bogus")
+
+
+# ---------------------------------------------------------------------------
+# engine parity on the perfguard digest pairs
+
+PARITY_LANES = [(wl, pol) for wl in GUARDED_WORKLOADS for pol in GUARDED_POLICIES]
+
+
+@pytest.fixture(scope="module")
+def parity_batch():
+    """Every guarded pair in one vec batch, the way the backend amortizes
+    setup in production: lane -> (result, per-thread gated cycles)."""
+    batch = VecBatchSimulator(baseline(), SimulationConfig(**_DIGEST_SIMCFG), PARITY_LANES)
+    results = batch.run()
+    return {
+        lane: (res, list(run.sim.stats.gated_cycles))
+        for lane, res, run in zip(PARITY_LANES, results, batch._runs)
+    }
+
+
+@pytest.mark.parametrize("workload,policy", PARITY_LANES)
+def test_engines_agree_on_guarded_pair(parity_batch, workload, policy):
+    """Staged, fused and vec runs of one guarded pair give the same
+    SimResult and the same per-thread gated cycles. The meta lanes pin
+    mid-run policy switches (shared gate counts, interval callbacks)."""
+    simcfg = SimulationConfig(**_DIGEST_SIMCFG)
+
+    def alone(staged: bool):
+        programs = build_programs(get_workload(workload), simcfg)
+        sim = Simulator(baseline(), programs, make_policy(policy), simcfg)
+        if staged:
+            sim._step = sim._step  # instance override -> staged engine
+        assert sim._fast_eligible() is not staged
+        return sim.run(), list(sim.stats.gated_cycles)
+
+    assert alone(staged=True) == alone(staged=False) == parity_batch[(workload, policy)]
 
 
 # ---------------------------------------------------------------------------
