@@ -11,7 +11,7 @@ Subcommands::
     dwarn-sim cache stats                      # result/trace cache footprint
     dwarn-sim cache clear                      # wipe both caches
     dwarn-sim serve --port 8177                # simulation-as-a-service daemon
-    dwarn-sim worker --server URL -j 2         # distributed worker for a daemon
+    dwarn-sim worker --server URL              # distributed worker for a daemon
     dwarn-sim route --shards 4                 # sharding router over 4 daemons
     dwarn-sim loadtest --jobs 2000             # load harness -> BENCH_service.json
     dwarn-sim ingest inspect f.dwit            # validate + describe a trace file
@@ -203,23 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max queued jobs before 429 backpressure (default: 64)",
     )
     p_srv.add_argument(
-        "--batch-max", type=int, default=8,
-        help="max config-compatible jobs fused into one sweep batch",
-    )
-    p_srv.add_argument(
-        "--processes", type=int, default=1,
-        help="worker processes per batch (default: 1, in-process)",
-    )
-    p_srv.add_argument(
-        "--retries", type=int, default=1,
-        help="per-pair retries inside a batch (default: 1)",
-    )
-    p_srv.add_argument(
-        "--backend", choices=("process", "vec"), default="process",
-        help="batch engine: process pool, or the in-process lockstep "
-        "vectorized batch backend (bit-identical results)",
-    )
-    p_srv.add_argument(
         "--store", default=".cache/service/results.jsonl", metavar="PATH",
         help="JSONL result store ('' disables persistence)",
     )
@@ -258,10 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="daemon address (default: http://127.0.0.1:8177)",
     )
     p_wrk.add_argument(
-        "-j", "--concurrency", type=int, default=1, metavar="N",
-        help="simulation processes per leased batch (default: 1)",
-    )
-    p_wrk.add_argument(
         "--capacity", type=int, default=4, metavar="N",
         help="jobs requested per lease (default: 4)",
     )
@@ -269,15 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--poll-interval", type=float, default=0.5, metavar="SECS",
         help="longest the daemon holds one lease request waiting for "
         "work, at most 5 (default: 0.5)",
-    )
-    p_wrk.add_argument(
-        "--retries", type=int, default=1,
-        help="per-pair retries inside a leased batch (default: 1)",
-    )
-    p_wrk.add_argument(
-        "--backend", choices=("process", "vec"), default="process",
-        help="batch engine: process pool, or the in-process lockstep "
-        "vectorized batch backend (bit-identical results)",
     )
     p_wrk.add_argument(
         "--trace-cache", default=None, metavar="DIR",
@@ -291,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_wrk.add_argument(
         "--checkpoint-interval", type=int, default=0, metavar="CYCLES",
         help="capture and upload a resume checkpoint every N simulated "
-        "cycles (runs jobs serially; 0 = disabled, the default)",
+        "cycles (0 = disabled, the default)",
     )
     p_wrk.add_argument(
         "--max-leases", type=int, default=None, metavar="N",
@@ -338,18 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rt.add_argument(
         "--queue-capacity", type=int, default=64,
         help="queue capacity per supervised shard (default: 64)",
-    )
-    p_rt.add_argument(
-        "--batch-max", type=int, default=8,
-        help="batch size per supervised shard (default: 8)",
-    )
-    p_rt.add_argument(
-        "--processes", type=int, default=1,
-        help="worker processes per supervised shard batch (default: 1)",
-    )
-    p_rt.add_argument(
-        "--backend", choices=("process", "vec"), default="process",
-        help="batch engine for supervised shards",
     )
     p_rt.add_argument(
         "--lease-ttl", type=float, default=15.0, metavar="SECS",
@@ -760,10 +718,6 @@ def _serve_command(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         queue_capacity=args.queue_capacity,
-        batch_max=args.batch_max,
-        processes=args.processes,
-        retries=args.retries,
-        backend=args.backend,
         ttl=args.ttl,
         store_path=args.store or None,
         cache_dir=args.cache_dir or None,
@@ -786,11 +740,8 @@ def _worker_command(args: argparse.Namespace) -> int:
         host=host,
         port=port,
         worker_id=args.worker_id or "",
-        concurrency=args.concurrency,
         capacity=args.capacity,
         poll_interval=args.poll_interval,
-        retries=args.retries,
-        backend=args.backend,
         trace_cache_dir=trace_dir,
         checkpoint_interval=args.checkpoint_interval,
         max_leases=args.max_leases,
@@ -804,9 +755,6 @@ def _route_command(args: argparse.Namespace) -> int:
 
     shard_args = [
         "--queue-capacity", str(args.queue_capacity),
-        "--batch-max", str(args.batch_max),
-        "--processes", str(args.processes),
-        "--backend", args.backend,
         "--lease-ttl", str(args.lease_ttl),
     ]
     cfg = RouterConfig(

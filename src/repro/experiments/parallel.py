@@ -257,15 +257,10 @@ def _simulate_one(
     model. When ``trace_cache_dir`` is given, trace generation reads/writes
     persistent artifacts there instead of walking from scratch.
     """
-    t0 = time.perf_counter()
-    cache = _worker_trace_cache(trace_cache_dir)
-    try:
-        programs = build_programs(get_workload(workload), simcfg, trace_cache=cache)
-    except KeyError:
-        programs = build_single(workload, simcfg, trace_cache=cache)
-    sim = Simulator(machine, programs, make_policy(policy), simcfg)
-    res = sim.run()
-    return workload, policy, res, time.perf_counter() - t0
+    res, _, secs = simulate_resumable(
+        machine, simcfg, workload, policy, trace_cache_dir=trace_cache_dir
+    )
+    return workload, policy, res, secs
 
 
 def simulate_resumable(
@@ -281,15 +276,16 @@ def simulate_resumable(
 ) -> tuple[SimResult, int, float]:
     """One preemptible simulation: optionally restore, run, checkpoint.
 
-    The serial sibling of :func:`_simulate_one` the service worker uses for
-    checkpointable jobs. When ``restore`` (a decoded ``ColumnarState``) is
-    given, the fresh simulator is overwritten with it and the run continues
-    from the captured cycle; any :class:`SnapshotError` — version skew, a
-    snapshot for a different config shape — falls open to a cold cycle-0
-    rerun on a pristine simulator rather than failing the job. When
-    ``checkpoint_interval`` is positive, ``on_checkpoint(sim)`` fires at
-    every interval-aligned cycle boundary (see
-    :func:`repro.core.columnar.run_checkpointed`).
+    The one function that runs a simulation for every service job (the
+    daemon's local dispatcher and every worker) and, through
+    :func:`_simulate_one`, for every ``run_pairs`` pair. When ``restore``
+    (a decoded ``ColumnarState``) is given, the fresh simulator is
+    overwritten with it and the run continues from the captured cycle; any
+    :class:`SnapshotError` — version skew, a snapshot for a different
+    config shape — falls open to a cold cycle-0 rerun on a pristine
+    simulator rather than failing the job. When ``checkpoint_interval`` is
+    positive, ``on_checkpoint(sim)`` fires at every interval-aligned cycle
+    boundary (see :func:`repro.core.columnar.run_checkpointed`).
 
     Returns ``(result, resumed_from, secs)`` — ``resumed_from`` is the cycle
     the run actually continued from (0 = ran cold), and ``secs`` is the

@@ -214,49 +214,6 @@ class ExperimentRunner:
         self._mem_cache[key] = res
         self._store_disk(key, res)
 
-    def run_batch(
-        self,
-        pairs: Iterable[tuple[str, str]],
-        backend: str = "vec",
-    ) -> list[SimResult]:
-        """Simulate many (workload, policy) pairs at once; cached.
-
-        Cache-held pairs are served without simulating; the misses execute
-        together — as one lockstep batch through the vectorized backend
-        (``backend="vec"``, the default; bit-identical to :meth:`run`, see
-        ``repro.core.vec``) or one at a time (``backend="serial"``) — and
-        are installed into both caches. Results come back in pair order.
-        """
-        pairs = [(wl, pol) for wl, pol in pairs]
-        out: dict[int, SimResult] = {}
-        misses: list[int] = []
-        for idx, (wl, pol) in enumerate(pairs):
-            res = self.cached_result(wl, pol)
-            if res is not None:
-                out[idx] = res
-            else:
-                misses.append(idx)
-        if misses:
-            if backend == "vec":
-                from repro.core.vec import VecBatchSimulator
-
-                batch = VecBatchSimulator(
-                    self.machine,
-                    self.simcfg,
-                    [pairs[i] for i in misses],
-                    trace_cache=self.trace_cache,
-                )
-                fresh = batch.run()
-                self.simulations_run += len(fresh)
-            elif backend == "serial":
-                fresh = [self._simulate(*pairs[i]) for i in misses]
-            else:
-                raise ValueError(f"unknown run_batch backend {backend!r}")
-            for idx, res in zip(misses, fresh):
-                self.store_result(pairs[idx][0], pairs[idx][1], res)
-                out[idx] = res
-        return [out[i] for i in range(len(pairs))]
-
     def run_single(self, bench: str, policy: str = "icount") -> SimResult:
         """Simulate one benchmark running alone (Table 2(a) / baselines)."""
         return self.run(bench, policy)

@@ -1,5 +1,5 @@
 """repro.service — simulation-as-a-service: an asyncio HTTP daemon that
-accepts, queues, dedupes, batches and executes simulation jobs.
+accepts, queues, dedupes and executes simulation jobs.
 
 Every experiment so far has been a one-shot CLI invocation; interactive
 what-if exploration (per-workload policy comparison across many clients)
@@ -13,12 +13,12 @@ needs a long-lived process instead. ``dwarn-sim serve`` starts one:
   backpressure (a full queue surfaces as HTTP 429 + ``Retry-After``) and
   coalescing — an identical in-flight spec gets the existing job back
   instead of a second execution.
-- **Execution** (:mod:`repro.service.server`): jobs are grouped into batches
-  that share a machine/simulation configuration and handed to
-  ``experiments.parallel.run_pairs`` — the same longest-job-first cost
-  model, per-pair retry, and pool-restart-on-worker-death machinery the
-  sweep engine uses — with the persistent trace-artifact cache so a
-  workload's traces are generated once per batch, not once per job.
+- **Execution** (:mod:`repro.service.server`): the dispatcher pops one
+  job at a time in priority order and runs it through
+  ``experiments.parallel.simulate_resumable`` on a thread — the one
+  function that runs every service job, local or leased — with the
+  persistent trace-artifact cache, so a workload's traces are generated
+  once, not once per job. A job whose simulation raises fails alone.
 - **Store** (:mod:`repro.service.store`): completed jobs persist a
   ``RunManifest``-derived record into a JSONL-backed result store with TTL
   eviction, reloaded on restart.
@@ -26,10 +26,11 @@ needs a long-lived process instead. ``dwarn-sim serve`` starts one:
   with timeouts, bounded retries and jittered backoff, used by the tests
   and the examples in docs/SERVICE.md.
 - **Workers** (:mod:`repro.service.worker`): ``dwarn-sim worker`` runs a
-  pull-based distributed worker that leases job batches over
-  ``POST /v1/leases``, executes them through the same sweep engine and
-  trace-artifact cache, and uploads results — heartbeat deadlines, bounded
-  redelivery and a dead-letter state make the fleet safe to SIGKILL.
+  pull-based distributed worker that leases the highest-priority queued
+  jobs over ``POST /v1/leases``, runs them one by one through the same
+  ``simulate_resumable`` (restoring any checkpoint shipped with the lease),
+  and uploads results — heartbeat deadlines, bounded redelivery and a
+  dead-letter state make the fleet safe to SIGKILL.
 - **Router** (:mod:`repro.service.router`): ``dwarn-sim route`` scales the
   control plane past one daemon — consistent-hashing canonical job keys
   across N shards (dedup stays intact per shard), per-client token-bucket

@@ -300,7 +300,7 @@ class ServiceClient:
         """POST /v1/leases/{id}/heartbeat — extend the lease deadline.
 
         Raises with ``status=410`` once the lease has expired or been
-        consumed; callers treat that as "stop working on this batch".
+        consumed; callers treat that as "stop working on this lease".
         """
         code, payload, _ = self.request("POST", f"/v1/leases/{lease_id}/heartbeat", {})
         if code != 200:

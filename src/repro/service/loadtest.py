@@ -202,7 +202,6 @@ class Fleet:
             "--cache-dir", str(shard_dir / "cache"),
             "--trace-cache", str(shard_dir / "traces"),
             "--queue-capacity", str(self.cfg.queue_capacity),
-            "--batch-max", "16",
         ]
 
     def boot(self) -> int:

@@ -6,8 +6,8 @@ protocol's core guarantee is **canonicalization**: two specs that mean the
 same simulation produce byte-identical canonical JSON and therefore the same
 cache key, no matter how the client ordered its JSON keys or which optional
 fields it spelled out versus defaulted. Everything the service does with a
-spec — dedup against the disk caches, coalescing onto an in-flight job,
-batching by configuration group — keys on that canonical form.
+spec — dedup against the disk caches, coalescing onto an in-flight job —
+keys on that canonical form.
 
 Since the distributed-worker extension this module also owns the *lease*
 wire messages: a worker asks for work (:class:`LeaseRequest`), the server
@@ -206,9 +206,9 @@ class JobSpec:
         return f"{stable_hash64(PROTOCOL_VERSION, self.canonical_json()):016x}"
 
     def group_key(self) -> tuple:
-        """Batching key: jobs sharing it can run in one ``run_pairs`` call
-        (same machine and simulation config; only workload/policy differ),
-        which is what lets one batch share trace artifacts per workload."""
+        """Config-group key: jobs sharing it have the same machine and
+        simulation config (only workload/policy differ), so the daemon
+        keeps one ``ExperimentRunner`` — and its result caches — per key."""
         return (self.machine, self.seed, self.warmup_cycles,
                 self.measure_cycles, self.trace_length)
 

@@ -1,4 +1,4 @@
-"""Bounded priority job queue with dedup/coalescing and batch extraction.
+"""Bounded priority job queue with dedup/coalescing and priority dispatch.
 
 The queue is the service's admission-control point, and it enforces three
 policies the HTTP layer surfaces directly:
@@ -12,12 +12,10 @@ policies the HTTP layer surfaces directly:
   existing :class:`~repro.service.protocol.Job` with ``coalesced`` bumped.
   Identity is the spec's canonical cache key, so JSON key order and
   defaulted-versus-explicit fields cannot defeat it.
-- **Batching.** ``next_batch`` pops the highest-priority job and drains
-  up to ``batch_max - 1`` more queued jobs sharing its config group
-  (:meth:`JobSpec.group_key`). One batch becomes one
-  ``experiments.parallel.run_pairs`` call, whose workers share the
-  persistent trace-artifact cache — so a workload appearing in several jobs
-  of a batch generates its traces exactly once.
+- **Priority dispatch.** ``next_batch(n)`` pops the ``n`` best queued
+  jobs in priority order, whatever their config group: the daemon's local
+  dispatcher takes one at a time, a worker's lease takes ``capacity``.
+  Jobs share traces through the persistent trace-artifact cache.
 
 This module also hosts the *other* admission-control primitive,
 :class:`TokenBucket` — per-client rate limiting, which the sharding router
@@ -206,34 +204,14 @@ class JobQueue:
 
     # -- dispatch --------------------------------------------------------
 
-    def next_batch(self, batch_max: int) -> list[Job]:
-        """Pop the best job plus queued peers from the same config group.
+    def next_batch(self, n: int) -> list[Job]:
+        """Pop up to ``n`` queued jobs in priority order.
 
-        Returns up to ``batch_max`` jobs whose specs share a
-        ``group_key()`` (identical machine + simulation config), in
-        priority order; the peers are removed from the heap regardless of
-        their position. Returns ``[]`` when the queue is empty. Popped jobs
-        stay in the active index (they are now *running*) until
-        :meth:`finish` is called for them.
+        Returns ``[]`` when the queue is empty. Popped jobs stay in the
+        active index (they are now *running*) until :meth:`finish` is
+        called for them.
         """
-        if not self._heap:
-            return []
-        _, _, head = heapq.heappop(self._heap)
-        batch = [head]
-        if batch_max > 1:
-            group = head.spec.group_key()
-            keep: list[tuple[int, int, Job]] = []
-            taken = 1
-            for entry in sorted(self._heap):
-                if taken < batch_max and entry[2].spec.group_key() == group:
-                    batch.append(entry[2])
-                    taken += 1
-                else:
-                    keep.append(entry)
-            if taken > 1:
-                heapq.heapify(keep)
-                self._heap = keep
-        return batch
+        return [heapq.heappop(self._heap)[2] for _ in range(min(n, len(self._heap)))]
 
     def requeue(self, job: Job) -> None:
         """Return a dispatched-but-unfinished job to the queue.

@@ -1,10 +1,10 @@
-"""The simulation service daemon: asyncio HTTP/1.1 front end + batch executor.
+"""The simulation service daemon: asyncio HTTP/1.1 front end + job executor.
 
 One process, one event loop, zero new dependencies: HTTP is parsed by hand
 on ``asyncio`` streams (request line, headers, ``Content-Length`` body —
 the subset a JSON API needs), and simulation work runs in
-``experiments.parallel.run_pairs`` on a worker thread so the loop stays
-responsive while batches execute.
+``experiments.parallel.simulate_resumable`` on a worker thread so the loop
+stays responsive while a job executes.
 
 Request lifecycle::
 
@@ -16,19 +16,19 @@ Request lifecycle::
       -> queue has room?            202, job queued
       -> else                       429 + Retry-After     (backpressure)
 
-The dispatcher pops priority-ordered batches of config-compatible jobs
-(:meth:`repro.service.queue.JobQueue.next_batch`) and executes each as one
-``run_pairs`` call — inheriting the sweep engine's longest-job-first cost
-model, per-pair retry, and pool-restart-on-worker-death supervision — with
-the persistent trace-artifact cache, so a workload shared by several jobs
-generates its traces once. Completed jobs land in both the
-``ExperimentRunner`` result caches (the CLI sees them) and the JSONL result
-store (restarts and ``GET /v1/results`` see them).
+The dispatcher pops the best queued job
+(:meth:`repro.service.queue.JobQueue.next_batch`) and runs it through
+``simulate_resumable`` — the function every worker runs its leased jobs
+through — with the persistent trace-artifact cache, so a workload shared by
+several jobs generates its traces once. A job whose simulation raises fails
+alone. Completed jobs land in both the ``ExperimentRunner`` result caches
+(the CLI sees them) and the JSONL result store (restarts and
+``GET /v1/results`` see them).
 
 Distributed execution (``repro.service.worker``) rides on three more
 endpoints::
 
-    POST /v1/leases                    worker pulls a batch under a lease
+    POST /v1/leases                    worker pulls jobs under a lease
     POST /v1/leases/{id}/heartbeat     extends the lease deadline
     POST /v1/leases/{id}/result        uploads per-job outcomes, ends the lease
 
@@ -62,8 +62,8 @@ seeing a 429. (``repro.service.client.ServiceClient.stream`` is the
 matching iterator.)
 
 Shutdown (SIGTERM/SIGINT) is a drain, not an abort: the listener closes,
-queued-but-unstarted jobs are cancelled, the in-flight batch runs to
-completion and is persisted, then the store is compacted and the process
+queued-but-unstarted jobs are cancelled, the one local job in flight runs
+to completion and is persisted, then the store is compacted and the process
 exits 0 — the behaviour the e2e test pins.
 
 The HTTP substrate (request parsing, response framing, chunked streaming)
@@ -71,8 +71,8 @@ is shared with the sharding router: :mod:`repro.service.http`.
 
 Observability: the daemon keeps two ``repro.obs.RunManifest``s — one
 recording a pair per *completed job* (submit-to-finish latency by source;
-``/metrics`` reports its p50/p95) and one accumulating the *execution*
-records ``run_pairs`` writes (in-worker seconds, retries, pool restarts).
+``/metrics`` reports its p50/p95) and one recording each *execution*, local
+or uploaded by a worker (in-thread or in-worker seconds, retries).
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ from typing import Any
 import repro
 from repro.core import POLICIES, SimResult
 from repro.core.policies import is_policy_name
-from repro.experiments.parallel import SweepCostModel, run_pairs
+from repro.experiments.parallel import SweepCostModel, simulate_resumable
 from repro.experiments.runner import CACHE_VERSION, ExperimentRunner
 from repro.obs.manifest import RunManifest
 from repro.service.http import (
@@ -186,10 +186,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8177                      # 0 = ephemeral (OS-assigned)
     queue_capacity: int = 64
-    batch_max: int = 8                    # jobs fused into one run_pairs call
-    processes: int = 1                    # worker processes per batch
-    retries: int = 1                      # per-pair retries inside a batch
-    backend: str = "process"              # run_pairs engine: process | vec
     ttl: float | None = None              # result-store TTL seconds
     store_path: str | None = None         # None = in-memory store
     cache_dir: str | None = None          # ExperimentRunner result cache
@@ -276,8 +272,7 @@ class SimulationService:
             Path(self.cfg.port_file).write_text(str(self.port))
         print(
             f"dwarn-sim service listening on http://{self.cfg.host}:{self.port} "
-            f"(queue={self.cfg.queue_capacity}, batch={self.cfg.batch_max}, "
-            f"processes={self.cfg.processes}, {loaded} stored results loaded)",
+            f"(queue={self.cfg.queue_capacity}, {loaded} stored results loaded)",
             flush=True,
         )
         dispatcher = asyncio.create_task(self._dispatch_loop())
@@ -351,59 +346,42 @@ class SimulationService:
                 with contextlib.suppress(asyncio.TimeoutError):
                     await asyncio.wait_for(self._wake.wait(), self.cfg.tick)
                 continue
-            batch = self.queue.next_batch(self.cfg.batch_max)
-            if batch:
-                await self._run_batch(batch)
+            for job in self.queue.next_batch(1):
+                await self._run_job(job)
 
-    async def _run_batch(self, batch: list[Job]) -> None:
-        """Execute one config-homogeneous batch via ``run_pairs``.
+    async def _run_job(self, job: Job) -> None:
+        """Execute one queued job through ``simulate_resumable`` on a thread.
 
-        Jobs naming the same (workload, policy) within the batch share one
-        pair execution; the pair's manifest record (in-worker seconds,
-        retries) is attached to every job it completed. A batch that aborts
-        (``SweepError`` after retries/pool restarts) fails all its jobs with
-        the error message — the sweep engine already retried below us.
+        A simulation that raises fails this job alone, with the error
+        message. A completed job's seconds train the sweep cost model that
+        ``dwarn-sim report`` reads from the shared ``--cache-dir``.
         """
-        spec0 = batch[0].spec
-        machine = spec0.machine_config()
-        simcfg = spec0.sim_config()
-        by_pair: dict[tuple[str, str], list[Job]] = {}
-        now = time.time()
-        for job in batch:
-            job.state = JobState.RUNNING
-            job.started_at = now
-            by_pair.setdefault((job.spec.workload, job.spec.policy), []).append(job)
-        pairs = list(by_pair)
-        batch_manifest = RunManifest(label="batch")
-        cost_model = SweepCostModel.for_cache_dir(self.cfg.cache_dir)
+        spec = job.spec
+        wl, pol, simcfg = spec.workload, spec.policy, spec.sim_config()
+        job.state = JobState.RUNNING
+        job.started_at = time.time()
         self.counters["batches"] += 1
         try:
-            results = await asyncio.to_thread(
-                run_pairs,
-                machine,
+            res, _, secs = await asyncio.to_thread(
+                simulate_resumable,
+                spec.machine_config(),
                 simcfg,
-                pairs,
-                self.cfg.processes,
+                wl,
+                pol,
                 trace_cache_dir=self.cfg.trace_cache_dir,
-                cost_model=cost_model,
-                retries=self.cfg.retries,
-                manifest=batch_manifest,
-                sweep="service",
-                seed=simcfg.seed,
-                backend=self.cfg.backend,
             )
         except Exception as exc:
-            for job in batch:
-                self._fail_job(job, str(exc))
+            self._fail_job(
+                job, f"simulation failed for ({wl}, {pol}, seed={spec.seed}): {exc!r}"
+            )
             return
+        cost_model = SweepCostModel.for_cache_dir(self.cfg.cache_dir)
+        cost_model.record(spec.machine, simcfg, wl, pol, secs)
         cost_model.save()
-        pair_recs = {(p.workload, p.policy): asdict(p) for p in batch_manifest.pairs}
-        runner = self._runner_for(spec0)
-        for wl, pol, res in results:
-            runner.store_result(wl, pol, res)
-            for job in by_pair[(wl, pol)]:
-                self._complete_job(job, res, "simulated", pair=pair_recs.get((wl, pol)))
-        self.exec_manifest.merge(batch_manifest)
+        self._runner_for(spec).store_result(wl, pol, res)
+        self.exec_manifest.record_pair("service", wl, pol, "simulated", secs, seed=spec.seed)
+        pair = asdict(self.exec_manifest.pairs[-1])
+        self._complete_job(job, res, "simulated", pair=pair)
 
     # ------------------------------------------------------------------
     # Job bookkeeping
@@ -659,8 +637,8 @@ class SimulationService:
         if self._draining:
             return 409, {"error": "server is shutting down"}, {}
         self.workers[req.worker] = time.time()
-        batch = self.queue.next_batch(req.capacity)
-        if not batch:
+        jobs = self.queue.next_batch(req.capacity)
+        if not jobs:
             empty: dict[str, Any] = {"lease": None, "jobs": []}
             if not req.wait:
                 empty["poll_after"] = self.cfg.tick
@@ -669,38 +647,19 @@ class SimulationService:
         lease = Lease(
             id=self._new_id(),
             worker=req.worker,
-            job_ids=[job.id for job in batch],
+            job_ids=[job.id for job in jobs],
             created_at=now,
             deadline=now + self.cfg.lease_ttl,
         )
         self.leases[lease.id] = lease
-        # Longest-job-first inside the lease, using the *server's* learned
-        # cost model (workers start cold); the estimates ride along so the
-        # worker can seed its own scheduler with them.
-        spec0 = batch[0].spec
-        simcfg = spec0.sim_config()
-        cost_model = SweepCostModel.for_cache_dir(self.cfg.cache_dir)
-        estimates = {
-            job.id: cost_model.estimate(
-                spec0.machine, simcfg, job.spec.workload, job.spec.policy
-            )
-            for job in batch
-        }
-        batch.sort(key=lambda job: estimates[job.id], reverse=True)
-        lease.job_ids = [job.id for job in batch]
-        for job in batch:
+        self.counters["leased"] += len(jobs)
+        entries = []
+        for job in jobs:
             job.state = JobState.RUNNING
             job.started_at = now
             job.worker = req.worker
             job.lease_id = lease.id
-        self.counters["leased"] += len(batch)
-        entries = []
-        for job in batch:
-            entry: dict[str, Any] = {
-                "id": job.id,
-                "spec": job.spec.to_dict(),
-                "estimate": estimates[job.id],
-            }
+            entry: dict[str, Any] = {"id": job.id, "spec": job.spec.to_dict()}
             # Redelivery resume: ship the latest checkpoint for the job's
             # key so the new worker continues from the captured cycle
             # instead of cycle 0. The worker treats it as advisory — any
@@ -713,7 +672,6 @@ class SimulationService:
         return 200, {
             "lease": lease.to_dict(),
             "lease_ttl": self.cfg.lease_ttl,
-            "retries": self.cfg.retries,
             "checkpoint_version": CHECKPOINT_VERSION,
             "jobs": entries,
         }, {}
@@ -839,7 +797,7 @@ class SimulationService:
                 continue  # evicted or cancelled under the worker's feet
             upload = by_id.get(jid)
             if upload is None:
-                # Partial upload (the worker's batch aborted): the missing
+                # Partial upload (the worker skipped a job): the missing
                 # jobs go back for redelivery rather than silently failing.
                 self._redeliver(job, f"lease {lease_id} uploaded no result")
                 if job.state == JobState.QUEUED:
@@ -868,8 +826,8 @@ class SimulationService:
                     job.resumed_from = upload.resumed_from
                     self.counters["resumed"] += 1
                 self._complete_job(job, res, "worker", pair=pair)
-                # Fleet measurements feed the same longest-job-first model
-                # local batches train, so future leases order accurately.
+                # Fleet measurements feed the same cost model local jobs
+                # train (``report`` orders its sweeps by it).
                 # A resumed job's wall clock covers only the cycles past its
                 # checkpoint; record_partial scales it to a full-run
                 # equivalent so repeated preemption cannot inflate (or

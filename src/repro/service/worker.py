@@ -9,19 +9,17 @@
                                         (wait = --poll-interval, at most
                                         MAX_LEASE_WAIT seconds)
       -> empty?  the hold ran out: ask again at once
-      -> lease!  start a heartbeat thread, execute the batch locally
+      -> lease!  start a heartbeat thread, run the jobs one by one
     POST /v1/leases/{id}/heartbeat      every lease_ttl/3 while executing
     POST /v1/leases/{id}/result         upload per-job outcomes, end lease
 
-Execution reuses the whole sweep engine: one lease batch becomes one
-``experiments.parallel.run_pairs`` call — process-pool fan-out, per-pair
-retries, pool-restart supervision, and the persistent trace-artifact cache
-(``--trace-cache``), so a workload appearing in several leased jobs
-generates its traces once per *worker machine*, ever. The server ships its
-learned longest-job-first cost estimates with the lease; the worker seeds
-an in-memory :class:`~repro.experiments.parallel.SweepCostModel` from them
-so a cold worker schedules as well as the warmed-up daemon, and the
-measured seconds flow back in the upload to train the server's model.
+Each leased job runs through ``experiments.parallel.simulate_resumable``,
+the function the daemon's local dispatcher runs its jobs through, with the
+persistent trace-artifact cache (``--trace-cache``), so a workload
+appearing in several leased jobs generates its traces once per *worker
+machine*, ever. A job that fails is reported failed without touching the
+rest of its lease. The measured seconds flow back in the upload to train
+the server's cost model. To use more cores, run more workers.
 
 Failure discipline (the chaos tests pin all of this):
 
@@ -29,19 +27,19 @@ Failure discipline (the chaos tests pin all of this):
   point loses at most one lease, which the server expires and redelivers.
 - Heartbeat failures are logged, never fatal — a dropped heartbeat means
   the server may expire the lease, and the eventual result upload answers
-  ``410 Gone``; the worker discards the batch and leases fresh work.
+  ``410 Gone``; the worker discards the results and leases fresh work.
 - Upload failures (transport dead after retries) are likewise dropped on
   the floor: the lease expires server-side and the jobs are redelivered.
   Exactly-once completion is the *server's* invariant, enforced by the
   lease table; the worker only has to be at-least-once.
-- With ``--checkpoint-interval N`` the worker becomes *preemptible*: jobs
-  run serially through ``simulate_resumable`` and every N cycles the live
-  ``Simulator`` is snapshotted (``checkpoint_to_bytes``) and PUT to
-  ``/v1/leases/{id}/checkpoint``, best-effort. A redelivered lease ships
-  the stored checkpoint back; the worker decodes it fail-open (anything
-  wrong -> run cold from cycle 0) and resumes from the captured cycle,
-  reporting ``resumed_from`` with the result so the server can train its
-  cost model on the *incremental* seconds only.
+- A redelivered lease ships the job's stored checkpoint back; every
+  worker decodes it fail-open (anything wrong -> run cold from cycle 0)
+  and resumes from the captured cycle, reporting ``resumed_from`` with the
+  result so the server can train its cost model on the *incremental*
+  seconds only. With ``--checkpoint-interval N`` the worker is also
+  *preemptible*: every N cycles the live ``Simulator`` is snapshotted
+  (``checkpoint_to_bytes``) and PUT to ``/v1/leases/{id}/checkpoint``,
+  best-effort.
 
 The HTTP transport is injected (anything with ``ServiceClient.request``'s
 signature), which is how the fault-injection tests interpose
@@ -56,7 +54,6 @@ import os
 import random
 import socket
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -66,8 +63,7 @@ from repro.core.columnar import (
     checkpoint_from_bytes,
     checkpoint_to_bytes,
 )
-from repro.experiments.parallel import SweepCostModel, run_pairs, simulate_resumable
-from repro.obs.manifest import RunManifest
+from repro.experiments.parallel import simulate_resumable
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (
     MAX_CHECKPOINT_BYTES,
@@ -102,11 +98,8 @@ class WorkerConfig:
     host: str = "127.0.0.1"
     port: int = 8177
     worker_id: str = ""                  # "" = derived from host+pid
-    concurrency: int = 1                 # processes per run_pairs call
     capacity: int = 4                    # jobs requested per lease
     poll_interval: float = 0.5           # longest hold of one lease request
-    retries: int = 1                     # per-pair retries inside a batch
-    backend: str = "process"             # run_pairs engine: process | vec
     trace_cache_dir: str | None = None   # persistent trace artifacts
     checkpoint_interval: int = 0         # cycles between uploads; 0 = off
     max_leases: int | None = None        # exit after N non-empty leases (tests)
@@ -151,7 +144,7 @@ class Worker:
         """Lease/execute/upload until stopped; returns an exit status."""
         self._log(
             f"worker {self.id} polling http://{self.cfg.host}:{self.cfg.port} "
-            f"(capacity={self.cfg.capacity}, concurrency={self.cfg.concurrency})"
+            f"(capacity={self.cfg.capacity})"
         )
         while not self._stop.is_set():
             if (
@@ -215,7 +208,7 @@ class Worker:
                 self.stats["heartbeat_errors"] += 1
                 continue  # transient transport loss: keep trying
             if status == 410:
-                # Lease already expired server-side: the batch in flight is
+                # Lease already expired server-side: the jobs in flight are
                 # doomed to a 410 upload too; no point heartbeating on.
                 self.stats["heartbeat_errors"] += 1
                 return
@@ -251,112 +244,26 @@ class Worker:
     def _run_jobs(
         self, entries: list[dict[str, Any]], lease_id: str
     ) -> list[dict[str, Any]]:
-        """Execute a lease's jobs; returns upload-ready result entries."""
-        jobs: list[tuple[str, JobSpec]] = []
-        results: list[dict[str, Any]] = []
-        for entry in entries:
-            try:
-                jobs.append((entry["id"], JobSpec.from_dict(entry["spec"])))
-            except (KeyError, TypeError, SpecError) as exc:
-                results.append(
-                    {"job_id": str(entry.get("id", "?")), "ok": False,
-                     "error": f"worker could not parse leased spec: {exc}"}
-                )
-        if self.cfg.checkpoint_interval > 0:
-            grants = {
-                e["id"]: e["checkpoint"]
-                for e in entries
-                if isinstance(e.get("checkpoint"), dict)
-            }
-            results.extend(self._run_jobs_resumable(jobs, grants, lease_id))
-            return results
-        # Server batches are group-homogeneous, but re-group defensively:
-        # a mixed lease must not make run_pairs simulate the wrong config.
-        groups: dict[tuple, list[tuple[str, JobSpec]]] = {}
-        for jid, spec in jobs:
-            groups.setdefault(spec.group_key(), []).append((jid, spec))
-        estimates = {e["id"]: float(e.get("estimate", 0.0)) for e in entries}
-        for group in groups.values():
-            results.extend(self._run_group(group, estimates))
-        return results
-
-    def _run_group(
-        self,
-        group: list[tuple[str, JobSpec]],
-        estimates: dict[str, float],
-    ) -> list[dict[str, Any]]:
-        spec0 = group[0][1]
-        simcfg = spec0.sim_config()
-        by_pair: dict[tuple[str, str], list[str]] = {}
-        for jid, spec in group:
-            by_pair.setdefault((spec.workload, spec.policy), []).append(jid)
-        # Seed an in-memory cost model from the server's estimates so this
-        # (possibly cold) worker orders the batch longest-job-first exactly
-        # as the warmed-up daemon would.
-        cost_model = SweepCostModel(None)
-        for jid, spec in group:
-            if estimates.get(jid, 0.0) > 0.0:
-                cost_model.record(
-                    spec.machine, simcfg, spec.workload, spec.policy, estimates[jid]
-                )
-        manifest = RunManifest(label="worker-lease")
-        try:
-            pair_results = run_pairs(
-                spec0.machine_config(),
-                simcfg,
-                list(by_pair),
-                self.cfg.concurrency,
-                trace_cache_dir=self.cfg.trace_cache_dir,
-                cost_model=cost_model,
-                retries=self.cfg.retries,
-                manifest=manifest,
-                sweep="worker",
-                seed=simcfg.seed,
-                backend=self.cfg.backend,
-            )
-        except Exception as exc:  # SweepError after retries, or anything else
-            self.stats["jobs_failed"] += len(group)
-            return [
-                {"job_id": jid, "ok": False, "error": f"worker batch failed: {exc}"}
-                for jid, _ in group
-            ]
-        timing = {(p.workload, p.policy): p for p in manifest.pairs}
-        out: list[dict[str, Any]] = []
-        for wl, pol, res in pair_results:
-            rec = timing.get((wl, pol))
-            for jid in by_pair[(wl, pol)]:
-                out.append(
-                    {
-                        "job_id": jid,
-                        "ok": True,
-                        "result": result_payload(res),
-                        "secs": round(rec.secs, 6) if rec else 0.0,
-                        "retries": rec.retries if rec else 0,
-                    }
-                )
-                self.stats["jobs_done"] += 1
-        return out
-
-    # -- preemptible execution -------------------------------------------
-
-    def _run_jobs_resumable(
-        self,
-        jobs: list[tuple[str, JobSpec]],
-        grants: dict[str, dict[str, Any]],
-        lease_id: str,
-    ) -> list[dict[str, Any]]:
-        """Serial, checkpointing execution of a lease's jobs.
+        """Execute a lease's jobs one by one; returns upload-ready entries.
 
         Each job runs through :func:`simulate_resumable` so that (a) a
         checkpoint the server shipped with the lease is restored and the
         run continues from its cycle, and (b) every
-        ``cfg.checkpoint_interval`` cycles the live simulator is captured
-        and PUT back, best-effort. Any per-job failure reports that job
-        failed without poisoning its batch-mates.
+        ``cfg.checkpoint_interval`` cycles (when set) the live simulator is
+        captured and PUT back, best-effort. A job that cannot be parsed or
+        whose simulation raises is reported failed alone.
         """
         out: list[dict[str, Any]] = []
-        for jid, spec in jobs:
-            restore = self._decode_checkpoint(spec, grants.get(jid))
+        for entry in entries:
+            try:
+                jid, spec = entry["id"], JobSpec.from_dict(entry["spec"])
+            except (KeyError, TypeError, SpecError) as exc:
+                out.append(
+                    {"job_id": str(entry.get("id", "?")), "ok": False,
+                     "error": f"worker could not parse leased spec: {exc}"}
+                )
+                continue
+            restore = self._decode_checkpoint(spec, entry.get("checkpoint"))
             if restore is not None:
                 self._log(f"job {jid}: resuming from shipped checkpoint")
 
@@ -400,17 +307,16 @@ class Worker:
             self.stats["jobs_done"] += 1
         return out
 
-    def _decode_checkpoint(
-        self, spec: JobSpec, grant: dict[str, Any] | None
-    ) -> ColumnarState | None:
+    def _decode_checkpoint(self, spec: JobSpec, grant: Any) -> ColumnarState | None:
         """Decode a lease-shipped ``{"cycle", "data"}`` grant, fail-open.
 
-        Anything wrong — bad base64, corrupt/truncated/skewed envelope, a
-        horizon that disagrees with the job spec — returns ``None`` and the
-        job runs cold from cycle 0. A stale checkpoint must never be able
-        to fail (or silently corrupt) a job that would succeed without it.
+        No grant (anything but a dict) returns ``None``. Anything wrong —
+        bad base64, corrupt/truncated/skewed envelope, a horizon that
+        disagrees with the job spec — also returns ``None`` and the job
+        runs cold from cycle 0. A stale checkpoint must never be able to
+        fail (or silently corrupt) a job that would succeed without it.
         """
-        if grant is None:
+        if not isinstance(grant, dict):
             return None
         try:
             raw = base64.b64decode(str(grant.get("data", "")).encode("ascii"), validate=True)
@@ -463,15 +369,15 @@ class Worker:
                 "POST", f"/v1/leases/{lease_id}/result", {"results": results}
             )
         except ServiceError as exc:
-            # Transport dead after client retries: drop the batch — the
+            # Transport dead after client retries: drop the results — the
             # lease expires server-side and the jobs are redelivered.
-            self._log(f"upload for lease {lease_id} failed ({exc}); discarding batch")
+            self._log(f"upload for lease {lease_id} failed ({exc}); discarding results")
             return
         if status == 410:
             # Expired or duplicate: the server already gave the jobs away
-            # (or took a previous copy); this batch must not count twice.
+            # (or took a previous copy); these results must not count twice.
             self.stats["uploads_gone"] += 1
-            self._log(f"lease {lease_id} gone before upload; batch discarded")
+            self._log(f"lease {lease_id} gone before upload; results discarded")
         elif status != 200:
             self._log(f"upload for lease {lease_id} rejected: HTTP {status}: {payload}")
 

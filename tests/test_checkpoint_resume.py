@@ -21,7 +21,8 @@ Three layers are pinned here, mirroring the service's preemption path:
 
 Plus the cost-model regression: resumed jobs train the scheduler with
 full-run-equivalent seconds, so repeated preemption cannot deflate (or
-re-recording inflate) the learned EMA costs.
+re-recording inflate) the learned EMA costs. And a worker restores the
+checkpoint its lease ships whether or not it captures checkpoints itself.
 """
 
 from __future__ import annotations
@@ -597,3 +598,64 @@ class TestSimulateResumable:
         assert resumed_from == 0
         cold, _, _ = simulate_resumable(baseline(), simcfg, "2-MEM", "dwarn")
         assert result == cold
+
+
+# ----------------------------------------------------------------------
+# Worker: every lease runs through simulate_resumable
+
+
+class _OneLeaseTransport:
+    """Fake transport: grants one lease holding ``entry``, records the
+    result upload and answers every heartbeat."""
+
+    def __init__(self, entry: dict) -> None:
+        self.entry = entry
+        self.uploads: list[dict] = []
+
+    def request(self, method, path, body=None):
+        if path == "/v1/leases":
+            return 200, {
+                "lease": {"id": "lease-1"},
+                "lease_ttl": 15.0,
+                "checkpoint_version": CHECKPOINT_VERSION,
+                "jobs": [self.entry],
+            }, {}
+        if path.endswith("/result"):
+            self.uploads.append(body)
+        return 200, {}, {}
+
+
+class TestWorkerRestoresShippedCheckpoint:
+    def test_worker_without_interval_resumes_shipped_checkpoint(self, envelope_500):
+        """A worker started without ``--checkpoint-interval`` still
+        restores the checkpoint its lease ships, resumes at its cycle and
+        uploads the result a cold run produces."""
+        from repro.service.protocol import JobSpec, result_payload
+        from repro.service.worker import Worker, WorkerConfig
+
+        spec = {
+            "workload": "2-MEM",
+            "policy": "dwarn",
+            "seed": 2024,
+            "warmup_cycles": 0,
+            "measure_cycles": 500,
+            "trace_length": 3_000,
+        }
+        transport = _OneLeaseTransport({
+            "id": "job-1",
+            "spec": spec,
+            "checkpoint": {"cycle": 200, "data": base64.b64encode(envelope_500).decode()},
+        })
+        cfg = WorkerConfig(worker_id="w", max_leases=1, quiet=True)
+        assert cfg.checkpoint_interval == 0
+        worker = Worker(cfg, transport=transport)
+        assert worker.run() == 0
+
+        (upload,) = transport.uploads
+        (entry,) = upload["results"]
+        assert entry["job_id"] == "job-1" and entry["ok"], entry
+        assert entry.get("resumed_from") == 200
+        assert worker.stats["resumes"] == 1
+        simcfg = JobSpec.from_dict(spec).sim_config()
+        cold, _, _ = simulate_resumable(baseline(), simcfg, "2-MEM", "dwarn")
+        assert entry["result"] == result_payload(cold)

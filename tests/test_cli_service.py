@@ -1,6 +1,6 @@
 """CLI surface of the service subsystem: ``dwarn-sim version`` and the
-``serve``/``route``/``loadtest`` argument wiring (the daemons themselves
-are exercised end-to-end by tests/test_service_e2e.py,
+``serve``/``worker``/``route``/``loadtest`` argument wiring (the daemons
+themselves are exercised end-to-end by tests/test_service_e2e.py,
 tests/test_service_router.py and tests/test_worker_chaos.py)."""
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ class TestServeParser:
         assert args.host == "127.0.0.1"
         assert args.port == 8177
         assert args.queue_capacity == 64
-        assert args.batch_max == 8
-        assert args.processes == 1
         assert args.store.endswith("results.jsonl")
         assert args.ttl is None
         assert args.port_file is None
@@ -55,15 +53,12 @@ class TestServeParser:
         args = build_parser().parse_args(
             [
                 "serve", "--port", "0", "--port-file", "/tmp/p",
-                "--queue-capacity", "3", "--batch-max", "2",
-                "--processes", "4", "--ttl", "60.5", "--store", "",
+                "--queue-capacity", "3", "--ttl", "60.5", "--store", "",
             ]
         )
         assert args.port == 0
         assert args.port_file == "/tmp/p"
         assert args.queue_capacity == 3
-        assert args.batch_max == 2
-        assert args.processes == 4
         assert args.ttl == pytest.approx(60.5)
         assert args.store == ""  # '' disables persistence
 
@@ -102,13 +97,11 @@ class TestRouteParser:
         args = build_parser().parse_args(
             [
                 "route", "--shards", "4", "--queue-capacity", "128",
-                "--batch-max", "4", "--backend", "vec", "--lease-ttl", "5",
+                "--lease-ttl", "5",
             ]
         )
         assert args.shards == 4
         assert args.queue_capacity == 128
-        assert args.batch_max == 4
-        assert args.backend == "vec"
         assert args.lease_ttl == pytest.approx(5.0)
 
 
@@ -124,6 +117,31 @@ class TestWorkerParser:
         )
         assert args.checkpoint_interval == 5000
         assert args.capacity == 2
+
+
+#: The execution options every service job once chose among; each job now
+#: runs through ``simulate_resumable``, so all three commands refuse them.
+REMOVED_EXECUTION_FLAGS = [
+    ("serve", "--batch-max", "2"),
+    ("serve", "--processes", "4"),
+    ("serve", "--retries", "1"),
+    ("serve", "--backend", "vec"),
+    ("worker", "-j", "2"),
+    ("worker", "--concurrency", "2"),
+    ("worker", "--retries", "1"),
+    ("worker", "--backend", "vec"),
+    ("route", "--batch-max", "4"),
+    ("route", "--processes", "2"),
+    ("route", "--backend", "vec"),
+]
+
+
+@pytest.mark.parametrize(("command", "flag", "value"), REMOVED_EXECUTION_FLAGS)
+def test_removed_execution_flag_rejected(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLoadtestParser:

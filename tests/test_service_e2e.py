@@ -48,7 +48,6 @@ class LiveServer:
             "--store", str(self.store_path),
             "--cache-dir", str(tmp / "cache"),
             "--trace-cache", str(tmp / "traces"),
-            "--processes", "1",
         ]
         for flag, value in flags.items():
             cmd += [f"--{flag.replace('_', '-')}", str(value)]
@@ -186,9 +185,7 @@ class TestValidationAndRouting:
 class TestBackpressure:
     def test_full_queue_429_with_retry_after(self, tmp_path):
         """Capacity 2, dispatcher stalled: the 3rd unique spec must bounce."""
-        srv = LiveServer(
-            tmp_path, queue_capacity=2, worker_grace=60, batch_max=1
-        )
+        srv = LiveServer(tmp_path, queue_capacity=2, worker_grace=60)
         try:
             # An unheld lease request registers worker "hold": while it is
             # within the grace window, the local dispatcher leaves the
@@ -225,13 +222,13 @@ class TestShutdownDrain:
     def test_sigterm_drains_in_flight_and_persists(self, tmp_path):
         """SIGTERM mid-queue: running work finishes, queued work cancels,
         the store survives, exit status is 0."""
-        srv = LiveServer(tmp_path, batch_max=1)
+        srv = LiveServer(tmp_path)
         try:
             specs = [
                 {"workload": "2-MIX", "policy": pol, "seed": s, **TINY}
                 for pol, s in (("dwarn", 1), ("icount", 1), ("flush", 1), ("stall", 1))
             ]
-            # A long first job holds the dispatcher (one job per batch)
+            # A long first job holds the dispatcher (it runs one job at a time)
             # while the other three wait in the queue.
             specs[0] = {**specs[0], "measure_cycles": 12_000, "trace_length": 20_000}
             jobs = [srv.client.submit(sp) for sp in specs]

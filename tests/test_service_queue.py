@@ -1,5 +1,5 @@
 """Queue semantics: priority order, capacity/backpressure, coalescing,
-config-group batching, and lease-expiry requeue.
+priority-ordered batches, and lease-expiry requeue.
 
 Includes the regression tests for the Retry-After bug: the 429 hint was
 computed from the median job latency even with zero completed jobs, where
@@ -111,14 +111,15 @@ class TestBatching:
         assert {j.id for j in batch} == {"a", "b", "c"}
         assert len(q) == 0
 
-    def test_batch_excludes_other_config_groups(self):
+    def test_batch_takes_highest_priority_across_config_groups(self):
+        """A lease holds the ``n`` best queued jobs whatever their group:
+        a low-priority job from the head's group does not jump the queue."""
         q = JobQueue(8)
-        q.submit(_job("a", seed=1))
-        q.submit(_job("b", seed=1, policy="icount"))
-        q.submit(_job("other", seed=2))
-        batch = q.next_batch(8)
-        assert {j.id for j in batch} == {"a", "b"}
-        assert [j.id for j in q.next_batch(8)] == ["other"]
+        q.submit(_job("A", seed=1, priority=0))
+        q.submit(_job("B", seed=2, priority=1))
+        q.submit(_job("C", seed=1, policy="icount", priority=2))
+        assert [j.id for j in q.next_batch(2)] == ["A", "B"]
+        assert [j.id for j in q.next_batch(2)] == ["C"]
 
     def test_batch_max_bounds_size(self):
         q = JobQueue(16)

@@ -153,7 +153,6 @@ class LiveFleet:
                         "--store", str(d / "results.jsonl"),
                         "--cache-dir", str(d / "cache"),
                         "--trace-cache", str(d / "traces"),
-                        "--processes", "1",
                     ],
                     stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                 )

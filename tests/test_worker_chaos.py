@@ -21,9 +21,8 @@ disposable workers, so these tests attack it directly:
   reference run. Repeated both against a direct daemon and through the
   sharding router (``dwarn-sim route``), whose SIGTERM must then drain
   the supervised shards with exit 0.
-- Worker-pool speedup (slow, needs 4 CPUs): two ``--concurrency 2``
-  worker processes run a heavy 16-job sweep at least 1.7x faster than a
-  lone daemon.
+- Worker-pool speedup (slow, needs 4 CPUs): four plain worker processes
+  run a heavy 16-job sweep at least 1.7x faster than a lone daemon.
 
 ``FlakyTransport`` wraps the real ``ServiceClient`` and injects faults by
 URL substring — dropped requests raise :class:`ServiceError` exactly as an
@@ -591,8 +590,8 @@ class TestTwoWorkerSweep:
             srv.kill()
 
 
-#: The worker-pool acceptance gate: two workers at concurrency 2 must run
-#: a 16-job sweep at least this many times faster than a lone daemon.
+#: The worker-pool acceptance gate: four workers must run a 16-job sweep
+#: at least this many times faster than a lone daemon.
 MIN_POOL_SPEEDUP = 1.7
 
 
@@ -610,14 +609,15 @@ def _timed_sweep(client: ServiceClient, specs: list[dict]) -> float:
 @pytest.mark.slow
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 4,
-    reason="2 workers x concurrency 2 need 4 CPUs to run in parallel; on "
-    "fewer the ratio measures the scheduler, not the worker pool",
+    reason="4 workers need 4 CPUs to run in parallel; on fewer the ratio "
+    "measures the scheduler, not the worker pool",
 )
 class TestWorkerPoolSpeedup:
-    def test_two_workers_beat_a_lone_daemon(self, tmp_path):
+    def test_four_workers_beat_a_lone_daemon(self, tmp_path):
         """The same 16-job sweep, heavy enough that compute dwarfs the
         lease and HTTP overhead: a lone daemon, then a daemon whose every
-        job runs on two ``--concurrency 2`` worker processes."""
+        job runs on one of four worker processes. Each lease holds one job,
+        so the four share the sweep evenly."""
         specs = [
             {
                 "workload": wl, "policy": pol, "seed": seed,
@@ -639,12 +639,12 @@ class TestWorkerPoolSpeedup:
         srv = LiveServer(tmp_path / "pool", lease_ttl=5)
         workers: list[subprocess.Popen] = []
         try:
-            for i in range(2):
+            for i in range(4):
                 workers.append(_worker_proc(
                     srv.port, f"pool-w{i}", str(tmp_path / f"traces-w{i}"),
-                    "--concurrency", "2", "--capacity", "4", "--poll-interval", "0.2",
+                    "--capacity", "1", "--poll-interval", "0.2",
                 ))
-            _wait_metric(srv.client, ("workers", "active"), 2)
+            _wait_metric(srv.client, ("workers", "active"), 4)
             pool_secs = _timed_sweep(srv.client, specs)
             m = srv.client.metrics()
             assert m["workers"]["worker_results"] == len(specs), m
@@ -657,6 +657,6 @@ class TestWorkerPoolSpeedup:
 
         speedup = lone_secs / pool_secs
         assert speedup >= MIN_POOL_SPEEDUP, (
-            f"2 workers x concurrency 2 took {pool_secs:.1f}s against "
+            f"4 workers took {pool_secs:.1f}s against "
             f"{lone_secs:.1f}s for a lone daemon: {speedup:.2f}x"
         )
