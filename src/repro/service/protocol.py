@@ -15,7 +15,8 @@ answers with a :class:`Lease` naming the jobs it handed out, and the worker
 uploads per-job outcomes that :func:`parse_result_upload` validates — plus,
 for preemptible execution, mid-run checkpoints that
 :func:`parse_checkpoint_upload` validates and :class:`Checkpoint` records
-(the resume table entry a redelivered lease ships back out). The
+(the resume table entry a redelivered lease ships back out), and that
+:func:`decode_checkpoint_grant` turns back into a resume point. The
 same rule applies throughout — malformed client input raises
 :class:`SpecError` (which the HTTP layer turns into a 4xx), never any other
 exception type.
@@ -36,6 +37,7 @@ from typing import Any, Mapping
 
 from repro.config import PRESETS, SimulationConfig, get_preset, MachineConfig
 from repro.core import SimResult
+from repro.core.columnar import ColumnarState, SnapshotError, checkpoint_from_bytes
 from repro.core.policies import canonical_policy_name
 from repro.utils.rng import stable_hash64
 
@@ -52,6 +54,7 @@ __all__ = [
     "Lease",
     "LeaseRequest",
     "SpecError",
+    "decode_checkpoint_grant",
     "parse_checkpoint_upload",
     "parse_result_upload",
     "parse_stream_request",
@@ -475,6 +478,29 @@ class Checkpoint:
     def grant_dict(self) -> dict[str, Any]:
         """The form shipped inside a lease grant's job entry."""
         return {"cycle": self.cycle, "data": self.data_b64}
+
+
+def decode_checkpoint_grant(
+    grant: Mapping[str, Any], total_cycles: int
+) -> ColumnarState | None:
+    """Decode a ``{"cycle", "data"}`` checkpoint grant, fail-open.
+
+    Returns the resume point for a job of ``total_cycles`` cycles, or
+    ``None`` when anything is wrong — bad base64, a corrupt, truncated or
+    skewed envelope, a horizon that disagrees with the job — so the job
+    runs cold from cycle 0. A stale checkpoint must never be able to fail
+    (or silently corrupt) a job that would succeed without it. Shared by
+    the worker (a lease-shipped grant) and the daemon's local dispatcher
+    (its own resume table).
+    """
+    try:
+        raw = base64.b64decode(str(grant.get("data", "")).encode("ascii"), validate=True)
+        cycle, total, state = checkpoint_from_bytes(raw)
+    except (SnapshotError, binascii.Error, ValueError, UnicodeEncodeError):
+        return None
+    if total != total_cycles or not 0 < cycle < total:
+        return None
+    return state
 
 
 def parse_checkpoint_upload(data: Any) -> tuple[str, int, bytes]:

@@ -116,6 +116,7 @@ from repro.service.protocol import (
     Lease,
     LeaseRequest,
     SpecError,
+    decode_checkpoint_grant,
     parse_checkpoint_upload,
     parse_result_upload,
     parse_stream_request,
@@ -352,35 +353,48 @@ class SimulationService:
     async def _run_job(self, job: Job) -> None:
         """Execute one queued job through ``simulate_resumable`` on a thread.
 
-        A simulation that raises fails this job alone, with the error
-        message. A completed job's seconds train the sweep cost model that
-        ``dwarn-sim report`` reads from the shared ``--cache-dir``.
+        A job whose key has a stored checkpoint (a worker died mid-run and
+        the job fell back to the daemon) resumes from it, fail-open like a
+        worker. A simulation that raises fails this job alone, with the
+        error message. A completed job's seconds train the sweep cost model
+        that ``dwarn-sim report`` reads from the shared ``--cache-dir``.
         """
         spec = job.spec
         wl, pol, simcfg = spec.workload, spec.policy, spec.sim_config()
         job.state = JobState.RUNNING
         job.started_at = time.time()
         self.counters["batches"] += 1
+        ckpt = self._resume_point(job)
+        restore = None
+        if ckpt is not None:
+            restore = decode_checkpoint_grant(ckpt.grant_dict(), simcfg.total_cycles)
         try:
-            res, _, secs = await asyncio.to_thread(
+            res, resumed_from, secs = await asyncio.to_thread(
                 simulate_resumable,
                 spec.machine_config(),
                 simcfg,
                 wl,
                 pol,
                 trace_cache_dir=self.cfg.trace_cache_dir,
+                restore=restore,
             )
         except Exception as exc:
             self._fail_job(
                 job, f"simulation failed for ({wl}, {pol}, seed={spec.seed}): {exc!r}"
             )
             return
+        # record_partial scales a resumed run's seconds to a full run's and
+        # is plain record for a cold one.
         cost_model = SweepCostModel.for_cache_dir(self.cfg.cache_dir)
-        cost_model.record(spec.machine, simcfg, wl, pol, secs)
+        cost_model.record_partial(spec.machine, simcfg, wl, pol, secs, resumed_from=resumed_from)
         cost_model.save()
         self._runner_for(spec).store_result(wl, pol, res)
         self.exec_manifest.record_pair("service", wl, pol, "simulated", secs, seed=spec.seed)
         pair = asdict(self.exec_manifest.pairs[-1])
+        pair["resumed_from"] = resumed_from
+        if resumed_from:
+            job.resumed_from = resumed_from
+            self.counters["resumed"] += 1
         self._complete_job(job, res, "simulated", pair=pair)
 
     # ------------------------------------------------------------------
@@ -664,8 +678,8 @@ class SimulationService:
             # key so the new worker continues from the captured cycle
             # instead of cycle 0. The worker treats it as advisory — any
             # decode/restore failure falls open to a cold rerun.
-            ckpt = self.checkpoints.get(job.key)
-            if ckpt is not None and ckpt.total_cycles == job.spec.sim_config().total_cycles:
+            ckpt = self._resume_point(job)
+            if ckpt is not None:
                 entry["checkpoint"] = ckpt.grant_dict()
                 self.counters["checkpoints_shipped"] += 1
             entries.append(entry)
@@ -755,6 +769,14 @@ class SimulationService:
         )
         self.counters["checkpoints_stored"] += 1
         return 200, {"stored": True, "cycle": cycle}, {}
+
+    def _resume_point(self, job: Job) -> Checkpoint | None:
+        """The stored checkpoint for ``job``'s key, if its horizon still
+        matches the job's spec (else the job runs from cycle 0)."""
+        ckpt = self.checkpoints.get(job.key)
+        if ckpt is not None and ckpt.total_cycles == job.spec.sim_config().total_cycles:
+            return ckpt
+        return None
 
     def _evict_checkpoints(self) -> None:
         """TTL the resume table alongside the result store (housekeeping)."""

@@ -49,7 +49,6 @@ signature), which is how the fault-injection tests interpose
 from __future__ import annotations
 
 import base64
-import binascii
 import os
 import random
 import socket
@@ -57,12 +56,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.columnar import (
-    ColumnarState,
-    SnapshotError,
-    checkpoint_from_bytes,
-    checkpoint_to_bytes,
-)
+from repro.core.columnar import ColumnarState, SnapshotError, checkpoint_to_bytes
 from repro.experiments.parallel import simulate_resumable
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import (
@@ -71,6 +65,7 @@ from repro.service.protocol import (
     JobSpec,
     LeaseRequest,
     SpecError,
+    decode_checkpoint_grant,
     result_payload,
 )
 
@@ -308,25 +303,17 @@ class Worker:
         return out
 
     def _decode_checkpoint(self, spec: JobSpec, grant: Any) -> ColumnarState | None:
-        """Decode a lease-shipped ``{"cycle", "data"}`` grant, fail-open.
+        """Decode a lease-shipped grant through :func:`decode_checkpoint_grant`.
 
-        No grant (anything but a dict) returns ``None``. Anything wrong —
-        bad base64, corrupt/truncated/skewed envelope, a horizon that
-        disagrees with the job spec — also returns ``None`` and the job
-        runs cold from cycle 0. A stale checkpoint must never be able to
-        fail (or silently corrupt) a job that would succeed without it.
+        No grant (anything but a dict) returns ``None``; a grant that fails
+        to decode also returns ``None`` (the job runs cold from cycle 0) and
+        counts as a rejected resume.
         """
         if not isinstance(grant, dict):
             return None
-        try:
-            raw = base64.b64decode(str(grant.get("data", "")).encode("ascii"), validate=True)
-            cycle, total, state = checkpoint_from_bytes(raw)
-        except (SnapshotError, binascii.Error, ValueError, UnicodeEncodeError):
+        state = decode_checkpoint_grant(grant, spec.sim_config().total_cycles)
+        if state is None:
             self.stats["resumes_rejected"] += 1
-            return None
-        if total != spec.sim_config().total_cycles or not 0 < cycle < total:
-            self.stats["resumes_rejected"] += 1
-            return None
         return state
 
     def _upload_checkpoint(self, lease_id: str, job_id: str, sim: Any) -> None:

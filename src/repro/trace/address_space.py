@@ -35,7 +35,7 @@ policies manage.
 from __future__ import annotations
 
 from repro.trace.profiles import BenchmarkProfile
-from repro.utils.rng import SplitMix64
+from repro.utils.rng import float_threshold, splitmix64_stream
 
 __all__ = [
     "AddressSpace",
@@ -61,6 +61,9 @@ COLD_OFFSET = 256 << 20
 STACK_OFFSET = 512 << 20
 CODE_OFFSET = 768 << 20
 WRONGPATH_OFFSET = 896 << 20
+
+#: Share of stores sent to the warm tier, as a raw-draw threshold.
+_T_STORE_WARM = float_threshold(0.05)
 
 
 def set_stagger(base: int) -> int:
@@ -93,6 +96,8 @@ class AddressSpace:
         "_cold_ptr",
         "_p_warm_cum",
         "_p_cold_cum",
+        "_t_warm",
+        "_t_cold",
         "warm_groups",
         "warm_tags",
         "_warm_set_base",
@@ -108,11 +113,15 @@ class AddressSpace:
         self.profile = profile
         self.base = base
         self.stagger = set_stagger(base)
-        self._rng = SplitMix64(seed)
+        self._rng = splitmix64_stream(seed).__next__
         self._warm_ptr = 0
         self._cold_ptr = self.stagger
         self._p_cold_cum = profile.p_cold
         self._p_warm_cum = profile.p_cold + profile.p_warm
+        # Raw-draw thresholds: ``draw < t`` picks the same tier as comparing
+        # the draw's [0, 1) float with the cumulative probability.
+        self._t_cold = float_threshold(self._p_cold_cum)
+        self._t_warm = float_threshold(self._p_warm_cum)
         self._warm_set_base = (_WARM_SET_BASE + self.stagger) % L1_SETS
 
         # Size the warm set to ~6 reuses per tag, within hardware bounds:
@@ -126,8 +135,8 @@ class AddressSpace:
 
     def load_address(self) -> int:
         """Next load effective address."""
-        u = self._rng.next_float()
-        if u < self._p_cold_cum:
+        u = self._rng()
+        if u < self._t_cold:
             # Streaming tier: a brand-new line every access.
             addr = (
                 self.base
@@ -136,11 +145,11 @@ class AddressSpace:
             )
             self._cold_ptr += 1
             return addr
-        if u < self._p_warm_cum:
+        if u < self._t_warm:
             return self._warm_address()
         # Hot tier: random line within an L1-resident set.
-        line = self.stagger + self._rng.next_below(self.profile.hot_lines)
-        offset = (self._rng.next_u64() >> 32) & (LINE_BYTES - 8)
+        line = self.stagger + self._rng() % self.profile.hot_lines
+        offset = (self._rng() >> 32) & (LINE_BYTES - 8)
         return self.base + HOT_OFFSET + line * LINE_BYTES + offset
 
     def _warm_address(self) -> int:
@@ -159,10 +168,9 @@ class AddressSpace:
         warm share keeps write-allocate traffic realistic without disturbing
         the calibrated *load* miss rates.
         """
-        u = self._rng.next_float()
-        if u < 0.05:
+        if self._rng() < _T_STORE_WARM:
             return self._warm_address()
-        line = self.stagger + self._rng.next_below(max(16, self.profile.hot_lines // 2))
+        line = self.stagger + self._rng() % max(16, self.profile.hot_lines // 2)
         return self.base + STACK_OFFSET + line * LINE_BYTES
 
     # -- cache pre-warming ---------------------------------------------------

@@ -13,14 +13,14 @@ makes sweeping 6 policies over the same workload pay generation cost once.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.isa.opcodes import BranchKind, OpClass
 from repro.isa.registers import REG_NONE
 from repro.trace.address_space import CODE_OFFSET, LINE_BYTES, AddressSpace, set_stagger
 from repro.trace.codegen import INSTR_BYTES, CodeLayout
 from repro.trace.profiles import BenchmarkProfile
-from repro.utils.rng import SplitMix64, derive_seed
+from repro.utils.rng import derive_seed, float_threshold, splitmix64_stream
 
 if TYPE_CHECKING:
     from repro.trace.artifact import TraceArtifactCache
@@ -74,7 +74,7 @@ class SyntheticTrace:
         self.brkind: list[int] = []
         self.taken: list[bool] = []
         self.target: list[int] = []
-        self._walk(SplitMix64(walk_seed), self.aspace)
+        self._walk(splitmix64_stream(walk_seed).__next__, self.aspace)
         self._patch_wrap()
         self._pack_records()
 
@@ -156,7 +156,11 @@ class SyntheticTrace:
 
     # ------------------------------------------------------------------
 
-    def _walk(self, rng: SplitMix64, aspace: AddressSpace) -> None:
+    def _walk(self, draw: Callable[[], int], aspace: AddressSpace) -> None:
+        # ``draw()`` is a raw 64-bit SplitMix64 value: ``draw() <
+        # float_threshold(p)`` holds exactly when ``next_float() < p`` would,
+        # and ``draw() % n`` is ``next_below(n)``. Every trace depends on the
+        # order of draws (tests/test_trace.py pins four by hash).
         layout = self.layout
         blocks = layout.blocks
         length = self.length
@@ -178,6 +182,10 @@ class SyntheticTrace:
         cum_load = profile.load_frac / non_branch
         cum_store = cum_load + profile.store_frac / non_branch
         cum_fp = cum_store + profile.fp_frac / non_branch
+        t_load = float_threshold(cum_load)
+        t_store = float_threshold(cum_store)
+        t_fp = float_threshold(cum_fp)
+        t_half = float_threshold(0.5)
 
         op_load = int(OpClass.LOAD)
         op_store = int(OpClass.STORE)
@@ -189,8 +197,8 @@ class SyntheticTrace:
         # window size controls the dependency-chain tightness (ILP).
         recent_dests: list[int] = []
         dep_cap = profile.dep_window
-        load_use_frac = profile.load_use_frac
-        load_indep_frac = profile.load_indep_frac
+        t_load_use = float_threshold(profile.load_use_frac)
+        t_load_indep = float_threshold(profile.load_indep_frac)
         force_src = REG_NONE
 
         # Duplicate benchmark instances start the walk elsewhere, the
@@ -210,32 +218,32 @@ class SyntheticTrace:
             for off in range(block.body_len):
                 if emitted >= length:
                     return
-                u = rng.next_float()
-                if u < cum_load:
+                u = draw()
+                if u < t_load:
                     op = op_load
-                elif u < cum_store:
+                elif u < t_store:
                     op = op_store
-                elif u < cum_fp:
+                elif u < t_fp:
                     op = op_fp
                 else:
                     op = op_int
 
-                if op == op_load and rng.next_float() < load_indep_frac:
+                if op == op_load and draw() < t_load_indep:
                     # Address from a long-lived base register (28..30 are
                     # never destinations): the load is ready at dispatch, so
                     # its miss can overlap earlier misses (MLP).
-                    src1 = 28 + rng.next_below(3)
+                    src1 = 28 + draw() % 3
                     if force_src != REG_NONE:
                         force_src = REG_NONE  # consumer folded into the load
                 elif force_src != REG_NONE:
                     src1 = force_src
                     force_src = REG_NONE
                 elif recent_dests:
-                    src1 = recent_dests[rng.next_below(len(recent_dests))]
+                    src1 = recent_dests[draw() % len(recent_dests)]
                 else:
-                    src1 = rng.next_below(28)
-                if op != op_load and recent_dests and rng.next_float() < 0.5:
-                    src2 = recent_dests[rng.next_below(len(recent_dests))]
+                    src1 = draw() % 28
+                if op != op_load and recent_dests and draw() < t_half:
+                    src2 = recent_dests[draw() % len(recent_dests)]
                 else:
                     src2 = REG_NONE
 
@@ -243,13 +251,13 @@ class SyntheticTrace:
                     dest = REG_NONE
                     addr = aspace.store_address()
                 elif op == op_load:
-                    dest = rng.next_below(28)
+                    dest = draw() % 28
                     addr = aspace.load_address()
                 elif op == op_fp:
-                    dest = 32 + rng.next_below(28)
+                    dest = 32 + draw() % 28
                     addr = 0
                 else:
-                    dest = rng.next_below(28)
+                    dest = draw() % 28
                     addr = 0
 
                 pc_l.append(bpc + off * INSTR_BYTES)
@@ -267,7 +275,7 @@ class SyntheticTrace:
                     recent_dests.append(dest)
                     if len(recent_dests) > dep_cap:
                         recent_dests.pop(0)
-                if op == op_load and rng.next_float() < load_use_frac:
+                if op == op_load and draw() < t_load_use:
                     force_src = dest
             if emitted >= length:
                 return
@@ -279,19 +287,19 @@ class SyntheticTrace:
                 bias = block.bias
                 if 0.25 <= bias <= 0.75:
                     # Genuinely data-dependent branch: unpredictable.
-                    taken = rng.next_float() < bias
+                    taken = draw() < float_threshold(bias)
                 else:
                     major_is_taken = bias > 0.5
                     p_major = bias if major_is_taken else 1.0 - bias
                     period = max(1, round(p_major / (1.0 - p_major)))
                     k = cond_state.get(block.index)
                     if k is None:
-                        k = period + rng.next_below(3) - 1
+                        k = period + draw() % 3 - 1
                     if k > 0:
                         cond_state[block.index] = k - 1
                         taken = major_is_taken
                     else:
-                        cond_state[block.index] = period + rng.next_below(3) - 1
+                        cond_state[block.index] = period + draw() % 3 - 1
                         taken = not major_is_taken
                 next_idx = block.taken_index if taken else fall_idx
             elif brkind == BranchKind.JUMP:
@@ -318,7 +326,7 @@ class SyntheticTrace:
             # Conditional branches read a recently-computed value; calls
             # write the link register (arch reg 31 by convention).
             dest_l.append(31 if brkind == BranchKind.CALL else REG_NONE)
-            src1_l.append(rng.next_below(28) if brkind == BranchKind.COND else REG_NONE)
+            src1_l.append(draw() % 28 if brkind == BranchKind.COND else REG_NONE)
             src2_l.append(REG_NONE)
             addr_l.append(0)
             brkind_l.append(brkind)

@@ -11,7 +11,7 @@ preset) and compares it against a checked-in baseline file
    must be accompanied by a baseline refresh (``--update``) in the same
    commit, which makes behavior drift reviewable in the diff.
 
-2. **Timed gates** — each timed section (speed, sweep, ingest, vec,
+2. **Timed gates** — each timed section (speed, sweep, ingest, walk, vec,
    vec_digest, resume) has one collector in :data:`COLLECTORS`, and each
    gated number is one row of :data:`GATES`. A row either tracks a
    host-normalized score (work per million pure-Python calibration
@@ -74,6 +74,7 @@ __all__ = [
     "collect_sweep",
     "collect_vec_digest",
     "collect_vec_speed",
+    "collect_walk",
     "compare",
     "main",
 ]
@@ -279,6 +280,48 @@ def collect_ingest(repeats: int = _INGEST_REPEATS) -> dict[str, float]:
         "records": _INGEST_RECORDS,
         "calibration_mops": round(calib, 3),
         "normalized_ingest_secs": round(best * calib, 2),
+    }
+
+
+#: Trace-walk measurement shape: the four traces of 4-MIX, long enough that
+#: the walk, not the code layout or address-space set-up, dominates.
+_WALK_WORKLOAD = "4-MIX"
+_WALK_TRACE_LENGTH = 30_000
+_WALK_REPEATS = 3
+
+
+def collect_walk() -> dict[str, float]:
+    """Measure a fresh trace build: every trace of a workload walked anew.
+
+    Times ``build_programs`` for :data:`_WALK_WORKLOAD` with the in-process
+    trace memo cleared before each run and no artifact cache installed, so
+    each trace pays the synthetic CFG walk (best of :data:`_WALK_REPEATS`).
+    ``normalized_walk_secs`` is host-normalized like the sweep metric
+    (lower is better).
+    """
+    from repro.trace import clear_trace_cache, set_trace_artifact_cache
+    from repro.workloads import build_programs, get_workload
+
+    calib = calibration_score()
+    simcfg = SimulationConfig(**{**_DIGEST_SIMCFG, "trace_length": _WALK_TRACE_LENGTH})
+    workload = get_workload(_WALK_WORKLOAD)
+
+    def fresh_build() -> Callable[[], Any]:
+        clear_trace_cache()
+        return lambda: build_programs(workload, simcfg)
+
+    prev = set_trace_artifact_cache(None)
+    try:
+        (best,), _ = _best_of(_WALK_REPEATS, [fresh_build])
+    finally:
+        set_trace_artifact_cache(prev)
+        clear_trace_cache()
+    return {
+        "walk_secs": round(best, 4),
+        "traces": len(workload.benchmarks),
+        "trace_length": _WALK_TRACE_LENGTH,
+        "calibration_mops": round(calib, 3),
+        "normalized_walk_secs": round(best * calib, 2),
     }
 
 
@@ -519,6 +562,7 @@ def collect_obs_overhead(
 COLLECTORS: dict[str, Callable[[], dict[str, Any]]] = {
     "speed": collect_speed,
     "ingest": collect_ingest,
+    "walk": collect_walk,
     "vec": collect_vec_speed,
     "vec_digest": collect_vec_digest,
     "resume": collect_resume,
@@ -553,6 +597,7 @@ GATES: tuple[Gate, ...] = (
     # checks), so both get twice the tolerance.
     Gate("sweep", "normalized_sweep_secs", better="lower", k=2.0, override="sweep_tolerance"),
     Gate("ingest", "normalized_ingest_secs", better="lower", k=2.0, override="ingest_tolerance"),
+    Gate("walk", "normalized_walk_secs", better="lower"),
     Gate("vec", "normalized_vec_score"),
     Gate("vec_digest", "normalized_vec_digest_score"),
     # The batch backend's reason to exist: it must beat per-pair cold serial

@@ -73,6 +73,13 @@ class TestCompareExisting:
         failures = compare(_base(), cur, tolerance=0.20)
         assert len(failures) == 1 and "speed regression" in failures[0]
 
+    def test_walk_regression_fails(self):
+        base = _base(walk={"normalized_walk_secs": 10.0})
+        within = _base(walk={"normalized_walk_secs": 11.9})
+        assert compare(base, within, tolerance=0.20) == []  # 1x tol = 20%
+        failures = compare(base, _base(walk={"normalized_walk_secs": 12.5}), tolerance=0.20)
+        assert len(failures) == 1 and "walk regression" in failures[0]
+
     def test_extra_service_section_in_baseline_is_ignored(self):
         # The service floor is refereed by --service-bench, never by the
         # simulation-side compare() — an annotated baseline must not trip it.
@@ -223,6 +230,7 @@ def _full_baseline():
     """Every section a full run writes, with hand-set floors and an override."""
     return _base(
         ingest={"normalized_ingest_secs": 1.0},
+        walk={"normalized_walk_secs": 2.0},
         vec={"normalized_vec_score": 10.0, "batch_speedup": 9.0, "min_speedup": 6.0},
         vec_digest={
             "normalized_vec_digest_score": 10.0,

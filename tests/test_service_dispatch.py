@@ -6,17 +6,21 @@ tests/test_service_longpoll.py, so ``python -X dev -m pytest`` (asyncio
 debug mode) watches the ``asyncio.to_thread`` call each local job awaits.
 The jobs of a scenario are admitted with ``_admit`` and no ``await`` in
 between, so the dispatcher finds them queued together. ``Simulator.run``
-is patched per policy to fail or to hold a job mid-run.
+is patched per policy to fail or to hold a job mid-run, and a real
+checkpoint is planted in the resume table to test a local resume.
 """
 
 from __future__ import annotations
 
 import asyncio
+import base64
 import threading
 import time
 
 from repro.core import Simulator
-from repro.service.protocol import JobSpec, JobState
+from repro.core.columnar import checkpoint_to_bytes
+from repro.experiments.parallel import simulate_resumable
+from repro.service.protocol import Checkpoint, JobSpec, JobState, result_payload
 
 from test_service_e2e import TINY
 from test_service_longpoll import _boot, _drain
@@ -69,9 +73,10 @@ class TestLocalDispatcher:
         assert dwarn.source == "simulated" and dwarn.result["throughput"] > 0
         pair = svc.store.get_by_key(dwarn.key)["pair"]
         assert set(pair) == {
-            "sweep", "workload", "policy", "source", "secs", "retries", "seed"
+            "sweep", "workload", "policy", "source", "secs", "retries", "seed", "resumed_from"
         }
         assert (pair["sweep"], pair["source"], pair["seed"]) == ("service", "simulated", 31)
+        assert pair["resumed_from"] == 0  # the worker upload path's shape
         assert "injected flush failure" in flush.error
         assert "(2-MIX, flush, seed=31)" in flush.error
         assert svc.counters["batches"] == 2  # one local execution per job
@@ -107,3 +112,43 @@ class TestLocalDispatcher:
             ("flush", "cancelled"),
         ]
         assert svc.counters["completed"] == 1 and svc.counters["cancelled"] == 2
+
+    def test_stored_checkpoint_resumes_on_the_local_path(self):
+        """A job whose worker died after a checkpoint upload, and which fell
+        back to the daemon, continues from the stored cycle instead of
+        cycle 0, with the cold run's result."""
+        spec = JobSpec.from_dict({"workload": "2-MIX", "policy": "dwarn", "seed": 31, **TINY})
+        machine, simcfg = spec.machine_config(), spec.sim_config()
+        captured: list[tuple[int, bytes]] = []
+
+        def capture(sim):
+            captured.append((sim.cycle, checkpoint_to_bytes(sim)))
+
+        cold, _, _ = simulate_resumable(
+            machine, simcfg, "2-MIX", "dwarn", checkpoint_interval=500, on_checkpoint=capture
+        )
+        cycle, blob = captured[len(captured) // 2]
+        assert 0 < cycle < simcfg.total_cycles
+
+        async def scenario():
+            svc, task = await _boot()
+            svc.checkpoints[spec.cache_key()] = Checkpoint(
+                key=spec.cache_key(),
+                job_id="job-of-a-dead-worker",
+                cycle=cycle,
+                total_cycles=simcfg.total_cycles,
+                data_b64=base64.b64encode(blob).decode("ascii"),
+            )
+            job, queued = svc._admit(spec, 0)
+            assert queued
+            await _until(lambda: job.state in JobState.TERMINAL)
+            await _drain(svc, task)
+            return svc, job
+
+        svc, job = asyncio.run(scenario())
+        assert job.state == "done" and job.source == "simulated"
+        assert job.resumed_from == cycle
+        assert svc.counters["resumed"] == 1
+        assert svc.store.get_by_key(job.key)["pair"]["resumed_from"] == cycle
+        assert job.result == result_payload(cold)
+        assert spec.cache_key() not in svc.checkpoints  # superseded by the result

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import sys
+from array import array
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,10 +25,13 @@ from repro.trace.address_space import (
     COLD_OFFSET,
     L1_SETS,
     LINE_BYTES,
+    STACK_OFFSET,
     WARM_OFFSET,
     set_stagger,
 )
+from repro.trace.artifact import TraceArtifactCache
 from repro.trace.codegen import INSTR_BYTES, CodeLayout
+from repro.trace.synthetic import SyntheticTrace
 
 
 class TestProfiles:
@@ -192,6 +200,93 @@ class TestSyntheticTrace:
         lo = trace.layout.code_base
         hi = lo + trace.layout.footprint_bytes
         assert all(lo <= pc < hi for pc in trace.pc)
+
+
+_PIN_FIELDS = ("pc", "op", "dest", "src1", "src2", "addr", "brkind", "taken", "target")
+_PIN_BASE = 5 << 30
+_PIN_SEED = 777
+_PIN_LENGTH = 6000
+#: SHA-256 of each pinned trace's nine arrays (see ``_trace_sha256``).
+_PINNED = {
+    ("mcf", 0): "ea6e7959a3a26baeac5424a20affffd08ab05657b30f58865061c13e8bd5eb38",
+    ("mcf", 1): "60432fdca43dbb1ee51ed657996d1c52bf9cc6a1c54665704f8eb964e5c5880b",
+    ("eon", 0): "bdca0144a1f6b61b136f3ef334878e29b7cebb46cc3e6617f64e66c93ae43b9a",
+    ("eon", 1): "509c03c31f5898a448b96893c71bb9217fdebd6323971c3fc1e4fb43a25512c3",
+}
+
+
+def _trace_sha256(trace) -> str:
+    """SHA-256 over the nine record arrays packed as little-endian int64, so
+    a generated and an artifact-loaded trace hash alike."""
+    h = hashlib.sha256()
+    for field in _PIN_FIELDS:
+        words = array("q", [int(v) for v in getattr(trace, field)])
+        if sys.byteorder != "little":
+            words.byteswap()
+        h.update(words.tobytes())
+    return h.hexdigest()
+
+
+def _walk_paths(trace) -> Counter:
+    """Count the records each path of the walk produced."""
+    paths: Counter = Counter()
+    by_branch_pc = {b.branch_pc: b for b in trace.layout.blocks}
+    for i in range(len(trace) - 1):  # the last record is the wrap patch
+        op = trace.op[i]
+        offset = trace.addr[i] - trace.base
+        if op == OpClass.FP:
+            paths["fp"] += 1
+        elif op == OpClass.LOAD:
+            tier = "cold" if offset >= COLD_OFFSET else "warm" if offset >= WARM_OFFSET else "hot"
+            paths[f"{tier}_load"] += 1
+        elif op == OpClass.STORE:
+            paths["stack_store" if offset >= STACK_OFFSET else "warm_store"] += 1
+        elif op == OpClass.BRANCH:
+            block = by_branch_pc[trace.pc[i]]
+            kind = trace.brkind[i]
+            if kind == BranchKind.COND:
+                unpredictable = 0.25 <= block.bias <= 0.75
+                paths["unpredictable_cond" if unpredictable else "loop_cond"] += 1
+            elif kind == BranchKind.CALL:
+                paths["call"] += 1
+            elif kind == BranchKind.JUMP and block.brkind == BranchKind.RET:
+                paths["underflowed_ret"] += 1
+    return paths
+
+
+class TestPinnedTraces:
+    """Every trace array, value for value: a change to the walk's draws or
+    their order fails here, not only as a simulation-digest drift."""
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        return {
+            key: SyntheticTrace(get_profile(key[0]), _PIN_LENGTH, _PIN_BASE, _PIN_SEED, key[1])
+            for key in _PINNED
+        }
+
+    @pytest.mark.parametrize("key", sorted(_PINNED), ids=lambda key: f"{key[0]}-{key[1]}")
+    def test_trace_contents_pinned(self, traces, key):
+        assert _trace_sha256(traces[key]) == _PINNED[key]
+
+    def test_artifact_round_trip_hashes_alike(self, traces, tmp_path):
+        cache = TraceArtifactCache(tmp_path)
+        trace = traces[("mcf", 1)]
+        cache.store(trace)
+        loaded = cache.load(trace.profile, _PIN_LENGTH, _PIN_BASE, _PIN_SEED, 1)
+        assert loaded is not None
+        assert _trace_sha256(loaded) == _PINNED[("mcf", 1)]
+
+    def test_pins_cover_every_walk_path(self, traces):
+        paths = {key: _walk_paths(trace) for key, trace in traces.items()}
+        total = sum(paths.values(), Counter())
+        for path in (
+            "cold_load", "warm_load", "hot_load", "stack_store", "warm_store",
+            "loop_cond", "unpredictable_cond", "call",
+        ):
+            assert total[path] > 0, path
+        assert paths[("eon", 0)]["fp"] > 0 and paths[("eon", 1)]["fp"] > 0
+        assert [paths[key]["underflowed_ret"] for key in sorted(_PINNED)] == [0, 4, 1, 1]
 
 
 class TestAddressSpace:

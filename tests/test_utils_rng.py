@@ -1,10 +1,37 @@
-"""Tests for repro.utils.rng: determinism and distribution sanity."""
+"""Tests for repro.utils.rng: determinism, distribution sanity, and the
+block-computed SplitMix64 stream against the published algorithm."""
 
 from __future__ import annotations
 
+import random
+from itertools import islice
+
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.utils.rng import SplitMix64, derive_seed, stable_hash64
+from repro.utils.rng import (
+    _BLOCK,
+    SplitMix64,
+    derive_seed,
+    float_threshold,
+    splitmix64_stream,
+    stable_hash64,
+)
+
+_MASK64 = (1 << 64) - 1
+
+
+def _reference_splitmix64(seed: int, n: int) -> list[int]:
+    """The scalar SplitMix64 formula, one value per step (the oracle)."""
+    state = seed & _MASK64
+    out = []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
+    return out
 
 
 class TestStableHash64:
@@ -89,3 +116,74 @@ class TestSplitMix64:
         rng = SplitMix64(seed)
         for _ in range(5):
             assert 0 <= rng.next_u64() < 2**64
+
+
+class TestSplitMix64Stream:
+    # Known answers from the reference splitmix64.c (Vigna).
+    def test_known_answers_seed_0(self):
+        rng = SplitMix64(0)
+        assert [rng.next_u64() for _ in range(3)] == [
+            0xE220A8397B1DCDAF,
+            0x6E789E6AA1B965F4,
+            0x06C45D188009454F,
+        ]
+
+    def test_known_answers_seed_1234567(self):
+        rng = SplitMix64(1234567)
+        assert [rng.next_u64() for _ in range(2)] == [
+            0x599ED017FB08FC85,
+            0x2C73F08458540FA5,
+        ]
+
+    @settings(deadline=None, max_examples=25, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.one_of(
+            st.sampled_from([0, _MASK64, -1, -(2**63), 2**64]),
+            st.integers(min_value=-(2**70), max_value=2**70),
+        )
+    )
+    def test_stream_matches_scalar_reference(self, seed):
+        # 3 blocks + 1 value: the comparison crosses two block boundaries
+        # and starts a fourth block.
+        n = 3 * _BLOCK + 1
+        expected = _reference_splitmix64(seed, n)
+        assert list(islice(splitmix64_stream(seed), n)) == expected
+        rng = SplitMix64(seed)
+        assert [rng.next_u64() for _ in range(n)] == expected
+
+    def test_next_float_and_below_read_the_stream(self):
+        ref = _reference_splitmix64(42, 3)
+        rng = SplitMix64(42)
+        assert rng.next_float() == (ref[0] >> 11) * 2.0**-53
+        assert rng.next_below(1000) == ref[1] % 1000
+        assert rng.next_u64() == ref[2]
+
+
+_EDGE_PROBABILITIES = [0.0, 2.0**-53, 0.05, 0.5, 1.0 - 2.0**-53, 1.0, 1.5, -0.1]
+
+
+def _threshold_agrees(p: float, u: int) -> bool:
+    return (u < float_threshold(p)) == ((u >> 11) * 2.0**-53 < p)
+
+
+def _probe_draws(t: int, rnd: random.Random) -> list[int]:
+    near = [t - 1, t, t - 2048, t + 2047, 0, _MASK64]
+    return [u for u in near if 0 <= u <= _MASK64] + [rnd.getrandbits(64) for _ in range(8)]
+
+
+class TestFloatThreshold:
+    @pytest.mark.parametrize("p", _EDGE_PROBABILITIES)
+    def test_edge_probabilities(self, p):
+        rnd = random.Random(p)
+        for u in _probe_draws(float_threshold(p), rnd):
+            assert _threshold_agrees(p, u), (p, u)
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=0, max_value=_MASK64),
+    )
+    def test_property_matches_float_comparison(self, p, u):
+        assert _threshold_agrees(p, u)
+        for v in _probe_draws(float_threshold(p), random.Random(u)):
+            assert _threshold_agrees(p, v), (p, v)
