@@ -24,11 +24,11 @@ def characterize(bench: str, length: int = 60_000):
 
     counts = trace.op_counts()
     branches = counts.get(int(OpClass.BRANCH), 0)
-    taken = sum(
-        1 for i in range(length)
-        if trace.op[i] == OpClass.BRANCH and trace.taken[i]
-    )
-    calls = sum(1 for i in range(length) if trace.brkind[i] == BranchKind.CALL)
+    # One tuple per dynamic instruction, laid out as repro.trace.RECORD_FIELDS.
+    taken = calls = 0
+    for op, _pc, _dest, _src1, _src2, _addr, brkind, was_taken, _target in trace.rec:
+        taken += op == OpClass.BRANCH and was_taken
+        calls += brkind == BranchKind.CALL
 
     return [
         bench,

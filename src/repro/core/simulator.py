@@ -617,7 +617,6 @@ class Simulator:
         # re-checks the memo and inserts).
         wp_memo_gets = [tc.wp_supplier._memo.get for tc in threads]
         wp_supplies = [tc.wp_supplier.supply for tc in threads]
-        trace_pcs = [tc.trace.pc for tc in threads]
         trace_recs = [tc.trace.rec for tc in threads]
         trace_lens = [tc.trace.length for tc in threads]
         ev_complete = EV_COMPLETE
@@ -1201,7 +1200,7 @@ class Simulator:
                         if tc.wrongpath:
                             pc = tc.wp_pc
                         else:
-                            pc = trace_pcs[tid][tc.cursor % tlen]
+                            pc = trace_recs[tid][tc.cursor % tlen][1]
                         slots -= 1
                         # I-cache lookup (hierarchy.ifetch_ready inlined:
                         # outstanding-fill check, MRU probe; refill path
@@ -1881,7 +1880,7 @@ class Simulator:
             if tc.wrongpath:
                 pc = tc.wp_pc
             else:
-                pc = trace.pc[tc.cursor % tlen]
+                pc = trace.rec[tc.cursor % tlen][1]
             slots -= 1
             ready_at = ifetch_ready(tid, pc, cycle)
             if ready_at > cycle:

@@ -28,6 +28,7 @@ from repro.trace.profiles import (
     ILP_BENCHMARKS,
 )
 from repro.trace.synthetic import (
+    RECORD_FIELDS,
     SyntheticTrace,
     generate_trace,
     clear_trace_cache,
@@ -60,6 +61,7 @@ __all__ = [
     "get_profile",
     "MEM_BENCHMARKS",
     "ILP_BENCHMARKS",
+    "RECORD_FIELDS",
     "SyntheticTrace",
     "generate_trace",
     "clear_trace_cache",

@@ -21,7 +21,7 @@ Format (version 1, little-endian, one file per trace)::
     crc     u32  CRC-32 of the payload bytes
     paylen  u64  payload byte count
     name    <namelen>s  profile name (UTF-8)
-    payload      9 parallel arrays, in record-field order:
+    payload      9 parallel arrays, in this order:
                  pc[q] op[b] dest[b] src1[b] src2[b] addr[q]
                  brkind[b] taken[b] target[q]
 
@@ -65,7 +65,7 @@ from pathlib import Path
 from typing import Iterator
 
 from repro.trace.profiles import BenchmarkProfile
-from repro.trace.synthetic import SyntheticTrace, set_trace_artifact_cache
+from repro.trace.synthetic import RECORD_FIELDS, SyntheticTrace, set_trace_artifact_cache
 from repro.utils.rng import stable_hash64
 
 __all__ = [
@@ -82,7 +82,7 @@ ARTIFACT_VERSION = 1
 
 _MAGIC = b"DWTR"
 _HEADER = struct.Struct("<4sHHQqqIIQ")
-#: (typecode, field) pairs in DynInstr record order.
+#: (typecode, field) pairs in payload order (not ``RECORD_FIELDS`` order).
 _FIELDS: tuple[tuple[str, str], ...] = (
     ("q", "pc"),
     ("b", "op"),
@@ -117,9 +117,10 @@ def schema_info() -> dict[str, object]:
 
 def _encode(trace: SyntheticTrace) -> bytes:
     """Serialize a trace to the version-1 artifact byte string."""
+    columns = dict(zip(RECORD_FIELDS, zip(*trace.rec)))
     parts: list[bytes] = []
     for typecode, field in _FIELDS:
-        arr = array(typecode, [int(v) for v in getattr(trace, field)])
+        arr = array(typecode, columns[field])
         if sys.byteorder != "little":  # pragma: no cover - exotic hosts
             arr.byteswap()
         parts.append(arr.tobytes())
@@ -166,7 +167,7 @@ def _decode(
         return None  # truncated or padded file
     if zlib.crc32(payload) != crc:
         return None  # bit rot / torn legacy write
-    arrays: dict[str, list[int]] = {}
+    arrays: dict[str, array[int]] = {}
     offset = 0
     for typecode, field in _FIELDS:
         nbytes = length * (8 if typecode == "q" else 1)
@@ -174,7 +175,7 @@ def _decode(
         arr.frombytes(payload[offset : offset + nbytes])
         if sys.byteorder != "little":  # pragma: no cover - exotic hosts
             arr.byteswap()
-        arrays[field] = arr.tolist()
+        arrays[field] = arr  # from_arrays iterates it: no list in between
         offset += nbytes
     return SyntheticTrace.from_arrays(profile, length, base, seed, instance, arrays)
 

@@ -70,16 +70,14 @@ def replay_miss_rates(
     warm_end = int(len(trace) * warmup_fraction)
     snap = None
     cycle = 0
-    ops = trace.op
-    addrs = trace.addr
-    for i in range(len(trace)):
+    for i, rec in enumerate(trace.rec):
         if i == warm_end:
             snap = (hier.loads[0], hier.load_l1_misses[0], hier.load_l2_misses[0])
-        op = ops[i]
+        op = rec[0]
         if op == _OP_LOAD:
-            hier.load_access(0, addrs[i], cycle)
+            hier.load_access(0, rec[5], cycle)
         elif op == _OP_STORE:
-            hier.store_access(0, addrs[i], cycle)
+            hier.store_access(0, rec[5], cycle)
         cycle += cycles_per_op
 
     base = snap or (0, 0, 0)

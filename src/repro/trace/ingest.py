@@ -16,7 +16,7 @@ File format (version 1)::
     line 1   NDJSON header (UTF-8 JSON object + ``\\n``), fields:
              magic="DWIT", version, name, profile, address_mode,
              base, records, fields, payload_bytes, crc32
-    body     struct-packed little-endian parallel arrays in record-field
+    body     struct-packed little-endian parallel arrays, in this
              order: pc[q] op[b] dest[b] src1[b] src2[b] addr[q]
              brkind[b] taken[b] target[q]   (q = int64, b = int8)
 
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import sys
 import zlib
 from array import array
@@ -66,7 +65,7 @@ from repro.trace.address_space import (
 )
 from repro.trace.codegen import INSTR_BYTES
 from repro.trace.profiles import PROFILES, get_profile
-from repro.trace.synthetic import SyntheticTrace
+from repro.trace.synthetic import RECORD_FIELDS, SyntheticTrace
 
 __all__ = [
     "DEFAULT_INGEST_DIR",
@@ -104,7 +103,7 @@ INGEST_DIR_ENV = "DWARN_SIM_INGEST_DIR"
 #: Fallback ingested-workload directory (registered names live here).
 DEFAULT_INGEST_DIR = ".cache/ingested"
 
-#: (typecode, field) pairs in DynInstr record order — deliberately the same
+#: (typecode, field) pairs in body order — deliberately the same
 #: layout as the artifact cache's payload so tooling for one reads the other.
 _FIELDS: tuple[tuple[str, str], ...] = (
     ("q", "pc"),
@@ -476,16 +475,8 @@ def export_trace(
     a deterministic synthetic trace, ingest it back, and require the
     round trip to be bit-identical — no proprietary trace inputs needed.
     """
-    arrays: dict[str, list[int]] = {
-        "pc": list(trace.pc),
-        "op": list(trace.op),
-        "dest": list(trace.dest),
-        "src1": list(trace.src1),
-        "src2": list(trace.src2),
-        "addr": list(trace.addr),
-        "brkind": list(trace.brkind),
-        "taken": [1 if t else 0 for t in trace.taken],
-        "target": list(trace.target),
+    arrays = {
+        field: list(column) for field, column in zip(RECORD_FIELDS, zip(*trace.rec))
     }
     return write_trace_file(
         path,
@@ -639,14 +630,7 @@ def _intern_raw(
             )
             cold_idx += 1
 
-    out: dict[str, list[int]] = {
-        "op": list(op_a),
-        "dest": list(arrays["dest"]),
-        "src1": list(arrays["src1"]),
-        "src2": list(arrays["src2"]),
-        "brkind": list(arrays["brkind"]),
-        "taken": list(arrays["taken"]),
-    }
+    out = dict(arrays)
     out["pc"] = [pc_map[pc] for pc in arrays["pc"]]
     out["addr"] = [
         line_map[addr_a[i] >> 6] + (addr_a[i] & (LINE_BYTES - 8))
@@ -671,11 +655,11 @@ def _rebase_canonical(
 ) -> dict[str, list[int]]:
     """Shift canonical-mode addresses from the recorded base to ``base``.
 
-    Zero stays zero (the "no address" sentinel). With equal bases this is
-    an exact copy — the round-trip bit-identity case.
+    Zero stays zero (the "no address" sentinel). With equal bases the
+    arrays pass through unchanged — the round-trip bit-identity case.
     """
     delta = base - file_base
-    out = {f: list(arrays[f]) for _, f in _FIELDS}
+    out = dict(arrays)
     if delta:
         out["pc"] = [pc + delta for pc in arrays["pc"]]
         out["addr"] = [a + delta if a else 0 for a in arrays["addr"]]
@@ -693,10 +677,11 @@ def materialize(
 ) -> SyntheticTrace:
     """Build a :class:`SyntheticTrace`-compatible trace from a read file.
 
-    The result has the exact parallel-list layout, packed records, wrap-to-
-    index-0 patching, code layout and address space of a generated trace,
-    so everything downstream (simulator, columnar snapshots, vec backend)
-    runs it unchanged. Deterministic given (file contents, base, seed).
+    The result has the record list (one shared int per distinct PC,
+    address and target), wrap-to-index-0 patching, code layout and address
+    space of a generated trace, so everything downstream (simulator,
+    columnar snapshots, vec backend) runs it unchanged. Deterministic given
+    (file contents, base, seed).
     """
     header = tf.header
     key = (
@@ -719,7 +704,6 @@ def materialize(
         profile, header.records, base, seed, 0, arrays
     )
     trace._patch_wrap()
-    trace._pack_records()
     _MATERIALIZE_CACHE[key] = trace
     return trace
 

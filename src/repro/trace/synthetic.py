@@ -1,11 +1,15 @@
 """The synthetic trace generator: a dynamic walk over the CFG.
 
-A trace is the *correct-path* dynamic instruction sequence of one thread:
-parallel, immutable lists (struct-of-arrays — the hot fetch loop indexes
-plain Python lists, the fastest random-access container for this pattern).
-Index ``i+1`` is always the architectural successor of index ``i``; the final
-record is patched into an unconditional jump back to index 0 so traces wrap
-seamlessly when a simulated thread outruns its trace.
+A trace is the *correct-path* dynamic instruction sequence of one thread,
+stored once: ``SyntheticTrace.rec`` is a list of 9-tuples in
+``RECORD_FIELDS`` (``DynInstr`` argument) order, so the hot fetch loop does
+one list index and reads the fields by position. Each distinct PC, address
+and branch target is a single shared ``int`` (one intern table per trace),
+which halves a trace's memory: a trace has a few thousand distinct values
+but tens of thousands of records. Index ``i+1`` is always the architectural
+successor of index ``i``; the final record is patched into an unconditional
+jump back to index 0 so traces wrap seamlessly when a simulated thread
+outruns its trace.
 
 Traces are cached per (profile, length, seed, base, instance): the cache
 makes sweeping 6 policies over the same workload pay generation cost once.
@@ -13,7 +17,7 @@ makes sweeping 6 policies over the same workload pay generation cost once.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.isa.opcodes import BranchKind, OpClass
 from repro.isa.registers import REG_NONE
@@ -26,6 +30,7 @@ if TYPE_CHECKING:
     from repro.trace.artifact import TraceArtifactCache
 
 __all__ = [
+    "RECORD_FIELDS",
     "SyntheticTrace",
     "generate_trace",
     "clear_trace_cache",
@@ -36,9 +41,16 @@ __all__ = [
 
 _MAX_CALL_DEPTH = 64
 
+#: Field names of one trace record, in the tuple order of
+#: ``SyntheticTrace.rec`` (the ``DynInstr`` argument order).
+RECORD_FIELDS = ("op", "pc", "dest", "src1", "src2", "addr", "brkind", "taken", "target")
+
+#: One trace record, laid out as ``RECORD_FIELDS``.
+Record = tuple[int, int, int, int, int, int, int, bool, int]
+
 
 class SyntheticTrace:
-    """Immutable per-thread instruction trace (struct-of-arrays)."""
+    """Immutable per-thread instruction trace: one list of record tuples."""
 
     __slots__ = (
         "profile",
@@ -48,16 +60,6 @@ class SyntheticTrace:
         "instance",
         "layout",
         "aspace",
-        # parallel record arrays
-        "pc",
-        "op",
-        "dest",
-        "src1",
-        "src2",
-        "addr",
-        "brkind",
-        "taken",
-        "target",
         "rec",
     )
 
@@ -65,18 +67,9 @@ class SyntheticTrace:
         self, profile: BenchmarkProfile, length: int, base: int, seed: int, instance: int
     ) -> None:
         walk_seed = self._init_static(profile, length, base, seed, instance)
-        self.pc: list[int] = []
-        self.op: list[int] = []
-        self.dest: list[int] = []
-        self.src1: list[int] = []
-        self.src2: list[int] = []
-        self.addr: list[int] = []
-        self.brkind: list[int] = []
-        self.taken: list[bool] = []
-        self.target: list[int] = []
+        self.rec: list[Record] = []
         self._walk(splitmix64_stream(walk_seed).__next__, self.aspace)
         self._patch_wrap()
-        self._pack_records()
 
     def _init_static(
         self, profile: BenchmarkProfile, length: int, base: int, seed: int, instance: int
@@ -102,25 +95,6 @@ class SyntheticTrace:
         self.aspace = AddressSpace(profile, base, addr_seed, expected_loads=expected_loads)
         return walk_seed
 
-    def _pack_records(self) -> None:
-        # Packed per-index records in DynInstr argument order: the fetch loop
-        # does ONE list indexing per instruction instead of eight (this is
-        # the "preallocated array" the hot loop replays; the parallel lists
-        # stay for calibration/analysis code that scans one field).
-        self.rec: list[tuple[int, int, int, int, int, int, int, int, int]] = list(
-            zip(
-                self.op,
-                self.pc,
-                self.dest,
-                self.src1,
-                self.src2,
-                self.addr,
-                self.brkind,
-                self.taken,
-                self.target,
-            )
-        )
-
     @classmethod
     def from_arrays(
         cls,
@@ -129,29 +103,38 @@ class SyntheticTrace:
         base: int,
         seed: int,
         instance: int,
-        arrays: dict[str, list[int]],
+        arrays: Mapping[str, Sequence[int]],
     ) -> "SyntheticTrace":
         """Rebuild a trace from persisted parallel arrays, skipping the walk.
 
-        ``arrays`` maps the nine record-field names to full-length lists
-        (``taken`` as 0/1 ints). The code layout and address space are
-        regenerated from the key — they are deterministic and cheap, and the
-        simulator only reads their static products (resident-line sets, code
-        footprint), so the result is behaviorally identical to a freshly
-        generated trace; the parity tests enforce this field by field.
+        ``arrays`` maps the nine ``RECORD_FIELDS`` names to full-length
+        sequences, lists or ``array`` objects (``taken`` as 0/1 ints), and is
+        only read. PCs, addresses and targets go through one intern table, as
+        in the walk, so a loaded trace is as compact as a generated one. The
+        code layout and address space are regenerated from the key — they
+        are deterministic and cheap, and the simulator only reads their
+        static products (resident-line sets, code footprint), so the result
+        is behaviorally identical to a freshly generated trace; the parity
+        tests enforce this record by record.
         """
         self = object.__new__(cls)
         self._init_static(profile, length, base, seed, instance)
-        self.pc = arrays["pc"]
-        self.op = arrays["op"]
-        self.dest = arrays["dest"]
-        self.src1 = arrays["src1"]
-        self.src2 = arrays["src2"]
-        self.addr = arrays["addr"]
-        self.brkind = arrays["brkind"]
-        self.taken = [bool(t) for t in arrays["taken"]]
-        self.target = arrays["target"]
-        self._pack_records()
+        table: dict[int, int] = {}
+        intern: Callable[[int, int], int] = table.setdefault
+        pc, addr, target = arrays["pc"], arrays["addr"], arrays["target"]
+        self.rec = list(
+            zip(
+                arrays["op"],
+                map(intern, pc, pc),
+                arrays["dest"],
+                arrays["src1"],
+                arrays["src2"],
+                map(intern, addr, addr),
+                arrays["brkind"],
+                map(bool, arrays["taken"]),
+                map(intern, target, target),
+            )
+        )
         return self
 
     # ------------------------------------------------------------------
@@ -166,15 +149,15 @@ class SyntheticTrace:
         length = self.length
         profile = self.profile
 
-        pc_l = self.pc
-        op_l = self.op
-        dest_l = self.dest
-        src1_l = self.src1
-        src2_l = self.src2
-        addr_l = self.addr
-        brkind_l = self.brkind
-        taken_l = self.taken
-        target_l = self.target
+        append = self.rec.append
+        # One intern table for PCs, addresses and targets: each distinct
+        # value is one int object across the whole trace (a taken target is
+        # the next record's PC, so they share it too).
+        table: dict[int, int] = {}
+        intern: Callable[[int, int], int] = table.setdefault
+        # Each block's PCs, branch PC last, interned on the walk's first
+        # visit to the block.
+        block_pcs: list[tuple[int, ...] | None] = [None] * len(blocks)
 
         # Body op mix, renormalized with branches excluded (the terminal
         # branch of each block supplies branch_frac; bodies carry the rest).
@@ -191,6 +174,7 @@ class SyntheticTrace:
         op_store = int(OpClass.STORE)
         op_fp = int(OpClass.FP)
         op_int = int(OpClass.INT)
+        op_branch = int(OpClass.BRANCH)
         brk_none = int(BranchKind.NONE)
 
         # Dataflow state: sources come from recently-written registers; the
@@ -214,7 +198,11 @@ class SyntheticTrace:
 
         emitted = 0
         while emitted < length:
-            bpc = block.pc
+            pcs = block_pcs[block.index]
+            if pcs is None:
+                span = range(block.pc, block.fallthrough_pc, INSTR_BYTES)
+                pcs = tuple(map(intern, span, span))
+                block_pcs[block.index] = pcs
             for off in range(block.body_len):
                 if emitted >= length:
                     return
@@ -250,9 +238,11 @@ class SyntheticTrace:
                 if op == op_store:
                     dest = REG_NONE
                     addr = aspace.store_address()
+                    addr = intern(addr, addr)
                 elif op == op_load:
                     dest = draw() % 28
                     addr = aspace.load_address()
+                    addr = intern(addr, addr)
                 elif op == op_fp:
                     dest = 32 + draw() % 28
                     addr = 0
@@ -260,15 +250,7 @@ class SyntheticTrace:
                     dest = draw() % 28
                     addr = 0
 
-                pc_l.append(bpc + off * INSTR_BYTES)
-                op_l.append(op)
-                dest_l.append(dest)
-                src1_l.append(src1)
-                src2_l.append(src2)
-                addr_l.append(addr)
-                brkind_l.append(brk_none)
-                taken_l.append(False)
-                target_l.append(0)
+                append((op, pcs[off], dest, src1, src2, addr, brk_none, False, 0))
                 emitted += 1
 
                 if dest != REG_NONE:
@@ -321,56 +303,53 @@ class SyntheticTrace:
                     next_idx = block.taken_index
 
             next_block = blocks[next_idx]
-            pc_l.append(block.branch_pc)
-            op_l.append(int(OpClass.BRANCH))
+            target = next_block.pc if taken else block.fallthrough_pc
             # Conditional branches read a recently-computed value; calls
             # write the link register (arch reg 31 by convention).
-            dest_l.append(31 if brkind == BranchKind.CALL else REG_NONE)
-            src1_l.append(draw() % 28 if brkind == BranchKind.COND else REG_NONE)
-            src2_l.append(REG_NONE)
-            addr_l.append(0)
-            brkind_l.append(brkind)
-            taken_l.append(taken)
-            target_l.append(next_block.pc if taken else block.fallthrough_pc)
+            append((
+                op_branch,
+                pcs[-1],
+                31 if brkind == BranchKind.CALL else REG_NONE,
+                draw() % 28 if brkind == BranchKind.COND else REG_NONE,
+                REG_NONE,
+                0,
+                brkind,
+                taken,
+                intern(target, target),
+            ))
             emitted += 1
             block = next_block
 
     def _patch_wrap(self) -> None:
         """Rewrite the final record as a jump to index 0 so the trace wraps."""
-        i = self.length - 1
-        self.op[i] = int(OpClass.BRANCH)
-        self.dest[i] = REG_NONE
-        self.src1[i] = REG_NONE
-        self.src2[i] = REG_NONE
-        self.addr[i] = 0
-        self.brkind[i] = int(BranchKind.JUMP)
-        self.taken[i] = True
-        self.target[i] = self.pc[0]
+        rec = self.rec
+        rec[-1] = (
+            int(OpClass.BRANCH),
+            rec[-1][1],
+            REG_NONE,
+            REG_NONE,
+            REG_NONE,
+            0,
+            int(BranchKind.JUMP),
+            True,
+            rec[0][1],
+        )
 
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
         return self.length
 
-    def record(self, i: int) -> tuple[int, ...]:
-        """One record as a tuple (testing/debugging; the simulator indexes
-        the parallel lists directly)."""
-        return (
-            self.pc[i],
-            self.op[i],
-            self.dest[i],
-            self.src1[i],
-            self.src2[i],
-            self.addr[i],
-            self.brkind[i],
-            self.taken[i],
-            self.target[i],
-        )
+    def record(self, i: int) -> Record:
+        """One record, laid out as ``RECORD_FIELDS`` (testing/debugging; the
+        simulator indexes ``rec`` directly)."""
+        return self.rec[i]
 
     def op_counts(self) -> dict[int, int]:
         """Histogram of op classes (calibration checks)."""
         counts: dict[int, int] = {}
-        for op in self.op:
+        for r in self.rec:
+            op = r[0]
             counts[op] = counts.get(op, 0) + 1
         return counts
 

@@ -6,10 +6,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.isa.opcodes import BranchKind, OpClass
 from repro.isa.registers import REG_NONE
-from repro.trace import PROFILES, generate_trace, get_profile
+from repro.trace import PROFILES, RECORD_FIELDS, generate_trace, get_profile
 
 BENCH = st.sampled_from(sorted(PROFILES))
 SEED = st.integers(min_value=0, max_value=2**20)
+
+
+def _columns(trace) -> dict[str, tuple]:
+    """The trace's records transposed once: field name -> one value per record."""
+    return dict(zip(RECORD_FIELDS, zip(*trace.rec)))
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -17,12 +22,13 @@ SEED = st.integers(min_value=0, max_value=2**20)
 def test_successor_consistency_property(bench, seed, tid):
     """trace[i+1] is always the architectural successor of trace[i]."""
     trace = generate_trace(get_profile(bench), 1500, base=tid << 30, seed=seed)
+    t = _columns(trace)
     for i in range(len(trace) - 1):
-        if trace.op[i] == OpClass.BRANCH:
-            expected = trace.target[i] if trace.taken[i] else trace.pc[i] + 4
+        if t["op"][i] == OpClass.BRANCH:
+            expected = t["target"][i] if t["taken"][i] else t["pc"][i] + 4
         else:
-            expected = trace.pc[i] + 4
-        assert trace.pc[i + 1] == expected
+            expected = t["pc"][i] + 4
+        assert t["pc"][i + 1] == expected
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -30,31 +36,30 @@ def test_successor_consistency_property(bench, seed, tid):
 def test_record_wellformedness_property(bench, seed):
     """Every record satisfies the structural contract the simulator assumes."""
     trace = generate_trace(get_profile(bench), 1200, base=1 << 30, seed=seed)
-    for i in range(len(trace)):
-        op = trace.op[i]
+    for op, _, dest, _, _, addr, brkind, taken, target in trace.rec:
         if op in (OpClass.LOAD, OpClass.STORE):
-            assert trace.addr[i] >> 30 == 1  # inside the thread's slice
+            assert addr >> 30 == 1  # inside the thread's slice
         if op == OpClass.STORE:
-            assert trace.dest[i] == REG_NONE
+            assert dest == REG_NONE
         if op == OpClass.LOAD:
-            assert 0 <= trace.dest[i] < 28
+            assert 0 <= dest < 28
         if op == OpClass.FP:
-            assert trace.dest[i] >= 32
+            assert dest >= 32
         if op != OpClass.BRANCH:
-            assert trace.brkind[i] == BranchKind.NONE
+            assert brkind == BranchKind.NONE
         else:
-            assert trace.brkind[i] != BranchKind.NONE
-            if trace.taken[i]:
-                assert trace.target[i] > 0
+            assert brkind != BranchKind.NONE
+            if taken:
+                assert target > 0
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(bench=BENCH, seed=SEED)
 def test_wrap_patch_property(bench, seed):
-    trace = generate_trace(get_profile(bench), 900, base=2 << 30, seed=seed)
-    last = len(trace) - 1
-    assert trace.brkind[last] == BranchKind.JUMP
-    assert trace.target[last] == trace.pc[0]
+    t = _columns(generate_trace(get_profile(bench), 900, base=2 << 30, seed=seed))
+    last = len(t["op"]) - 1
+    assert t["brkind"][last] == BranchKind.JUMP
+    assert t["target"][last] == t["pc"][0]
 
 
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -62,8 +67,8 @@ def test_wrap_patch_property(bench, seed):
 def test_generation_deterministic_property(bench, seed):
     from repro.trace import clear_trace_cache
 
-    a = generate_trace(get_profile(bench), 600, base=0, seed=seed)
-    sig_a = (tuple(a.pc[:100]), tuple(a.addr[:100]))
+    a = _columns(generate_trace(get_profile(bench), 600, base=0, seed=seed))
+    sig_a = (a["pc"][:100], a["addr"][:100])
     clear_trace_cache()
-    b = generate_trace(get_profile(bench), 600, base=0, seed=seed)
-    assert sig_a == (tuple(b.pc[:100]), tuple(b.addr[:100]))
+    b = _columns(generate_trace(get_profile(bench), 600, base=0, seed=seed))
+    assert sig_a == (b["pc"][:100], b["addr"][:100])

@@ -31,7 +31,12 @@ from repro.trace.address_space import (
 )
 from repro.trace.artifact import TraceArtifactCache
 from repro.trace.codegen import INSTR_BYTES, CodeLayout
-from repro.trace.synthetic import SyntheticTrace
+from repro.trace.synthetic import RECORD_FIELDS, SyntheticTrace
+
+
+def _columns(trace) -> dict[str, tuple]:
+    """The trace's records transposed once: field name -> one value per record."""
+    return dict(zip(RECORD_FIELDS, zip(*trace.rec)))
 
 
 class TestProfiles:
@@ -130,43 +135,48 @@ class TestSyntheticTrace:
     def test_successor_consistency(self, trace):
         """Index i+1 is the architectural successor of index i — THE trace
         invariant the fetch unit and squash recovery rely on."""
+        t = _columns(trace)
         for i in range(len(trace) - 1):
-            if trace.op[i] == OpClass.BRANCH:
-                expected = trace.target[i] if trace.taken[i] else trace.pc[i] + 4
+            if t["op"][i] == OpClass.BRANCH:
+                expected = t["target"][i] if t["taken"][i] else t["pc"][i] + 4
             else:
-                expected = trace.pc[i] + 4
-            assert trace.pc[i + 1] == expected, f"broken successor at {i}"
+                expected = t["pc"][i] + 4
+            assert t["pc"][i + 1] == expected, f"broken successor at {i}"
 
     def test_wrap_patch(self, trace):
+        t = _columns(trace)
         last = len(trace) - 1
-        assert trace.op[last] == OpClass.BRANCH
-        assert trace.brkind[last] == BranchKind.JUMP
-        assert trace.taken[last]
-        assert trace.target[last] == trace.pc[0]
+        assert t["op"][last] == OpClass.BRANCH
+        assert t["brkind"][last] == BranchKind.JUMP
+        assert t["taken"][last]
+        assert t["target"][last] == t["pc"][0]
 
     def test_non_branches_have_no_branch_fields(self, trace):
+        t = _columns(trace)
         for i in range(0, len(trace) - 1, 7):
-            if trace.op[i] != OpClass.BRANCH:
-                assert trace.brkind[i] == BranchKind.NONE
-                assert not trace.taken[i]
+            if t["op"][i] != OpClass.BRANCH:
+                assert t["brkind"][i] == BranchKind.NONE
+                assert not t["taken"][i]
 
     def test_memory_ops_have_addresses(self, trace):
+        t = _columns(trace)
         for i in range(len(trace)):
-            if trace.op[i] in (OpClass.LOAD, OpClass.STORE):
-                assert trace.addr[i] > 0
-            elif trace.op[i] != OpClass.BRANCH:
-                assert trace.addr[i] == 0
+            if t["op"][i] in (OpClass.LOAD, OpClass.STORE):
+                assert t["addr"][i] > 0
+            elif t["op"][i] != OpClass.BRANCH:
+                assert t["addr"][i] == 0
 
     def test_stores_have_no_dest(self, trace):
+        t = _columns(trace)
         for i in range(len(trace)):
-            if trace.op[i] == OpClass.STORE:
-                assert trace.dest[i] == REG_NONE
+            if t["op"][i] == OpClass.STORE:
+                assert t["dest"][i] == REG_NONE
 
     def test_fp_ops_use_fp_dest(self):
-        tr = generate_trace(get_profile("eon"), 8000, 0, seed=5)
-        for i in range(len(tr)):
-            if tr.op[i] == OpClass.FP:
-                assert tr.dest[i] >= 32
+        t = _columns(generate_trace(get_profile("eon"), 8000, 0, seed=5))
+        for i in range(len(t["op"])):
+            if t["op"][i] == OpClass.FP:
+                assert t["dest"][i] >= 32
 
     def test_mix_within_tolerance(self, trace):
         counts = trace.op_counts()
@@ -181,25 +191,56 @@ class TestSyntheticTrace:
         b = generate_trace(get_profile("gzip"), 2000, 0, seed=1)
         assert a is b  # cache hit
         c = generate_trace(get_profile("gzip"), 2000, 0, seed=2)
-        assert a.addr != c.addr
+        assert _columns(a)["addr"] != _columns(c)["addr"]
 
     def test_instances_decorrelated(self):
         a = generate_trace(get_profile("mcf"), 2000, 0, seed=1, instance=0)
         b = generate_trace(get_profile("mcf"), 2000, 1 << 30, seed=1, instance=1)
-        assert a.pc[:100] != b.pc[:100]
+        assert _columns(a)["pc"][:100] != _columns(b)["pc"][:100]
 
     def test_record_accessor(self, trace):
-        rec = trace.record(0)
-        assert rec == (
-            trace.pc[0], trace.op[0], trace.dest[0], trace.src1[0],
-            trace.src2[0], trace.addr[0], trace.brkind[0], trace.taken[0],
-            trace.target[0],
-        )
+        t = _columns(trace)
+        assert trace.record(0) == tuple(t[field][0] for field in RECORD_FIELDS)
 
     def test_pcs_inside_code_region(self, trace):
         lo = trace.layout.code_base
         hi = lo + trace.layout.footprint_bytes
-        assert all(lo <= pc < hi for pc in trace.pc)
+        assert all(lo <= pc < hi for pc in _columns(trace)["pc"])
+
+
+class TestCompactRecords:
+    """``rec`` is a trace's only per-record store, and each distinct PC,
+    address and target is one shared int, whether the trace was walked or
+    loaded from an artifact."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        generated = SyntheticTrace(get_profile("gcc"), 6000, 1 << 30, 4242, 0)
+        cache = TraceArtifactCache(tmp_path_factory.mktemp("artifacts"))
+        cache.store(generated)
+        loaded = cache.load(generated.profile, 6000, 1 << 30, 4242, 0)
+        assert loaded is not None
+        return {"generated": generated, "loaded": loaded}
+
+    @pytest.mark.parametrize("kind", ["generated", "loaded"])
+    def test_rec_is_the_only_per_record_store(self, traces, kind):
+        trace = traces[kind]
+        slots = {name: getattr(trace, name) for name in SyntheticTrace.__slots__}
+        per_record = [
+            name
+            for name, value in slots.items()
+            if hasattr(value, "__len__") and len(value) == len(trace)
+        ]
+        assert per_record == ["rec"]
+        assert not hasattr(trace, "__dict__")
+
+    @pytest.mark.parametrize("kind", ["generated", "loaded"])
+    def test_each_distinct_value_is_one_int(self, traces, kind):
+        values = [v for r in traces[kind].rec for v in (r[1], r[5], r[8])]
+        assert len({id(v) for v in values}) == len(set(values))
+
+    def test_loaded_records_equal_generated(self, traces):
+        assert traces["loaded"].rec == traces["generated"].rec
 
 
 _PIN_FIELDS = ("pc", "op", "dest", "src1", "src2", "addr", "brkind", "taken", "target")
@@ -218,9 +259,10 @@ _PINNED = {
 def _trace_sha256(trace) -> str:
     """SHA-256 over the nine record arrays packed as little-endian int64, so
     a generated and an artifact-loaded trace hash alike."""
+    columns = _columns(trace)
     h = hashlib.sha256()
     for field in _PIN_FIELDS:
-        words = array("q", [int(v) for v in getattr(trace, field)])
+        words = array("q", [int(v) for v in columns[field]])
         if sys.byteorder != "little":
             words.byteswap()
         h.update(words.tobytes())
@@ -231,9 +273,8 @@ def _walk_paths(trace) -> Counter:
     """Count the records each path of the walk produced."""
     paths: Counter = Counter()
     by_branch_pc = {b.branch_pc: b for b in trace.layout.blocks}
-    for i in range(len(trace) - 1):  # the last record is the wrap patch
-        op = trace.op[i]
-        offset = trace.addr[i] - trace.base
+    for op, pc, _, _, _, addr, kind, _, _ in trace.rec[:-1]:  # [-1] is the wrap patch
+        offset = addr - trace.base
         if op == OpClass.FP:
             paths["fp"] += 1
         elif op == OpClass.LOAD:
@@ -242,8 +283,7 @@ def _walk_paths(trace) -> Counter:
         elif op == OpClass.STORE:
             paths["stack_store" if offset >= STACK_OFFSET else "warm_store"] += 1
         elif op == OpClass.BRANCH:
-            block = by_branch_pc[trace.pc[i]]
-            kind = trace.brkind[i]
+            block = by_branch_pc[pc]
             if kind == BranchKind.COND:
                 unpredictable = 0.25 <= block.bias <= 0.75
                 paths["unpredictable_cond" if unpredictable else "loop_cond"] += 1

@@ -16,6 +16,7 @@ import pytest
 from repro.config import SimulationConfig
 from repro.experiments import ExperimentRunner
 from repro.trace import (
+    RECORD_FIELDS,
     SyntheticTrace,
     TraceArtifactCache,
     clear_trace_cache,
@@ -24,7 +25,6 @@ from repro.trace import (
     trace_cache_installed,
 )
 
-_FIELDS = ("pc", "op", "dest", "src1", "src2", "addr", "brkind", "taken", "target")
 _KEY = dict(length=4000, base=1 << 30, seed=777, instance=0)
 
 
@@ -33,9 +33,15 @@ def _fresh(bench: str = "mcf", **overrides) -> SyntheticTrace:
     return SyntheticTrace(get_profile(bench), kw["length"], kw["base"], kw["seed"], kw["instance"])
 
 
+def _columns(trace: SyntheticTrace) -> dict[str, tuple]:
+    """The trace's records transposed once: field name -> one value per record."""
+    return dict(zip(RECORD_FIELDS, zip(*trace.rec)))
+
+
 def _assert_traces_equal(a: SyntheticTrace, b: SyntheticTrace) -> None:
-    for field in _FIELDS:
-        assert getattr(a, field) == getattr(b, field), field
+    cols_a, cols_b = _columns(a), _columns(b)
+    for field in RECORD_FIELDS:
+        assert cols_a[field] == cols_b[field], field
     assert a.rec == b.rec
     # Static products the simulator reads besides the record arrays.
     assert a.layout.code_base == b.layout.code_base
@@ -57,7 +63,7 @@ class TestRoundTrip:
         cache = TraceArtifactCache(tmp_path)
         cache.store(_fresh())
         loaded = cache.load(get_profile("mcf"), **_KEY)
-        assert all(isinstance(t, bool) for t in loaded.taken)
+        assert all(isinstance(t, bool) for t in _columns(loaded)["taken"])
 
     def test_key_mismatch_returns_none(self, tmp_path):
         cache = TraceArtifactCache(tmp_path)
@@ -274,12 +280,13 @@ def _store_repeatedly(directory: str, n: int) -> bool:
 
 
 def _fingerprint(trace: SyntheticTrace) -> tuple:
-    """Cheap cross-process identity for a trace's record arrays."""
+    """Cheap cross-process identity for a trace's records."""
+    columns = _columns(trace)
     return (
         len(trace),
-        sum(trace.pc),
-        sum(trace.addr),
-        sum(trace.taken),
+        sum(columns["pc"]),
+        sum(columns["addr"]),
+        sum(columns["taken"]),
         trace.layout.footprint_bytes,
     )
 

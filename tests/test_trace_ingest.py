@@ -33,7 +33,7 @@ from repro import quick_run  # noqa: E402
 from repro.cli import main as cli_main  # noqa: E402
 from repro.config import SimulationConfig, baseline  # noqa: E402
 from repro.core import Simulator, make_policy  # noqa: E402
-from repro.trace import generate_trace, get_profile  # noqa: E402
+from repro.trace import RECORD_FIELDS, generate_trace, get_profile  # noqa: E402
 from repro.trace import ingest  # noqa: E402
 from repro.workloads import build_single  # noqa: E402
 from repro.workloads.builder import build_ingested_program  # noqa: E402
@@ -59,11 +59,12 @@ def test_export_ingest_roundtrip_bit_identical(sample_path):
     tf = ingest.read_trace_file(sample_path)
     assert tf.header.records == 600
     assert tf.header.address_mode == "canonical"
-    assert tf.arrays["pc"] == list(trace.pc)
-    assert tf.arrays["op"] == list(trace.op)
-    assert tf.arrays["addr"] == list(trace.addr)
-    assert tf.arrays["target"] == list(trace.target)
-    assert tf.arrays["taken"] == [1 if t else 0 for t in trace.taken]
+    columns = dict(zip(RECORD_FIELDS, zip(*trace.rec)))
+    assert tf.arrays["pc"] == list(columns["pc"])
+    assert tf.arrays["op"] == list(columns["op"])
+    assert tf.arrays["addr"] == list(columns["addr"])
+    assert tf.arrays["target"] == list(columns["target"])
+    assert tf.arrays["taken"] == [1 if t else 0 for t in columns["taken"]]
 
 
 def test_reexport_preserves_payload_crc(sample_path, tmp_path):

@@ -103,7 +103,8 @@ class TestBuilder:
         assert programs[0].profile.name == programs[4].profile.name == "mcf"
         assert programs[0].trace.instance == 0
         assert programs[4].trace.instance == 1
-        assert programs[0].trace.pc[:50] != programs[4].trace.pc[:50]
+        first_pcs = [[pc for _, pc, *_ in p.trace.rec[:50]] for p in (programs[0], programs[4])]
+        assert first_pcs[0] != first_pcs[1]
 
     def test_wp_supplier_shares_base(self):
         programs = build_programs(get_workload("2-MIX"), self.CFG)
