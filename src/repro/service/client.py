@@ -1,13 +1,15 @@
 """Blocking client for the simulation service (stdlib ``http.client`` only).
 
-The client is deliberately boring: one connection per request (the server
-replies ``Connection: close``), explicit timeouts, bounded retries with
-jittered exponential backoff on transport errors, and first-class handling
-of the server's backpressure signals — a ``429`` (queue full, or the
-router's per-client rate limit) and a ``503`` (the router's owning shard is
-down) are not errors but instructions, so ``submit`` sleeps the advertised
+The client is deliberately boring: one keep-alive connection per client
+and thread, explicit timeouts, bounded retries with jittered exponential
+backoff on transport errors, and first-class handling of the server's
+backpressure signals — a ``429`` (queue full, or the router's per-client
+rate limit) and a ``503`` (the router's owning shard is down) are not
+errors but instructions, so ``submit`` sleeps the advertised
 ``Retry-After`` (capped) and tries again, up to ``backpressure_retries``
-times.
+times. A kept connection that the server closed while it sat idle is
+replaced and the request resent once; that resend is not a transport retry
+and does not sleep. A reply saying ``Connection: close`` closes it.
 
 Every retry loop is additionally bounded by a **wall-clock deadline**: the
 ``deadline`` constructor argument (or per-call override) is a total elapsed
@@ -40,6 +42,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import threading
 import time
 from typing import Any, Iterable, Iterator
 
@@ -90,6 +93,8 @@ class ServiceClient:
         self.deadline = deadline
         self.client_id = client_id
         self._rng = rng or random.Random()
+        #: This thread's keep-alive connection (``.conn``), if it has one.
+        self._local = threading.local()
 
     # -- transport -------------------------------------------------------
 
@@ -102,19 +107,52 @@ class ServiceClient:
         return headers
 
     def _once(self, method: str, path: str, body: dict | None) -> tuple[int, Any, dict]:
+        payload = json.dumps(body).encode("utf-8") if body is not None else None
+        headers = self._headers(payload)
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            try:
+                return self._exchange(conn, method, path, payload, headers)
+            except (ConnectionResetError, BrokenPipeError, ConnectionAbortedError):
+                pass  # the server closed the idle connection: resend once
         conn = http.client.HTTPConnection(self.host, self.port, timeout=self.timeout)
+        self._local.conn = conn
+        return self._exchange(conn, method, path, payload, headers)
+
+    def _exchange(
+        self,
+        conn: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        payload: bytes | None,
+        headers: dict[str, str],
+    ) -> tuple[int, Any, dict]:
+        """One request on ``conn``, which is dropped unless the reply lets
+        it persist."""
         try:
-            payload = json.dumps(body).encode("utf-8") if body is not None else None
-            conn.request(method, path, body=payload, headers=self._headers(payload))
+            conn.request(method, path, body=payload, headers=headers)
             resp = conn.getresponse()
             raw = resp.read()
-            try:
-                decoded = json.loads(raw) if raw else None
-            except json.JSONDecodeError:
-                decoded = raw.decode("utf-8", "replace")
-            return resp.status, decoded, dict(resp.getheaders())
-        finally:
-            conn.close()
+        except BaseException:
+            self._drop(conn)
+            raise
+        if resp.will_close:
+            self._drop(conn)
+        try:
+            decoded = json.loads(raw) if raw else None
+        except json.JSONDecodeError:
+            decoded = raw.decode("utf-8", "replace")
+        return resp.status, decoded, dict(resp.getheaders())
+
+    def _drop(self, conn: http.client.HTTPConnection) -> None:
+        conn.close()
+        self._local.conn = None
+
+    def close(self) -> None:
+        """Close the calling thread's keep-alive connection, if it has one."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            self._drop(conn)
 
     def _deadline_at(self, deadline: float | None) -> float | None:
         """Resolve a per-call budget (param wins over the instance default)

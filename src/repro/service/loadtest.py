@@ -239,6 +239,7 @@ class Fleet:
         shard.await_port()
         probe = ServiceClient("127.0.0.1", shard.port or 0, timeout=5.0, retries=8)
         probe.healthz()
+        probe.close()
 
     def stop(self) -> None:
         if self.router is not None:

@@ -40,6 +40,13 @@ down for ``cooldown`` seconds and only *its* keys answer ``503`` with a
 down shard as per-spec ``failed`` lines rather than poisoning the whole
 sweep.
 
+Connections persist on both sides: clients keep theirs to the router
+(:class:`repro.service.http.HttpServer`), and unary forwards reuse a pool
+of keep-alive connections per shard (``Shard.pool``). A pooled connection
+that fails before its reply head arrives (the shard closed it while idle,
+or restarted) is retried once on a fresh one, so only a fresh connection's
+failure marks a shard down. Each stream has a connection of its own.
+
 Admission control is per client id (``X-Client-Id`` header, else
 ``anonymous``): a token bucket of ``rate`` tokens/sec with ``burst``
 capacity guards ``POST /v1/jobs`` (1 token) and ``POST /v1/stream`` (1 per
@@ -76,15 +83,14 @@ from typing import Any
 
 import repro
 from repro.service.http import (
-    MAX_BODY_BYTES,
-    READ_TIMEOUT,
-    PayloadTooLarge,
+    ConnectionPool,
+    HttpServer,
+    Reply,
     Request,
     end_chunked,
     fetch_json,
     json_response,
     open_json_stream,
-    read_request,
     start_chunked,
     write_chunk,
 )
@@ -174,8 +180,9 @@ class HashRing:
 
 @dataclass
 class Shard:
-    """One backend daemon: address, health, and (optionally) the child
-    process handle when the router supervises it."""
+    """One backend daemon: address, health, the router's idle keep-alive
+    connections to it, and (optionally) the child process handle when the
+    router supervises it."""
 
     name: str
     host: str
@@ -183,6 +190,7 @@ class Shard:
     #: ``time.monotonic()`` before which the shard is considered down.
     down_until: float = 0.0
     proc: subprocess.Popen | None = None
+    pool: ConnectionPool = field(default_factory=ConnectionPool, repr=False, compare=False)
 
     @property
     def url(self) -> str:
@@ -240,13 +248,16 @@ class SimulationRouter:
         self._lease_rr = 0
         self._shutdown = asyncio.Event()
         self._draining = False
+        self.http = HttpServer(self._handle)
 
     # ------------------------------------------------------------------
     # Lifecycle
 
     async def serve(self) -> int:
         """Run the router until SIGTERM/SIGINT; returns the exit status."""
-        server = await asyncio.start_server(self._handle_conn, self.cfg.host, self.cfg.port)
+        server = await asyncio.start_server(
+            self.http.serve_connection, self.cfg.host, self.cfg.port
+        )
         self.port = server.sockets[0].getsockname()[1]
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -262,7 +273,10 @@ class SimulationRouter:
         )
         await self._shutdown.wait()
         server.close()
+        self.http.close_idle()
         await server.wait_closed()
+        for shard in self.shards.values():
+            shard.pool.close()
         print(
             f"dwarn-sim router drained: {self.counters['routed']} routed, "
             f"{self.counters['streams']} streams, "
@@ -313,11 +327,13 @@ class SimulationRouter:
         path: str,
         body: Any | None = None,
     ) -> tuple[int, Any, dict[str, str]] | None:
-        """One unary round trip to a shard; ``None`` means it just went
-        down (caller answers 503 for that key range)."""
+        """One unary round trip to a shard over its connection pool;
+        ``None`` means it just went down (caller answers 503 for that key
+        range)."""
         try:
             status, payload, headers = await fetch_json(
-                shard.host, shard.port, method, path, body, timeout=self.cfg.timeout
+                shard.host, shard.port, method, path, body,
+                timeout=self.cfg.timeout, pool=shard.pool,
             )
         except (OSError, ConnectionError, asyncio.TimeoutError):
             self._mark_down(shard)
@@ -380,33 +396,12 @@ class SimulationRouter:
     # ------------------------------------------------------------------
     # HTTP plumbing
 
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        status, payload, extra = 500, {"error": "internal error"}, {}
-        try:
-            try:
-                request = await read_request(
-                    reader, timeout=READ_TIMEOUT, max_body=MAX_BODY_BYTES
-                )
-                if request is None:
-                    return
-                if request.method == "POST" and request.path.rstrip("/") == "/v1/stream":
-                    await self._stream(request, writer)
-                    return
-                status, payload, extra = await self._route(request)
-            except PayloadTooLarge:
-                status, payload, extra = 413, {"error": "request body too large"}, {}
-            except Exception as exc:  # route bug: report, don't kill the router
-                status, payload, extra = 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
-            writer.write(json_response(status, payload, extra))
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
+    async def _handle(self, request: Request, writer: asyncio.StreamWriter) -> Reply | None:
+        """One request off a connection (see :class:`HttpServer`)."""
+        if request.method == "POST" and request.path.rstrip("/") == "/v1/stream":
+            await self._stream(request, writer)
+            return None
+        return await self._route(request)
 
     async def _route(self, request: Request) -> tuple[int, Any, dict[str, str]]:
         """Dispatch one unary request (mirrors the shard's route table)."""
@@ -661,8 +656,7 @@ class SimulationRouter:
                         error = f"shard {shard.name} refused stream: HTTP {status}: {line}"
                         break
                     await fail_rest(str(error))
-                    await lines.put(None)
-                    return
+                    return  # the ``finally`` below ends this partition
                 async for line in shard_lines:
                     index = indices[line.get("index", 0)]
                     pending.discard(index)
@@ -717,7 +711,8 @@ class SimulationRouter:
                 return None
             try:
                 status, payload, _ = await fetch_json(
-                    shard.host, shard.port, "GET", path, timeout=self.cfg.timeout
+                    shard.host, shard.port, "GET", path,
+                    timeout=self.cfg.timeout, pool=shard.pool,
                 )
             except (OSError, ConnectionError, asyncio.TimeoutError):
                 self._mark_down(shard)
@@ -790,6 +785,13 @@ class SimulationRouter:
                 "rate": self.bucket.rate,
                 "burst": self.bucket.burst,
             },
+            "http": {
+                "connections": self.http.accepted,
+                "requests": self.http.served,
+                "shard_connections": {
+                    name: shard.pool.opened for name, shard in self.shards.items()
+                },
+            },
             "queue": queue,
             "jobs": jobs,
             "workers": workers,
@@ -801,6 +803,7 @@ class SimulationRouter:
                         "jobs": p.get("jobs"),
                         "latency": p.get("latency"),
                         "workers": p.get("workers"),
+                        "http": p.get("http"),
                     }
                     if p is not None
                     else {"status": "down"}

@@ -62,12 +62,14 @@ seeing a 429. (``repro.service.client.ServiceClient.stream`` is the
 matching iterator.)
 
 Shutdown (SIGTERM/SIGINT) is a drain, not an abort: the listener closes,
-queued-but-unstarted jobs are cancelled, the one local job in flight runs
-to completion and is persisted, then the store is compacted and the process
-exits 0 — the behaviour the e2e test pins.
+idle keep-alive connections close, queued-but-unstarted jobs are
+cancelled, the one local job in flight runs to completion and is
+persisted, then the store is compacted and the process exits 0 — the
+behaviour the e2e test pins.
 
-The HTTP substrate (request parsing, response framing, chunked streaming)
-is shared with the sharding router: :mod:`repro.service.http`.
+The HTTP substrate (the persistent-connection request loop, request
+parsing, response framing, chunked streaming) is shared with the sharding
+router: :mod:`repro.service.http`.
 
 Observability: the daemon keeps two ``repro.obs.RunManifest``s — one
 recording a pair per *completed job* (submit-to-finish latency by source;
@@ -96,13 +98,11 @@ from repro.experiments.parallel import SweepCostModel, simulate_resumable
 from repro.experiments.runner import CACHE_VERSION, ExperimentRunner
 from repro.obs.manifest import RunManifest
 from repro.service.http import (
-    MAX_BODY_BYTES,
-    READ_TIMEOUT,
-    PayloadTooLarge,
+    HttpServer,
+    Reply,
     Request,
     end_chunked,
     json_response,
-    read_request,
     start_chunked,
     write_chunk,
 )
@@ -256,6 +256,7 @@ class SimulationService:
         self._wake = asyncio.Event()
         self._shutdown = asyncio.Event()
         self._draining = False
+        self.http = HttpServer(self._handle)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -263,7 +264,9 @@ class SimulationService:
     async def serve(self) -> int:
         """Run the daemon until SIGTERM/SIGINT; returns the exit status."""
         loaded = self.store.load()
-        server = await asyncio.start_server(self._handle_conn, self.cfg.host, self.cfg.port)
+        server = await asyncio.start_server(
+            self.http.serve_connection, self.cfg.host, self.cfg.port
+        )
         self.port = server.sockets[0].getsockname()[1]
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
@@ -281,6 +284,7 @@ class SimulationService:
 
         # Drain: stop accepting, cancel what never started, finish what did.
         server.close()
+        self.http.close_idle()
         await server.wait_closed()
         now = time.time()
         for job in self.queue.cancel_queued("server shutting down"):
@@ -480,43 +484,17 @@ class SimulationService:
     # ------------------------------------------------------------------
     # HTTP plumbing
 
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        status, payload, extra = 500, {"error": "internal error"}, {}
-        try:
-            try:
-                request = await read_request(
-                    reader, timeout=READ_TIMEOUT, max_body=MAX_BODY_BYTES
-                )
-                if request is None:
-                    return  # not HTTP; drop silently
-                if request.method == "POST" and request.path.rstrip("/") == "/v1/stream":
-                    # Streaming replies write their own (chunked) framing.
-                    await self._stream(request, writer)
-                    return
-                if (
-                    request.method == "POST"
-                    and request.path.split("?", 1)[0].rstrip("/") == "/v1/leases"
-                ):
-                    # A lease request may be held until work arrives.
-                    status, payload, extra = await self._lease_long_poll(request.body)
-                else:
-                    status, payload, extra = self._route(
-                        request.method, request.path, request.body
-                    )
-            except PayloadTooLarge:
-                status, payload, extra = 413, {"error": "request body too large"}, {}
-            except Exception as exc:  # route bug: report, don't kill the server
-                status, payload, extra = 500, {"error": f"{type(exc).__name__}: {exc}"}, {}
-            writer.write(json_response(status, payload, extra))
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):  # client went away mid-reply
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-                await writer.wait_closed()
+    async def _handle(self, request: Request, writer: asyncio.StreamWriter) -> Reply | None:
+        """One request off a connection (see :class:`HttpServer`)."""
+        path = request.path.split("?", 1)[0].rstrip("/")
+        if request.method == "POST" and path == "/v1/stream":
+            # Streaming replies write their own (chunked) framing.
+            await self._stream(request, writer)
+            return None
+        if request.method == "POST" and path == "/v1/leases":
+            # A lease request may be held until work arrives.
+            return await self._lease_long_poll(request.body)
+        return self._route(request.method, request.path, request.body)
 
     def _route(
         self, method: str, path: str, body: bytes
@@ -1160,6 +1138,10 @@ class SimulationService:
                 "last_cycle": max(
                     (ck.cycle for ck in self.checkpoints.values()), default=0
                 ),
+            },
+            "http": {
+                "connections": self.http.accepted,
+                "requests": self.http.served,
             },
         }
 

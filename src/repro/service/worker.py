@@ -112,7 +112,8 @@ class Worker:
         self.cfg = cfg
         self.id = cfg.resolved_id()
         #: Anything with ``request(method, path, body) -> (status, payload,
-        #: headers)`` raising ServiceError when transport retries exhaust.
+        #: headers)`` raising ServiceError when transport retries exhaust;
+        #: a ``close()`` is called from each thread that used it, at its end.
         self.transport = transport or ServiceClient(cfg.host, cfg.port)
         self.stats = {
             "leases": 0,
@@ -158,6 +159,7 @@ class Worker:
                 continue
             self.stats["leases"] += 1
             self._execute_lease(granted)
+        self._close_connection()
         self._log(
             f"worker {self.id} exiting: {self.stats['leases']} leases, "
             f"{self.stats['jobs_done']} jobs done, "
@@ -206,7 +208,8 @@ class Worker:
                 # Lease already expired server-side: the jobs in flight are
                 # doomed to a 410 upload too; no point heartbeating on.
                 self.stats["heartbeat_errors"] += 1
-                return
+                break
+        self._close_connection()
 
     # -- execution -------------------------------------------------------
 
@@ -369,6 +372,13 @@ class Worker:
             self._log(f"upload for lease {lease_id} rejected: HTTP {status}: {payload}")
 
     # -- plumbing --------------------------------------------------------
+
+    def _close_connection(self) -> None:
+        """Close the calling thread's keep-alive connection, when the
+        transport keeps one (``ServiceClient`` does, per thread)."""
+        close = getattr(self.transport, "close", None)
+        if close is not None:
+            close()
 
     def _sleep(self, secs: float) -> None:
         """Jittered, stop-aware sleep (50..100% of ``secs``)."""

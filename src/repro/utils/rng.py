@@ -63,13 +63,20 @@ _LANES = int.from_bytes(_MASK64.to_bytes(16, "little") * _BLOCK, "little")
 def stable_hash64(*parts: object) -> int:
     """Hash an arbitrary tuple of ints/strings to a stable 64-bit value.
 
-    Uses FNV-1a over the UTF-8/decimal rendering of each part, which is stable
-    across processes and Python versions (unlike built-in ``hash``).
+    Uses FNV-1a over each part's bytes (16-byte two's complement for ints,
+    wider for ints beyond 128 bits, UTF-8 of ``str(part)`` otherwise), which
+    is stable across processes and Python versions (unlike built-in
+    ``hash``).
     """
     h = _FNV_OFFSET
     for part in parts:
         if isinstance(part, int):
-            data = part.to_bytes(16, "little", signed=True)
+            try:
+                data = part.to_bytes(16, "little", signed=True)
+            except OverflowError:
+                # Beyond 128 bits: as many bytes as it needs, so every
+                # in-range hash stays what it was.
+                data = part.to_bytes((part.bit_length() + 8) // 8, "little", signed=True)
         else:
             data = str(part).encode("utf-8")
         for byte in data:

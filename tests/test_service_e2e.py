@@ -75,6 +75,7 @@ class LiveServer:
         return self.proc.returncode, out
 
     def kill(self):
+        self.client.close()
         if self.proc.poll() is None:
             self.proc.kill()
             self.proc.communicate(timeout=10)

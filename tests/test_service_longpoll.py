@@ -16,7 +16,7 @@ import threading
 import time
 
 from repro.service.client import ServiceClient
-from repro.service.http import fetch_json
+from repro.service.http import ConnectionPool, fetch_json
 from repro.service.protocol import MAX_LEASE_WAIT
 from repro.service.server import ServiceConfig, SimulationService
 from repro.service.worker import Worker, WorkerConfig
@@ -35,8 +35,15 @@ async def _boot(**overrides) -> tuple[SimulationService, asyncio.Task]:
     return svc, task
 
 
+#: One keep-alive pool per in-process daemon, as the router keeps per shard.
+_POOLS: dict[SimulationService, ConnectionPool] = {}
+
+
 async def _call(svc: SimulationService, method: str, path: str, body=None):
-    return await fetch_json("127.0.0.1", svc.port, method, path, body, timeout=15.0)
+    pool = _POOLS.setdefault(svc, ConnectionPool())
+    return await fetch_json(
+        "127.0.0.1", svc.port, method, path, body, timeout=15.0, pool=pool
+    )
 
 
 async def _parked(svc: SimulationService, body: dict) -> asyncio.Task:
@@ -51,6 +58,7 @@ async def _parked(svc: SimulationService, body: dict) -> asyncio.Task:
 async def _drain(svc: SimulationService, task: asyncio.Task) -> None:
     svc.request_shutdown()
     assert await asyncio.wait_for(task, 10.0) == 0
+    _POOLS.pop(svc, ConnectionPool()).close()
 
 
 class TestParkedLeaseInProcess:
@@ -101,6 +109,7 @@ class TestParkedLeaseInProcess:
             assert status == 409, payload
             assert await asyncio.wait_for(task, 2.0) == 0
             assert time.monotonic() - t0 < 1.0
+            _POOLS.pop(svc).close()
 
         asyncio.run(scenario())
 
@@ -137,6 +146,9 @@ class _SignalFirstLease:
         if path == "/v1/leases":
             self.sent.set()
         return self.client.request(method, path, body)
+
+    def close(self):
+        self.client.close()
 
 
 class TestParkedWorkerLive:

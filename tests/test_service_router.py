@@ -13,6 +13,8 @@ is verified — the router must degrade per key range, not whole-fleet.
 
 from __future__ import annotations
 
+import asyncio
+import json
 import signal
 import subprocess
 import sys
@@ -22,8 +24,16 @@ from collections import Counter
 import pytest
 
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.http import (
+    Request,
+    end_chunked,
+    json_response,
+    read_request,
+    start_chunked,
+    write_chunk,
+)
 from repro.service.protocol import JobSpec
-from repro.service.router import HashRing, parse_shard_url
+from repro.service.router import HashRing, RouterConfig, Shard, SimulationRouter, parse_shard_url
 
 #: Tiny-but-real measurement windows (same scale as the e2e fixtures).
 TINY = {"warmup_cycles": 200, "measure_cycles": 1_200, "trace_length": 6_000}
@@ -182,6 +192,8 @@ class LiveFleet:
         self.procs[i].wait(timeout=10)
 
     def kill(self):
+        if hasattr(self, "client"):
+            self.client.close()
         for proc in self.procs:
             if proc.poll() is None:
                 proc.kill()
@@ -344,3 +356,70 @@ class TestLiveAdmissionControl:
             assert f.client.metrics()["router"]["rate_limited"] >= 1
         finally:
             f.kill()
+
+
+class TestStreamRelay:
+    def test_refused_partition_does_not_cut_the_others_short(self):
+        """One shard refuses its partition of a stream (a draining shard
+        answers 409) while the other streams more slowly: the caller still
+        gets one line per spec. The refusal used to count as two finished
+        partitions, ending the relay before the slow shard's line."""
+        jobs = [_spec(_seed_owned_by("s0")), _spec(_seed_owned_by("s1"))]
+
+        async def refuse(reader, writer):
+            await read_request(reader)
+            writer.write(json_response(409, {"error": "server is shutting down"}))
+            await writer.drain()
+            writer.close()
+
+        async def stream_slowly(reader, writer):
+            await read_request(reader)
+            await start_chunked(writer)
+            await asyncio.sleep(0.3)
+            await write_chunk(writer, {"index": 0, "id": "j", "state": "done"})
+            await end_chunked(writer)
+            writer.close()
+
+        class Writer:
+            data = b""
+
+            def write(self, data):
+                self.data += data
+
+            async def drain(self):
+                pass
+
+        async def run():
+            servers = [
+                await asyncio.start_server(handler, "127.0.0.1", 0)
+                for handler in (refuse, stream_slowly)
+            ]
+            shards = [
+                Shard(f"s{i}", "127.0.0.1", server.sockets[0].getsockname()[1])
+                for i, server in enumerate(servers)
+            ]
+            router = SimulationRouter(RouterConfig(port=0), shards)
+            writer = Writer()
+            body = json.dumps({"jobs": jobs}).encode()
+            try:
+                await router._stream(Request("POST", "/v1/stream", {}, body), writer)
+            finally:
+                for server in servers:
+                    server.close()
+                    await server.wait_closed()
+            return writer.data
+
+        data = asyncio.run(run())
+        _, _, rest = data.partition(b"\r\n\r\n")
+        lines = []
+        while True:
+            size_line, _, rest = rest.partition(b"\r\n")
+            size = int(size_line, 16)
+            if size == 0:
+                break
+            lines.append(json.loads(rest[:size]))
+            rest = rest[size + 2:]
+        by_index = {line["index"]: line for line in lines}
+        assert sorted(by_index) == [0, 1]
+        assert by_index[0]["state"] == "failed" and "HTTP 409" in by_index[0]["error"]
+        assert by_index[1]["state"] == "done" and by_index[1]["id"] == "s1@j"

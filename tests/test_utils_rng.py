@@ -58,6 +58,14 @@ class TestStableHash64:
             h = stable_hash64(*parts)
             assert 0 <= h < 2**64
 
+    def test_ints_beyond_128_bits_hash_and_in_range_values_are_pinned(self):
+        # ints of 128 bits or more used to raise OverflowError.
+        assert stable_hash64(2**127) != stable_hash64(-(2**127) - 1)
+        assert 0 <= stable_hash64(2**300, -(2**300)) < 2**64
+        assert stable_hash64(2**127 - 1) == 0xE61B883960AB115E
+        assert stable_hash64(-(2**127)) == 0x4C4681FFD084AA2E
+        assert stable_hash64(12345, "trace", "mcf", 0) == 0x15122D753D2BFB69
+
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.lists(st.integers(), min_size=1, max_size=5))
     def test_property_stable(self, parts):
