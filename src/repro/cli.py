@@ -167,8 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rep.add_argument(
         "--backend", choices=("process", "vec"), default="process",
-        help="sweep engine: process pool, or the in-process lockstep "
-        "vectorized batch backend (bit-identical results)",
+        help="sweep engine: process pool, or one in-process batch that "
+        "shares setup across lanes (bit-identical results)",
     )
 
     p_cache = sub.add_parser(

@@ -875,27 +875,22 @@ def run_checkpointed(
     sim: "Simulator",
     interval: int,
     on_checkpoint: Callable[["Simulator"], object],
-    *,
-    skip_idle: bool = False,
 ) -> "SimResult":
     """Run ``sim`` to completion, pausing every ``interval`` cycles.
 
-    Behavior-identical to :meth:`Simulator.run` without an observability
-    attachment: the loop replicates ``_run_loop``'s pause points (warm-up
-    boundary, 64-aligned commit-limit checkpoints) and adds one more — the
-    next multiple of ``interval`` — at which ``on_checkpoint(sim)`` is
-    invoked with the simulator at a safe cycle boundary. Chunked
+    :meth:`Simulator.run`'s own loop, without an observability attachment,
+    with one more pause point — the next multiple of ``interval`` — at which
+    ``on_checkpoint(sim)`` is invoked with the simulator at a safe cycle
+    boundary (unless the run's horizon has been reached). Chunked
     ``run_cycles`` calls are behavior-neutral, so the extra edges change
     nothing but where the host regains control.
 
     Works mid-run: a simulator freshly restored via
     :meth:`ColumnarState.restore_into` continues from its captured cycle
     (the pending meta-policy ``EV_CALL`` interval boundaries ride in the
-    restored wheel, so the selection cadence is preserved exactly). With
-    ``skip_idle`` the chunks advance through :meth:`run_cycles_skip_idle`;
-    idle-span jumps are clamped to the chunk end, so checkpoint edges stay
-    exact. ``on_checkpoint`` exceptions propagate — callers that want
-    fail-open capture (the service worker) wrap their callback.
+    restored wheel, so the selection cadence is preserved exactly).
+    ``on_checkpoint`` exceptions propagate — callers that want fail-open
+    capture (the service worker) wrap their callback.
     """
     if sim.obs is not None:
         raise SnapshotError(
@@ -903,40 +898,13 @@ def run_checkpointed(
         )
     if interval <= 0:
         raise ValueError(f"checkpoint interval must be positive, got {interval}")
-    simcfg = sim.simcfg
-    total = simcfg.total_cycles
-    warmup = simcfg.warmup_cycles
-    limit = simcfg.commit_limit
-    advance = sim.run_cycles_skip_idle if skip_idle else sim.run_cycles
-    while sim.cycle < total:
-        cyc = sim.cycle
-        if cyc == warmup:
-            sim._begin_window()
-        if cyc < warmup and warmup < total:
-            stop = warmup
-        else:
-            stop = total
-        edge = (cyc // interval + 1) * interval
-        if edge < stop:
-            stop = edge
-        if limit and sim._warm_committed is not None:
-            ckpt = (cyc | 63) + 1
-            if ckpt < stop:
-                stop = ckpt
-        advance(stop - cyc)
-        if sim.cycle % interval == 0 and sim.cycle < total:
-            on_checkpoint(sim)
-        if (
-            limit
-            and sim._warm_committed is not None
-            and (sim.cycle & 63) == 0
-        ):
-            committed = sim.stats.committed
-            base = sim._warm_committed
-            for t in range(sim.num_threads):
-                if committed[t] - base[t] >= limit:
-                    return sim.result()
-    return sim.result()
+    total = sim.simcfg.total_cycles
+
+    def pause(s: "Simulator") -> None:
+        if s.cycle % interval == 0 and s.cycle < total:
+            on_checkpoint(s)
+
+    return sim._run_loop(interval, pause)
 
 
 def capture_warm_hierarchy(hier: Any) -> dict[str, Any]:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappush, heappop
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.branch.predictor import FrontEndPredictor
 from repro.config.machine import MachineConfig
@@ -275,18 +275,26 @@ class Simulator:
         if obs is not None:
             obs.on_run_start(self)
             try:
-                return self._run_loop(obs)
+                return self._run_loop(obs.window, obs.on_window)
             finally:
                 obs.on_run_end(self)
-        return self._run_loop(None)
+        return self._run_loop(0, None)
 
-    def _run_loop(self, obs) -> SimResult:
-        """The chunked warm-up + measurement loop behind :meth:`run`."""
+    def _run_loop(
+        self, window: int, on_window: Callable[[Simulator], object] | None
+    ) -> SimResult:
+        """The chunked warm-up + measurement loop: the one loop that runs a
+        simulation to its end (:meth:`run`, and
+        :func:`repro.core.columnar.run_checkpointed` for checkpointed runs).
+
+        With ``window`` > 0 it also pauses at every multiple of ``window``;
+        ``on_window(self)`` is called after every chunk, before the
+        commit-limit test, whatever ended the chunk.
+        """
         simcfg = self.simcfg
         total = simcfg.total_cycles
         warmup = simcfg.warmup_cycles
         limit = simcfg.commit_limit
-        window = obs.window if obs is not None else 0
         while self.cycle < total:
             cyc = self.cycle
             if cyc == warmup:
@@ -304,8 +312,8 @@ class Simulator:
                 if ckpt < stop:
                     stop = ckpt
             self.run_cycles(stop - cyc)
-            if obs is not None:
-                obs.on_window(self)
+            if on_window is not None:
+                on_window(self)
             if (
                 limit
                 and self._warm_committed is not None
@@ -355,9 +363,10 @@ class Simulator:
     # arrived. Everything that could end such a span is driven by a known
     # future cycle — the event wheel, the pipe head's frontend-depth
     # deadline, a thread's fetch-ready cycle — so the span can be *skipped*
-    # wholesale instead of stepped. The vec batch driver
-    # (``repro.core.vec.batch``) parks quiescent lanes on exactly this
-    # contract; the engine-parity test pins it cycle-exact.
+    # wholesale instead of stepped (:meth:`run_cycles_skip_idle`). No run
+    # loop skips: measured end to end, skipping bought nothing on batched
+    # or serial runs (docs/PERFORMANCE.md, "Idle skipping").
+    # tests/test_vec_kernel.py pins the primitives cycle-exact.
 
     def quiescent_wake(self, cycle: int | None = None) -> int | None:
         """Wake cycle if the machine is quiescent at ``cycle``, else None.
@@ -455,15 +464,10 @@ class Simulator:
 
         Behavior-identical to :meth:`run_cycles` — the skipped cycles are
         exactly those :meth:`quiescent_wake` proves to be no-ops — but
-        idle spans cost one jump instead of per-cycle stepping. This is
-        how the vec batch driver steps its lanes; cycles skipped are
-        accounted in :attr:`idle_cycles_skipped`.
+        idle spans cost one jump instead of per-cycle stepping; busy cycles
+        step through the staged :meth:`_step`. Cycles skipped are accounted
+        in :attr:`idle_cycles_skipped`.
         """
-        if n <= 0:
-            return
-        if self._fast_eligible():
-            self._run_fast(n, True)
-            return
         end = self.cycle + n
         while self.cycle < end:
             wake = self.quiescent_wake()
@@ -474,17 +478,8 @@ class Simulator:
 
     # ------------------------------------------------------------- fast loop
 
-    def _run_fast(self, n: int, skip_idle: bool = False) -> None:
+    def _run_fast(self, n: int) -> None:
         """Advance exactly ``n`` cycles through the fused fast loop.
-
-        With ``skip_idle`` set, quiescent spans are jumped in place — when
-        the machine is quiescent (see :meth:`quiescent_wake`; this is
-        :meth:`run_cycles_skip_idle`'s engine) the loop moves ``cycle``
-        straight to ``min(wake, end)`` instead of stepping the proven
-        no-op cycles one at a time. The check costs one short-circuited
-        conditional per cycle when off, and only escalates to the full
-        read-only predicate on cycles whose cheap screens (no due bucket,
-        no pending completions, empty ready queues) all pass.
 
         Semantically identical to calling :meth:`_step` ``n`` times — the
         property suite asserts cycle-for-cycle equality against the staged
@@ -648,30 +643,7 @@ class Simulator:
 
         cycle = self.cycle
         end = cycle + n
-        skip = skip_idle
-        idle_skipped = 0
         while cycle < end:
-            if (
-                skip
-                and not nc
-                and not r0
-                and not r1
-                and not r2
-                and (not events.pending or bucket_get(cycle) is None)
-            ):
-                # Candidate-idle cycle: write back the shadowed dirty flag
-                # and run the full read-only quiescence predicate. pend is
-                # always 0 at the loop top (flushed every cycle bottom).
-                # On a quiescent hit, jump straight over the proven no-op
-                # span — every skipped cycle would have executed nothing.
-                self.cycle = cycle
-                self.order_dirty = dirty
-                qwake = self.quiescent_wake(cycle)
-                if qwake is not None:
-                    qjump = qwake if qwake < end else end
-                    idle_skipped += qjump - cycle
-                    cycle = qjump
-                    continue
             self.cycle = cycle
 
             # ---- drain: wheel bucket first, then last cycle's latency-1
@@ -1409,8 +1381,6 @@ class Simulator:
         self.cycle = end
         stats.cycles += n
         self.order_dirty = dirty
-        if idle_skipped:
-            self.idle_cycles_skipped += idle_skipped
 
     def _begin_window(self) -> None:
         self.stats.snapshot()

@@ -1,6 +1,7 @@
-"""Vectorized batch backend: many simulations advanced in lockstep.
+"""Batch backend: many simulations run in one process.
 
-See :mod:`repro.core.vec.batch` for the driver design. Public surface:
+See :mod:`repro.core.vec.batch` for what the batch shares across lanes.
+Public surface:
 
 - :class:`VecBatchSimulator` — the batch engine (``run() -> list[SimResult]``)
 - :class:`Lane` — one (workload, policy, seed) run specification

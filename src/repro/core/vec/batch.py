@@ -1,15 +1,11 @@
-"""Lockstep batch simulation: the ``vec`` backend.
+"""Batch simulation: the ``vec`` backend.
 
-One :class:`VecBatchSimulator` advances a whole batch of (workload, policy,
-seed) runs — *lanes* — through the measurement window together, in fixed
-lockstep chunks, and returns the same ``SimResult`` objects the per-run
-``Simulator.run()`` API produces. Results are **cycle-exact**: every active
-cycle steps through the reference fused kernel, lanes park across
-provably-idle spans (``Simulator.quiescent_wake``), and the batch driver
-reproduces ``Simulator._run_loop``'s pause points (warm-up boundary,
-64-cycle-aligned commit-limit checkpoints) exactly, so a lane's result is
-bit-identical to running it alone. The engine-parity test in
-``tests/test_vec_batch.py`` pins this.
+One :class:`VecBatchSimulator` runs a whole batch of (workload, policy,
+seed) runs — *lanes* — in one process and returns the same ``SimResult``
+objects the per-run API produces. Each lane runs through
+``Simulator.run``, the one loop that runs a simulation to its end, so a
+lane's result is bit-identical to running it alone; the engine-parity test
+in ``tests/test_vec_batch.py`` pins this.
 
 Where the batch wins (the reason the backend exists):
 
@@ -20,23 +16,18 @@ Where the batch wins (the reason the backend exists):
   (machine, programs), so the first lane of each group warms the hierarchy
   and the siblings clone it (``repro.core.columnar.capture_warm_hierarchy``)
   instead of re-filling thousands of cache lines each.
-- **Idle skipping.** A lane steps through the fused loop via
-  ``Simulator.run_cycles_skip_idle``, which jumps quiescent spans in place,
-  and at each segment edge it *parks* with its next wake cycle. A parked
-  lane crosses later segments with one ``advance_idle`` counter bump each,
-  never re-entering the interpreter cycle loop.
 - **Paused GC.** One simulation allocates millions of short-lived tuples;
   B simulations in one process thrash the collector B times harder. The
-  batch driver disables GC for the build and stepping phases and restores
-  it after. It first runs one full collection: a finished ``Simulator`` is
-  cyclic garbage (its policy points back at it), so without that collect
-  the previous batches' lanes would stay resident until CPython's gen-2
+  batch disables GC for the build and run phases and restores it after.
+  It first runs one full collection: a finished ``Simulator`` is cyclic
+  garbage (its policy points back at it), so without that collect the
+  previous batches' lanes would stay resident until CPython's gen-2
   heuristic happened to fire.
 
 The batch runs in *one* process — it removes the per-worker duplicated
 setup that process pools pay, and composes with them (each worker can run
-its own batch). ``repro.experiments.parallel.run_pairs(backend="vec")`` and
-the service batch dispatcher select it.
+its own batch). ``repro.experiments.parallel.run_pairs(backend="vec")``
+selects it.
 """
 
 from __future__ import annotations
@@ -44,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import time
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.config import MachineConfig, SimulationConfig
 from repro.core.columnar import capture_warm_hierarchy, restore_warm_hierarchy
@@ -60,9 +51,6 @@ __all__ = [
     "VecLaneError",
     "run_batch",
 ]
-
-#: Progress callback: (finished_lanes, total_lanes, current_cycle).
-BatchProgressFn = Callable[[int, int, int], None]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,33 +100,12 @@ def _build_lane_programs(
     return build_programs(spec, simcfg, trace_cache=trace_cache)
 
 
-class _LaneRun:
-    """One lane's live state inside the batch."""
-
-    __slots__ = ("lane", "sim", "result", "wake")
-
-    def __init__(self, lane: Lane, sim: Simulator) -> None:
-        self.lane = lane
-        self.sim = sim
-        self.result: SimResult | None = None
-        #: Parked wake cycle: the lane is proven idle until this cycle
-        #: (``Simulator.quiescent_wake``); -1 means runnable.
-        self.wake = -1
-
-
 class VecBatchSimulator:
-    """Advance many (workload, policy, seed) runs in lockstep.
+    """Run many (workload, policy, seed) runs in one process.
 
     ``lanes`` accepts :class:`Lane` objects or plain ``(workload, policy)``
     / ``(workload, policy, seed)`` tuples. All lanes share the batch
-    ``simcfg`` except for their trace seed, so every lane has the same
-    warm-up/measurement phase boundaries — which is what makes lockstep
-    chunking line up with the per-run loop's pause points.
-
-    ``chunk`` is the lockstep granularity in cycles (rounded down to a
-    multiple of 64 so commit-limit checkpoints stay aligned); it only
-    bounds how often the driver regains control — any chunking is
-    behavior-neutral, exactly like ``Simulator.run_cycles``.
+    ``simcfg`` except for their trace seed.
     """
 
     def __init__(
@@ -148,27 +115,20 @@ class VecBatchSimulator:
         lanes: Iterable[Lane | Sequence[Any]],
         *,
         trace_cache: TraceArtifactCache | None = None,
-        chunk: int = 512,
-        progress: BatchProgressFn | None = None,
     ) -> None:
         self.machine = machine
         self.simcfg = simcfg
         self.lanes: list[Lane] = [Lane.coerce(s) for s in lanes]
         if not self.lanes:
             raise ValueError("VecBatchSimulator needs at least one lane")
-        #: Cycles the lanes skipped as proven-idle spans, parked or inside
-        #: the fused loop — telemetry for docs/benchmarks.
-        self.idle_cycles_skipped = 0
         self.trace_cache = trace_cache
-        self.chunk = max(64, chunk - chunk % 64)
-        self.progress = progress
         self.results: list[SimResult] | None = None
-        #: Wall-clock of the stepping phase, attributed to lanes
-        #: proportionally to ``cycles * num_threads`` (scheduling-cost-model
-        #: food, not a per-lane measurement).
+        #: Wall clock of the whole batch (build and run), attributed to
+        #: lanes proportionally to ``cycles * num_threads``
+        #: (scheduling-cost-model food, not a per-lane measurement).
         self.batch_seconds: float = 0.0
         self.lane_seconds: list[float] = []
-        self._runs: list[_LaneRun] = []
+        self._sims: list[Simulator] = []
 
     # ------------------------------------------------------------ setup
 
@@ -191,7 +151,7 @@ class VecBatchSimulator:
             seed = lane.seed if lane.seed is not None else self.simcfg.seed
             groups.setdefault((lane.workload, seed), []).append(i)
 
-        runs: list[_LaneRun | None] = [None] * len(self.lanes)
+        sims: list[Simulator | None] = [None] * len(self.lanes)
         for (workload, seed), members in groups.items():
             cfg = self._effective_simcfg(seed)
             lane0 = self.lanes[members[0]]
@@ -200,7 +160,7 @@ class VecBatchSimulator:
                 sim0 = Simulator(self.machine, programs, make_policy(lane0.policy), cfg)
             except Exception as exc:
                 raise VecLaneError(f"lane setup failed: {exc!r}", lane0) from exc
-            runs[members[0]] = _LaneRun(lane0, sim0)
+            sims[members[0]] = sim0
             if len(members) == 1:
                 continue
             template = capture_warm_hierarchy(sim0.hierarchy) if cfg.prewarm_caches else None
@@ -215,62 +175,21 @@ class VecBatchSimulator:
                         restore_warm_hierarchy(sim.hierarchy, template)
                 except Exception as exc:
                     raise VecLaneError(f"lane setup failed: {exc!r}", lane) from exc
-                runs[i] = _LaneRun(lane, sim)
-        self._runs = [r for r in runs if r is not None]
-        assert len(self._runs) == len(self.lanes)
-
-    # ------------------------------------------------------- control plane
-
-    def _commit_hits(self, active: list[_LaneRun], limit: int) -> list[_LaneRun]:
-        """Lanes whose per-thread windowed commits reached ``limit``.
-
-        Mirrors the per-run loop's checkpoint test exactly.
-        """
-        hits: list[_LaneRun] = []
-        for r in active:
-            warm = r.sim._warm_committed
-            if warm is None:
-                continue
-            committed = r.sim.stats.committed
-            if any(committed[t] - warm[t] >= limit for t in range(r.sim.num_threads)):
-                hits.append(r)
-        return hits
+                sims[i] = sim
+        self._sims = [sim for sim in sims if sim is not None]
+        assert len(self._sims) == len(self.lanes)
 
     # -------------------------------------------------------------- run
 
     def run(self) -> list[SimResult]:
         """Run every lane to completion; results in lane order.
 
-        The driver replays ``Simulator._run_loop``'s control flow across the
-        batch: all lanes share the same phase boundaries (same simcfg), so
-        one stop schedule serves every active lane, and each pause point is
-        one the per-run loop would also have paused at (behavior-neutral).
-
-        Each segment advances every active lane to ``stop``. A lane parked
-        past ``cyc`` first jumps its idle span with one ``advance_idle``
-        (possibly the whole segment). A lane still short of ``stop`` steps
-        the rest through ``run_cycles_skip_idle`` and, if it ends quiescent,
-        parks with its next wake cycle. By ``Simulator.quiescent_wake``'s
-        contract every jumped cycle is one the fused loop would have run as
-        a pure no-op.
+        Builds every lane first (shared programs and warm templates), then
+        runs each through ``Simulator.run``. A lane that raises aborts the
+        batch with a :class:`VecLaneError` naming it.
         """
         if self.results is not None:
             return self.results
-        simcfg = self.simcfg
-        total = simcfg.total_cycles
-        warmup = simcfg.warmup_cycles
-        limit = simcfg.commit_limit
-        chunk = self.chunk
-        n_lanes = len(self.lanes)
-        finished = 0
-
-        def _finish(r: _LaneRun) -> None:
-            nonlocal finished
-            r.result = r.sim.result()
-            finished += 1
-            if self.progress is not None:
-                self.progress(finished, n_lanes, r.sim.cycle)
-
         # Free earlier batches' lanes (cyclic garbage: a policy points back
         # at its simulator) before pausing GC, so peak memory does not hinge
         # on when the gen-2 heuristic last fired.
@@ -278,61 +197,25 @@ class VecBatchSimulator:
         gc_was_enabled = gc.isenabled()
         gc.disable()  # trace walks and stepping both churn short-lived tuples
         t0 = time.perf_counter()
+        results: list[SimResult] = []
         try:
             self._build_lanes()
-            active = list(self._runs)
-            cyc = 0
-            while active and cyc < total:
-                if cyc == warmup:
-                    for r in active:
-                        r.sim._begin_window()
-                stop = warmup if (cyc < warmup and warmup < total) else total
-                if limit and cyc >= warmup:
-                    ckpt = (cyc | 63) + 1  # next 64-aligned cycle after cyc
-                    if ckpt < stop:
-                        stop = ckpt
-                if cyc + chunk < stop:
-                    stop = cyc + chunk
-                for r in active:
-                    sim = r.sim
-                    try:
-                        if r.wake > cyc:
-                            sim.advance_idle(min(r.wake, stop) - cyc)
-                        if sim.cycle < stop:
-                            r.wake = -1
-                            sim.run_cycles_skip_idle(stop - sim.cycle)
-                            wake = sim.quiescent_wake(stop)
-                            if wake is not None:
-                                if wake <= stop:
-                                    raise RuntimeError(
-                                        f"idle-skip invariant broken: wake {wake} "
-                                        f"not past segment edge {stop}"
-                                    )
-                                r.wake = wake
-                    except Exception as exc:
-                        raise VecLaneError(
-                            f"lane failed at cycle {cyc}: {exc!r}", r.lane
-                        ) from exc
-                cyc = stop
-                if limit and cyc > warmup and (cyc & 63) == 0:
-                    for r in self._commit_hits(active, limit):
-                        _finish(r)
-                        active.remove(r)
-            for r in active:
-                _finish(r)
+            for lane, sim in zip(self.lanes, self._sims):
+                try:
+                    results.append(sim.run())
+                except Exception as exc:
+                    raise VecLaneError(
+                        f"lane failed at cycle {sim.cycle}: {exc!r}", lane
+                    ) from exc
         finally:
             if gc_was_enabled:
                 gc.enable()
         self.batch_seconds = time.perf_counter() - t0
-        self.idle_cycles_skipped = sum(r.sim.idle_cycles_skipped for r in self._runs)
-
-        results = [r.result for r in self._runs]
-        assert all(res is not None for res in results)
-        self.results = [res for res in results if res is not None]
-        weights = [float(r.sim.cycle * r.sim.num_threads) for r in self._runs]
+        self.results = results
+        weights = [float(sim.cycle * sim.num_threads) for sim in self._sims]
         wsum = sum(weights) or 1.0
         self.lane_seconds = [self.batch_seconds * w / wsum for w in weights]
-        return self.results
+        return results
 
 
 def run_batch(
@@ -341,15 +224,6 @@ def run_batch(
     lanes: Iterable[Lane | Sequence[Any]],
     *,
     trace_cache: TraceArtifactCache | None = None,
-    chunk: int = 512,
-    progress: BatchProgressFn | None = None,
 ) -> list[SimResult]:
     """One-call convenience: build a :class:`VecBatchSimulator` and run it."""
-    return VecBatchSimulator(
-        machine,
-        simcfg,
-        lanes,
-        trace_cache=trace_cache,
-        chunk=chunk,
-        progress=progress,
-    ).run()
+    return VecBatchSimulator(machine, simcfg, lanes, trace_cache=trace_cache).run()

@@ -374,10 +374,10 @@ def run_pairs(
 
     ``backend`` selects the execution engine: ``"process"`` (default) is
     the pool described above; ``"vec"`` runs the whole batch in-process
-    through the lockstep :class:`~repro.core.vec.VecBatchSimulator` —
-    bit-identical results (the engine-parity test pins this),
-    much higher throughput on many-pairs/short-run screening sweeps, and
-    a serial-path fallback (honoring ``retries``) if the batch aborts.
+    through :class:`~repro.core.vec.VecBatchSimulator` — bit-identical
+    results (the engine-parity test pins this), setup shared across the
+    pairs of one (workload, seed), and a serial-path fallback (honoring
+    ``retries``) if the batch aborts.
 
     When ``manifest`` is given, every completed pair is recorded into it as
     ``source="simulated"`` (with its in-worker seconds and retry count,

@@ -7,7 +7,7 @@ from repro.metrics.fairness import (
     FairnessReport,
 )
 from repro.metrics.reporting import format_table, format_pct
-from repro.metrics.timeline import Timeline, TimelineSampler, sparkline
+from repro.metrics.timeline import interval_strips, sparkline
 from repro.metrics.export import result_to_csv, matrix_to_csv
 
 __all__ = [
@@ -17,8 +17,7 @@ __all__ = [
     "FairnessReport",
     "format_table",
     "format_pct",
-    "Timeline",
-    "TimelineSampler",
+    "interval_strips",
     "sparkline",
     "result_to_csv",
     "matrix_to_csv",

@@ -1,30 +1,32 @@
-"""Time-series instrumentation: sample a simulation while it runs.
+"""Terminal strips of a run's dynamics, drawn from its interval records.
 
 The paper's phenomena are *dynamics* — queues clogging when a load misses,
 threads starving while another holds the registers — which aggregate IPCs
-hide. A :class:`TimelineSampler` drives a simulator in fixed-size chunks and
-records per-thread IPC, ICOUNT, the in-flight-miss counters and shared
-resource occupancy at every sample point, without any hook in the simulator
-core.
+hide. :class:`repro.obs.IntervalCollector` records per-thread IPC, ICOUNT,
+the in-flight-miss counters and shared resource occupancy at every window
+edge; :func:`interval_strips` renders those records as ASCII intensity
+strips.
 
 Example::
 
-    sampler = TimelineSampler(interval=200)
-    timeline = sampler.run(sim, cycles=20_000)
-    print(timeline.render(["ipc", "dmiss"]))
+    sim.obs = collector = IntervalCollector(window=200)
+    sim.run()
+    print(interval_strips(collector.records, ("ipc", "dmiss", "ls_q_free")))
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.simulator import Simulator
+    from repro.obs.interval import IntervalRecord
 
-__all__ = ["Timeline", "TimelineSampler", "sparkline"]
+__all__ = ["interval_strips", "sparkline"]
 
 _SPARK_CHARS = " .:-=+*#%@"
+
+#: Free entries of one shared issue queue, by strip name: ``q_free`` index.
+_QUEUES = {"int_q_free": 0, "fp_q_free": 1, "ls_q_free": 2}
 
 
 def sparkline(values: list[float], width: int = 60) -> str:
@@ -49,95 +51,36 @@ def sparkline(values: list[float], width: int = 60) -> str:
     return "".join(out)
 
 
-@dataclass
-class Timeline:
-    """Sampled series: global and per-thread metrics over simulated time."""
+def interval_strips(
+    records: Sequence["IntervalRecord"],
+    metrics: Sequence[str] = ("ipc", "dmiss"),
+    width: int = 60,
+) -> str:
+    """ASCII strips (low..high intensity) of interval records, one per line.
 
-    interval: int
-    cycles: list[int] = field(default_factory=list)
-    # global series
-    throughput: list[float] = field(default_factory=list)
-    int_q_free: list[int] = field(default_factory=list)
-    ls_q_free: list[int] = field(default_factory=list)
-    free_int_regs: list[int] = field(default_factory=list)
-    # per-thread series (index: [tid][sample])
-    ipc: list[list[float]] = field(default_factory=list)
-    icount: list[list[int]] = field(default_factory=list)
-    dmiss: list[list[int]] = field(default_factory=list)
-    rob: list[list[int]] = field(default_factory=list)
-
-    @property
-    def num_threads(self) -> int:
-        return len(self.ipc)
-
-    @property
-    def num_samples(self) -> int:
-        return len(self.cycles)
-
-    def thread_series(self, metric: str, tid: int) -> list[float]:
-        """One thread's samples for a per-thread metric (e.g. "ipc")."""
-        return getattr(self, metric)[tid]
-
-    def render(self, metrics: tuple[str, ...] = ("ipc", "dmiss"), width: int = 60) -> str:
-        """ASCII strips per thread per metric (low..high intensity)."""
-        lines = [f"timeline: {self.num_samples} samples x {self.interval} cycles"]
-        for metric in metrics:
-            series = getattr(self, metric)
-            if series and isinstance(series[0], list):
-                for tid, vals in enumerate(series):
-                    lo, hi = (min(vals), max(vals)) if vals else (0, 0)
-                    lines.append(
-                        f"  {metric:8s} t{tid}: |{sparkline(vals, width)}| "
-                        f"[{lo:.2f}..{hi:.2f}]"
-                    )
-            else:
-                vals = series
-                lo, hi = (min(vals), max(vals)) if vals else (0, 0)
-                lines.append(
-                    f"  {metric:8s}   : |{sparkline(list(map(float, vals)), width)}| "
-                    f"[{lo:.2f}..{hi:.2f}]"
-                )
-        return "\n".join(lines)
-
-
-class TimelineSampler:
-    """Drives a simulator in chunks, snapshotting state at each boundary."""
-
-    def __init__(self, interval: int = 250) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.interval = interval
-
-    def run(self, sim: "Simulator", cycles: int) -> Timeline:
-        """Advance ``sim`` by ``cycles``, sampling every ``interval``."""
-        tl = Timeline(interval=self.interval)
-        n = sim.num_threads
-        tl.ipc = [[] for _ in range(n)]
-        tl.icount = [[] for _ in range(n)]
-        tl.dmiss = [[] for _ in range(n)]
-        tl.rob = [[] for _ in range(n)]
-
-        prev_committed = list(sim.stats.committed)
-        remaining = cycles
-        while remaining > 0:
-            chunk = min(self.interval, remaining)
-            sim.run_cycles(chunk)
-            remaining -= chunk
-
-            tl.cycles.append(sim.cycle)
-            committed = sim.stats.committed
-            window_total = 0.0
-            for t in range(n):
-                delta = committed[t] - prev_committed[t]
-                tl.ipc[t].append(delta / chunk)
-                window_total += delta / chunk
-                tc = sim.threads[t]
-                tl.icount[t].append(tc.icount)
-                tl.dmiss[t].append(tc.dmiss)
-                tl.rob[t].append(len(tc.rob))
-            prev_committed = list(committed)
-            tl.throughput.append(window_total)
-            tl.int_q_free.append(sim.q_free[0])
-            tl.ls_q_free.append(sim.q_free[2])
-            tl.free_int_regs.append(sim.free_int_regs)
-        return tl
+    A per-thread record field (``ipc``, ``dmiss``, ``rob``, ...) gives one
+    strip per thread; a scalar field (``free_int_regs``, ``issued``, ...)
+    or a shared queue's free entries (``int_q_free``, ``fp_q_free``,
+    ``ls_q_free``) gives one strip. Each strip ends with its range.
+    """
+    window = max((r.cycles for r in records), default=0)
+    lines = [f"timeline: {len(records)} samples x {window} cycles"]
+    for metric in metrics:
+        if metric in _QUEUES:
+            q = _QUEUES[metric]
+            strips = [("  ", [r.q_free[q] for r in records])]
+        elif records and isinstance(getattr(records[0], metric), list):
+            per_thread = [getattr(r, metric) for r in records]
+            strips = [
+                (f"t{t}", [vals[t] for vals in per_thread])
+                for t in range(len(per_thread[0]))
+            ]
+        else:
+            strips = [("  ", [getattr(r, metric) for r in records])]
+        for label, vals in strips:
+            lo, hi = (min(vals), max(vals)) if vals else (0, 0)
+            lines.append(
+                f"  {metric:8s} {label}: |{sparkline(list(map(float, vals)), width)}| "
+                f"[{lo:.2f}..{hi:.2f}]"
+            )
+    return "\n".join(lines)

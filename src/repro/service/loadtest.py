@@ -360,18 +360,20 @@ def _stream_client(
         if not chunk:
             return
         t0 = time.monotonic()
-        retry: list[dict[str, Any]] = []
+        done: set[int] = set()
         try:
             for line in c.stream(chunk, timeout=120.0):
                 if line.get("state") == "done":
                     acct.record(line, time.monotonic() - t0)
-                else:
-                    retry.append(chunk[int(line.get("index", 0))])
+                    done.add(int(line.get("index", 0)))
         except (ServiceError, OSError, ValueError):
-            retry = chunk  # whole stream lost: resubmit everything
-        # Anything the stream failed (down shard, drain) goes back through
-        # the plain submit path, one by one.
-        for spec in retry:
+            pass  # stream lost: what it did not finish is resubmitted below
+        # Every spec without a done line — failed (down shard, drain), never
+        # mentioned by a stream cut short, or lost with the stream — goes
+        # back through the plain submit path, one by one.
+        for i, spec in enumerate(chunk):
+            if i in done:
+                continue
             acct.bump("resubmits")
             t1 = time.monotonic()
             for attempt in range(RESUBMITS + 1):

@@ -237,7 +237,7 @@ class SimulationRouter:
         self.counters = {
             "routed": 0,          # unary requests forwarded to a shard
             "rate_limited": 0,    # 429s from the token bucket
-            "shard_down": 0,      # transport failures marking a shard down
+            "shard_down": 0,      # outages: a shard going from up to down
             "unavailable": 0,     # 503s answered for down-shard key ranges
             "fanouts": 0,         # unprefixed-id lookups broadcast to all
             "streams": 0,
@@ -294,8 +294,12 @@ class SimulationRouter:
     # Shard health + placement
 
     def _mark_down(self, shard: Shard) -> None:
-        shard.down_until = time.monotonic() + self.cfg.cooldown
-        self.counters["shard_down"] += 1
+        """Start or extend a shard's cooldown; ``shard_down`` counts the
+        outage once, however many in-flight forwards fail with it."""
+        now = time.monotonic()
+        if now >= shard.down_until:
+            self.counters["shard_down"] += 1
+        shard.down_until = now + self.cfg.cooldown
 
     def _is_down(self, shard: Shard) -> bool:
         return time.monotonic() < shard.down_until

@@ -367,7 +367,6 @@ def _collect_vec(
     machine = get_preset("baseline")
     simcfg = SimulationConfig(**simcfg_kw)
     lanes = [(wl, pol) for wl in GUARDED_WORKLOADS for pol in policies]
-    batch: list[VecBatchSimulator] = []
 
     def serial_cold() -> list[Any]:
         results = []
@@ -379,8 +378,7 @@ def _collect_vec(
 
     def batched() -> Callable[[], Any]:
         clear_trace_cache()
-        batch[:] = [VecBatchSimulator(machine, simcfg, lanes)]
-        return batch[0].run
+        return VecBatchSimulator(machine, simcfg, lanes).run
 
     (serial_secs, batch_secs), (_, results) = _best_of(
         repeats,
@@ -390,7 +388,6 @@ def _collect_vec(
     vec_cps = sum(r.cycles for r in results) / batch_secs
     return {
         "lanes": len(lanes),
-        "idle_cycles_skipped": batch[0].idle_cycles_skipped,
         "serial_secs": round(serial_secs, 3),
         "batch_secs": round(batch_secs, 3),
         speedup_key: round(serial_secs / batch_secs, 2),
@@ -405,16 +402,13 @@ def collect_vec_speed(repeats: int = _VEC_REPEATS) -> dict[str, Any]:
     (:data:`VEC_SCREEN_POLICIES` x :data:`GUARDED_WORKLOADS`, short
     windows) against cold serial runs; see :func:`_collect_vec`.
     """
-    out = _collect_vec("vec", _VEC_SIMCFG, VEC_SCREEN_POLICIES, "batch_speedup", repeats)
-    del out["idle_cycles_skipped"]  # keeps the section's keys as committed
-    return out
+    return _collect_vec("vec", _VEC_SIMCFG, VEC_SCREEN_POLICIES, "batch_speedup", repeats)
 
 
 def collect_vec_digest(repeats: int = _VEC_REPEATS) -> dict[str, Any]:
     """Measure the batched backend at *digest scale* (the guarded pairs'
     long windows — the shape design-space sweeps and interval-telemetry
-    runs take), cold serial versus one batch with idle-span skipping; see
-    :func:`_collect_vec`.
+    runs take), cold serial versus one batch; see :func:`_collect_vec`.
     """
     return _collect_vec("vec_digest", _DIGEST_SIMCFG, GUARDED_POLICIES, "digest_speedup", repeats)
 

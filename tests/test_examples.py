@@ -13,6 +13,7 @@ from types import ModuleType
 
 import pytest
 
+from repro.config import SimulationConfig
 from repro.trace import PROFILES
 
 _EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
@@ -44,3 +45,23 @@ def test_workload_characterization_row(characterization, bench):
     assert 0 < taken <= 1
     assert code.endswith("K") and int(code[:-1]) > 0
     assert calls >= 1
+
+
+def test_clog_timeline_strips(capsys):
+    clog = _load_example("clog_timeline")
+    simcfg = SimulationConfig(
+        warmup_cycles=0, measure_cycles=2_000, trace_length=6_000, commit_limit=0
+    )
+    clog.show("dwarn", simcfg)
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "== dwarn on 2-MEM (mcf=t0, twolf=t1) =="
+    assert out[1] == "timeline: 10 samples x 200 cycles"
+    assert [line.split("|")[0] for line in out[2:7]] == [
+        "  ipc      t0: ",
+        "  ipc      t1: ",
+        "  dmiss    t0: ",
+        "  dmiss    t1: ",
+        "  ls_q_free   : ",
+    ]
+    assert all(len(line.split("|")[1]) == 10 for line in out[2:7])
+    assert out[7].startswith("   throughput: ")

@@ -17,10 +17,12 @@ is the most expensive test in tier-1 — kept to ~80 tiny jobs.
 from __future__ import annotations
 
 import json
+import queue
 
 import pytest
 
 from repro.service import loadtest
+from repro.service.client import ServiceClient
 from repro.service.loadtest import BENCH_SCHEMA, LoadTestConfig, build_spec_pool, run_loadtest
 
 
@@ -79,6 +81,70 @@ class TestHarnessConfig:
     def test_bad_router_url_rejected(self):
         cfg = LoadTestConfig(router_url="nonsense")
         assert run_loadtest(cfg) == 2
+
+
+class TestStreamClientResubmits:
+    """A stream client resubmits exactly the chunk specs that got no
+    ``done`` line, so every spec is recorded once."""
+
+    SPECS = [{"workload": "2-MIX", "policy": "dwarn", "seed": seed} for seed in range(5)]
+
+    @classmethod
+    def _done(cls, index):
+        return {
+            "index": index, "id": f"s0@j{index}", "state": "done", "source": "store",
+            "key": f"k{index}", "spec": cls.SPECS[index], "result": {"throughput": index},
+        }
+
+    def _run(self, monkeypatch, stream):
+        submitted = []
+
+        def submit(client, spec, deadline=None):
+            submitted.append(spec["seed"])
+            return {"id": f"s0@r{spec['seed']}", "key": f"k{spec['seed']}"}
+
+        def wait(client, job_id, timeout=60.0):
+            return self._done(int(job_id.rpartition("r")[2]))
+
+        monkeypatch.setattr(ServiceClient, "stream", stream)
+        monkeypatch.setattr(ServiceClient, "submit", submit)
+        monkeypatch.setattr(ServiceClient, "wait", wait)
+        work: queue.SimpleQueue = queue.SimpleQueue()
+        for spec in self.SPECS:
+            work.put(spec)
+        work.put(None)
+        acct = loadtest._Accounting()
+        loadtest._stream_client(0, "127.0.0.1", 1, work, acct)
+        recorded = sorted(p.seed for p in acct.manifest.pairs)
+        return acct, submitted, recorded
+
+    def test_stream_ending_early(self, monkeypatch):
+        """Indices 3 and 4 get no line at all: they are resubmitted along
+        with the failed index 1."""
+
+        def stream(client, specs, timeout=300.0):
+            yield self._done(0)
+            yield {"index": 1, "state": "failed", "error": "shard s1 unavailable"}
+            yield self._done(2)
+
+        acct, submitted, recorded = self._run(monkeypatch, stream)
+        assert submitted == [1, 3, 4]
+        assert recorded == [0, 1, 2, 3, 4]
+        assert (acct.completed, acct.resubmits, acct.failed) == (5, 3, 0)
+
+    def test_stream_raising_after_some_lines(self, monkeypatch):
+        """A transport error after two done lines resubmits only the other
+        three specs; the two done ones are not recorded again."""
+
+        def stream(client, specs, timeout=300.0):
+            yield self._done(0)
+            yield self._done(2)
+            raise OSError("connection reset")
+
+        acct, submitted, recorded = self._run(monkeypatch, stream)
+        assert submitted == [1, 3, 4]
+        assert recorded == [0, 1, 2, 3, 4]
+        assert (acct.completed, acct.resubmits, acct.failed) == (5, 3, 0)
 
 
 class TestFailedBoot:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -356,6 +357,35 @@ class TestLiveAdmissionControl:
             assert f.client.metrics()["router"]["rate_limited"] >= 1
         finally:
             f.kill()
+
+
+class TestOutageCount:
+    def test_concurrent_failures_count_one_outage(self):
+        """Forwards that fail together against a shard with no listener
+        count one outage in ``shard_down``; a failure after the cooldown
+        starts a second one."""
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]  # closed below: nothing listens
+
+        async def run():
+            shard = Shard("s0", "127.0.0.1", port)
+            router = SimulationRouter(RouterConfig(port=0, cooldown=0.2), [shard])
+
+            async def fail(n):
+                return await asyncio.gather(
+                    *(router._forward(shard, "GET", "/healthz") for _ in range(n))
+                )
+
+            counts = []
+            assert await fail(6) == [None] * 6
+            counts.append(router.counters["shard_down"])
+            await asyncio.sleep(0.3)
+            assert await fail(1) == [None]
+            counts.append(router.counters["shard_down"])
+            return counts
+
+        assert asyncio.run(run()) == [1, 2]
 
 
 class TestStreamRelay:

@@ -1,4 +1,4 @@
-"""Tests for the timeline sampler and multi-seed aggregation."""
+"""Tests for the interval-record strips and multi-seed aggregation."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import pytest
 from repro.config import SimulationConfig, baseline
 from repro.core import Simulator, make_policy
 from repro.experiments.runner import ExperimentRunner
-from repro.metrics import TimelineSampler, sparkline
+from repro.metrics import interval_strips, sparkline
+from repro.obs import IntervalCollector
 from repro.workloads import build_programs, get_workload
 
 CFG = SimulationConfig(warmup_cycles=0, measure_cycles=2000, trace_length=8000, seed=4)
@@ -36,43 +37,34 @@ class TestSparkline:
         assert len(s) == 50
 
 
-class TestTimelineSampler:
-    def test_shapes(self):
+class TestIntervalStrips:
+    @pytest.fixture(scope="class")
+    def records(self):
         sim = make_sim()
-        tl = TimelineSampler(interval=100).run(sim, cycles=1000)
-        assert tl.num_samples == 10
-        assert tl.num_threads == 2
-        assert len(tl.throughput) == 10
-        assert len(tl.ipc[0]) == 10
-        assert tl.cycles[-1] == 1000
+        sim.obs = collector = IntervalCollector(window=200)
+        sim.run()
+        return collector.records
 
-    def test_partial_last_chunk(self):
-        sim = make_sim()
-        tl = TimelineSampler(interval=300).run(sim, cycles=1000)
-        assert tl.num_samples == 4  # 300+300+300+100
-        assert tl.cycles[-1] == 1000
+    def test_per_thread_queue_and_scalar_strips(self, records):
+        text = interval_strips(records, ("ipc", "ls_q_free", "free_int_regs"), width=40)
+        lines = text.splitlines()
+        assert lines[0] == "timeline: 10 samples x 200 cycles"
+        assert [line.split("|")[0] for line in lines[1:]] == [
+            "  ipc      t0: ",
+            "  ipc      t1: ",
+            "  ls_q_free   : ",
+            "  free_int_regs   : ",
+        ]
+        ipc0 = [r.ipc[0] for r in records]
+        assert lines[1] == (
+            f"  ipc      t0: |{sparkline(ipc0, 40)}| [{min(ipc0):.2f}..{max(ipc0):.2f}]"
+        )
+        ls_free = [float(r.q_free[2]) for r in records]
+        assert f"|{sparkline(ls_free, 40)}|" in lines[3]
 
-    def test_ipc_consistent_with_stats(self):
-        sim = make_sim()
-        tl = TimelineSampler(interval=200).run(sim, cycles=2000)
-        total = sum(sum(tl.ipc[t][i] * 200 for i in range(10)) for t in range(2))
-        assert total == pytest.approx(sum(sim.stats.committed), abs=1)
-
-    def test_mem_thread_registers_dmiss_activity(self):
-        sim = make_sim("2-MEM", "icount")
-        tl = TimelineSampler(interval=100).run(sim, cycles=2000)
-        assert max(tl.dmiss[0]) > 0  # mcf holds in-flight misses
-
-    def test_render(self):
-        sim = make_sim()
-        tl = TimelineSampler(interval=100).run(sim, cycles=500)
-        text = tl.render(("ipc", "throughput"))
-        assert "ipc" in text and "throughput" in text
-        assert "|" in text
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            TimelineSampler(interval=0)
+    def test_no_records(self):
+        text = interval_strips([], ("ipc", "ls_q_free"))
+        assert text.splitlines()[0] == "timeline: 0 samples x 0 cycles"
 
 
 class TestMultiSeed:

@@ -1,15 +1,16 @@
-"""Idle-span skipping in the vec batch driver is cycle-exact.
+"""Idle-span skipping is cycle-exact, and the vec batch matches the fused
+engine.
 
-The batch driver (``repro.core.vec.batch``) steps each lane through
-``Simulator.run_cycles_skip_idle`` and parks it across proven-quiescent
-spans with its next wake cycle. The contract under test:
+No run loop skips idle spans any more; the quiescence primitives stay, with
+these tests, until the vec backend and they are deleted together. The
+contract under test:
 
 - the quiescence primitives (``quiescent_wake`` / ``advance_idle`` /
   ``run_cycles_skip_idle``) are behavior-identical to plain stepping on
   both the fused and the staged engine;
-- a batch equals each of its lanes stepped alone without skipping, and
-  only the batch reports skipped cycles;
-- a parked-and-woken batch is bit-identical to the fused per-run reference
+- a batch equals each of its lanes stepped alone, and plain stepping
+  skips no cycles;
+- a batch is bit-identical to the fused per-run reference
   (hypothesis-fuzzed across policies x commit limits x seeds, mirroring
   the vec-vs-staged sweep in test_vec_batch.py).
 """
@@ -114,13 +115,13 @@ def test_idle_forever_sentinel_is_far_future():
 
 
 # ---------------------------------------------------------------------------
-# idle-skipping batch vs plain per-lane stepping
+# batch vs plain per-lane stepping
 # ---------------------------------------------------------------------------
 
 
 def test_array_and_lane_kernels_agree_and_report():
-    """The batch driver, which parks quiescent lanes, agrees with each lane
-    stepped alone without skipping, and each side reports its skip count."""
+    """The batch agrees with each lane stepped alone, and plain stepping
+    reports no skipped cycles."""
     simcfg = _simcfg()
     lanes = [("4-MIX", pol) for pol in SIX_POLICIES]
     batch = VecBatchSimulator(baseline(), simcfg, lanes)
@@ -128,12 +129,11 @@ def test_array_and_lane_kernels_agree_and_report():
     plain_sims = [_fresh_sim(wl, pol, simcfg) for wl, pol in lanes]
     plain_results = [sim.run() for sim in plain_sims]
     assert batch_results == plain_results
-    assert batch.idle_cycles_skipped > 0
     assert all(sim.idle_cycles_skipped == 0 for sim in plain_sims)
 
 
 # ---------------------------------------------------------------------------
-# hypothesis: idle-skipping batch vs the *fused* reference engine
+# hypothesis: batch vs the *fused* reference engine
 # ---------------------------------------------------------------------------
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -157,8 +157,8 @@ def test_array_kernel_matches_fused_reference(
     workload, policies, seed, warmup, cycles, limit
 ):
     """Randomized short runs: every batched lane must equal the fused
-    per-run engine run alone — crossing parked spans, warm-up boundaries,
-    commit-limit checkpoints, and the in-loop idle jumps."""
+    per-run engine run alone — crossing shared lane setup, warm-up
+    boundaries and commit-limit checkpoints."""
     simcfg = SimulationConfig(
         warmup_cycles=warmup,
         measure_cycles=cycles,
