@@ -29,8 +29,8 @@ interval callback) encodes as a named marker and is re-bound to the restored
 policy. Any other closure (external ``schedule_call`` users) cannot be
 snapshotted and raises :class:`SnapshotError`.
 
-Lazily-initialized slots (the fused loop skips ~13 stores per non-branch
-instruction) are preserved exactly: every column carries a presence bitmap,
+Lazily-initialized slots (the fetch stage skips ~13 stores per non-branch
+instruction, on both paths) are preserved exactly: every column carries a presence bitmap,
 and restore only assigns slots that were set — a restored instruction raises
 ``AttributeError`` on exactly the reads the original would have.
 

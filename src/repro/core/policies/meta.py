@@ -42,7 +42,7 @@ phase change that sharp costs more to ride out than to mis-switch on.
 
 Everything the meta-policy reads is deterministic simulator state, and the
 interval boundary is a scheduled ``EV_CALL`` event — a typed entry in the
-event wheel that the staged engine, the fused engine and the vec backend
+event wheel that the staged engine, the generated loop and the vec backend
 all drain identically (and that bounds idle-span jumps, because the wheel's
 next event cycle is a quiescence wake source). Decisions are therefore
 deterministic given (trace, seed, interval, hysteresis) and bit-identical

@@ -20,14 +20,17 @@ locals inside the per-cycle methods and uses plain tuples/ints for events —
 per the hpc-parallel guide, attribute lookups and allocation are what
 dominate interpreted simulator loops.
 
-Execution paths. :meth:`run_cycles` dispatches between two semantically
-identical engines: the staged path (one method call per pipeline stage per
-cycle — :meth:`_step`) and the fused fast loop (:meth:`_run_fast`, every
-stage inlined into a single frame with loop-invariant lookups hoisted,
-~1.5x faster on CPython). :meth:`_fast_eligible` picks the staged path
-whenever any stage in ``_FAST_STAGES`` is overridden — by a subclass or an
-instance attribute — so monkeypatch-style instrumentation is always
-honored; the property tests pin the two paths cycle-for-cycle equal.
+Execution paths. The stage methods are the only written form of the
+pipeline. :meth:`run_cycles` runs them one of two ways: the staged path
+calls :meth:`_step` once per cycle, which calls one method per stage; the
+generated loop (:func:`_fast_loop`, from the :meth:`_run_fast` template) is
+built from the same methods on first use, once per process, by
+:func:`repro.core.splice.splice`, which splices every stage into one frame
+and hoists their run-invariant bindings out of the loop (~1.5x faster on
+CPython). :meth:`_fast_eligible` picks the staged path whenever any stage
+in ``_FAST_STAGES`` is overridden — by a subclass or an instance attribute —
+so monkeypatch-style instrumentation is always honored; the property tests
+pin the two paths cycle-for-cycle equal.
 
 Observability. Assigning ``sim.obs`` (an ``repro.obs.ObservabilityHub`` or
 bare ``IntervalCollector``) before :meth:`run` turns on interval metrics:
@@ -40,6 +43,7 @@ control flow — zero cost when disabled. See docs/OBSERVABILITY.md.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from heapq import heappush, heappop
 from typing import TYPE_CHECKING, Callable, Sequence
@@ -57,6 +61,7 @@ from repro.core.events import (
     EV_UNGATE,
 )
 from repro.core.result import SimResult
+from repro.core.splice import splice
 from repro.core.stats import SimStats
 from repro.core.thread import ThreadContext
 from repro.isa.instruction import DynInstr
@@ -82,23 +87,17 @@ _BK_COND = int(BranchKind.COND)
 _BK_CALL = int(BranchKind.CALL)
 _BK_RET = int(BranchKind.RET)
 
-#: Stage methods whose bodies ``_run_fast`` inlines. If any of them is
-#: overridden (subclass or per-instance monkeypatch), ``run_cycles`` falls
-#: back to the staged ``_step`` path so the override is honored.
-_FAST_STAGES = (
-    "_step",
-    "_complete",
-    "_resolve_branch",
-    "_recover_mispredict",
-    "_fill",
-    "_declare",
-    "_commit",
-    "_issue",
-    "_execute_load",
-    "_dispatch",
-    "_fetch",
-    "_fetch_branch",
+#: Stage methods the generated loop (``_fast_loop``) splices.
+_SPLICED = (
+    "_step", "_complete", "_resolve_branch", "_fill", "_declare", "_detect", "_commit",
+    "_issue", "_execute_load", "_complete_after", "_schedule", "_dispatch", "_fetch",
 )
+
+#: If any of these is overridden (subclass or per-instance monkeypatch),
+#: ``run_cycles`` takes the staged ``_step`` path so the override is
+#: honored: the spliced stages, plus the two the loop calls on its rare
+#: paths (mispredict recovery, RET/CALL/JUMP prediction).
+_FAST_STAGES = _SPLICED + ("_recover_mispredict", "_fetch_branch")
 
 
 class Simulator:
@@ -181,7 +180,6 @@ class Simulator:
         self._misfetch_penalty = proc.misfetch_penalty
         self._l1_detect_extra = machine.mem.l1_detect_extra
         self._l2_declare_cycles = machine.mem.l2_declare_cycles
-        self._fill_advance_cycles = machine.mem.fill_advance_cycles
 
         # Incrementally-maintained occupancy: total ROB entries across
         # threads, so quiesced cycles skip the commit scan entirely.
@@ -265,7 +263,7 @@ class Simulator:
         """Run warm-up + measurement windows; return the windowed result.
 
         The loop advances in chunks through :meth:`run_cycles` (which picks
-        the fused fast loop when no stage is overridden), pausing only at the
+        the generated loop when no stage is overridden), pausing only at the
         warm-up boundary; — when a commit limit is armed — at the same
         64-cycle-aligned checkpoints the original per-step loop polled at,
         and — when ``self.obs`` is attached — at interval-window boundaries
@@ -329,20 +327,18 @@ class Simulator:
     def run_cycles(self, n: int) -> None:
         """Advance the simulation by exactly ``n`` cycles.
 
-        Dispatches to the fused fast loop unless a pipeline-stage method has
+        Dispatches to the generated loop unless a pipeline-stage method has
         been overridden (subclass or instance monkeypatch), in which case the
-        staged :meth:`_step` path — which honors the override — is used.
+        staged path (:meth:`_run_fast` as written) honors the override.
         """
         if n > 0 and self._fast_eligible():
+            _fast_loop()(self, n)
+        else:
             self._run_fast(n)
-            return
-        step = self._step
-        for _ in range(n):
-            step()
 
     def _fast_eligible(self) -> bool:
-        """True when the fused loop is behaviorally safe: every stage whose
-        body it inlines is still the stock implementation."""
+        """True when the generated loop is behaviorally safe: every stage
+        whose body it splices is still the stock implementation."""
         cls = type(self)
         if cls is not Simulator:
             for name in _FAST_STAGES:
@@ -479,908 +475,13 @@ class Simulator:
     # ------------------------------------------------------------- fast loop
 
     def _run_fast(self, n: int) -> None:
-        """Advance exactly ``n`` cycles through the fused fast loop.
-
-        Semantically identical to calling :meth:`_step` ``n`` times — the
-        property suite asserts cycle-for-cycle equality against the staged
-        path — but with every per-cycle stage inlined into one frame, all
-        loop-invariant attribute lookups hoisted out of the cycle loop, and
-        event scheduling done directly against the wheel's buckets. On
-        CPython the staged path spends more time entering/leaving stage
-        frames and re-binding locals than doing pipeline work; fusing the
-        stages is worth more than any micro-optimization inside them (see
-        docs/PERFORMANCE.md).
-
-        One deliberate (and behavior-neutral) ordering note: latency-1
-        completions ride ``_next_completes`` and drain *after* the wheel
-        bucket, which matches their old position as the newest entries of
-        the bucket because everything else landing in that bucket was
-        scheduled on an earlier cycle. The only exception is an
-        ``l1_detect_extra == 1`` miss-indication event scheduled in the
-        same issue phase; its relative order against unrelated completions
-        is observable by nothing (the EV_DETECT handler touches only
-        per-thread miss counters, completions never read them in the same
-        cycle).
+        """Advance exactly ``n`` cycles, one :meth:`_step` per cycle: the
+        staged path, and the template :func:`_fast_loop` splices every stage
+        into. On CPython, entering a frame per stage per cycle and re-binding
+        its locals costs more than the pipeline work (docs/PERFORMANCE.md).
         """
-        # --- loop-invariant hoists ----------------------------------------
-        threads = self.threads
-        nthreads = self.num_threads
-        events = self.events
-        buckets = events.buckets
-        bucket_pop = buckets.pop
-        bucket_get = buckets.get
-        stats = self.stats
-        policy = self.policy
-        hierarchy = self.hierarchy
-        outstanding_pop = hierarchy._outstanding_d.pop
-        # Memory-hierarchy internals: the per-access hit paths (bank
-        # conflict, D-TLB, outstanding-fill merge, MRU cache probe) are
-        # inlined below with exact stat side effects; only the rare refill
-        # paths still call Cache.fill / l2.probe. The property suite pins
-        # equivalence against the staged path, which calls the real
-        # hierarchy methods.
-        memcfg = hierarchy.cfg
-        dcache = hierarchy.dcache
-        dc_sets = dcache._sets
-        dc_set_mask = dcache._set_mask
-        dc_bank_mask = dcache._bank_mask
-        dc_fill = dcache.fill
-        icache = hierarchy.icache
-        ic_sets = icache._sets
-        ic_set_mask = icache._set_mask
-        ic_fill = icache.fill
-        l2_probe = hierarchy.l2.probe
-        l2_fill = hierarchy.l2.fill
-        dtlb = hierarchy.dtlb
-        tlb_sets = dtlb._sets
-        tlb_page_shift = dtlb._page_shift
-        tlb_set_mask = dtlb._set_mask
-        tlb_assoc = dtlb._assoc
-        out_d = hierarchy._outstanding_d
-        out_d_get = out_d.get
-        out_i = hierarchy._outstanding_i
-        out_i_get = out_i.get
-        d_lat = memcfg.dcache.latency
-        l2_lat = memcfg.l2.latency
-        mem_lat = memcfg.memory_latency
-        tlb_penalty = memcfg.dtlb.miss_penalty
-        if_miss_lat = memcfg.icache.latency + l2_lat
-        h_loads = hierarchy.loads
-        h_load_l1m = hierarchy.load_l1_misses
-        h_load_l2m = hierarchy.load_l2_misses
-        h_stores = hierarchy.stores
-        h_store_l1m = hierarchy.store_l1_misses
-        h_if_misses = hierarchy.ifetch_misses
-        h_tlb_misses = hierarchy.tlb_misses
-        # Predictor internals: COND predict (gshare + BTB lookup) and the
-        # correctly-predicted resolve/train path are inlined; RET/CALL/JUMP
-        # and mispredict recovery go through the real methods.
-        predictor = self.predictor
-        gshare = predictor.gshare
-        gs_pht = gshare._pht
-        gs_mask = gshare._mask
-        gs_hist = gshare._hist
-        gs_hist_mask = gshare._hist_mask
-        btb = predictor.btb
-        btb_sets = btb._sets
-        btb_set_mask = btb._set_mask
-        btb_update = btb.update
-        ras_list = predictor.ras
-        branches_resolved = stats.branches_resolved
-        recover_mispredict = self._recover_mispredict
-        misfetch_penalty = self._misfetch_penalty
-        bk_cond = _BK_COND
-        on_l1d_miss = policy.on_l1d_miss
-        on_l1d_fill = policy.on_l1d_fill
-        on_l2_miss = policy.on_l2_miss
-        on_l2_declared = policy.on_l2_declared
-        on_dtlb_miss = policy.on_dtlb_miss
-        on_load_fetched = policy.on_load_fetched
-        on_load_executed = policy.on_load_executed
-        fetch_order = policy.fetch_order
-        fetch_branch = self._fetch_branch
-        ready = self.ready
-        r0, r1, r2 = ready
-        pipe = self.pipe
-        pipe_popleft = pipe.popleft
-        pipe_append = pipe.append
-        q_free = self.q_free
-        latency = self._latency
-        queue_of = QUEUE_OF
-        units0, units1, units2 = self._units
-        commit_width = self._commit_width
-        issue_width = self._issue_width
-        fetch_width = self._fetch_width
-        fetch_threads = self._fetch_threads
-        frontend_depth = self._frontend_depth
-        rob_cap = self._rob_cap
-        pipe_cap = self._pipe_cap
-        line_shift = self._line_shift
-        l1_detect_extra = self._l1_detect_extra
-        l2_declare_cycles = self._l2_declare_cycles
-        wants_load_fetch = self._wants_load_fetch
-        wants_load_exec = self._wants_load_exec
-        order_cacheable = self._order_cacheable
-        committed_stat = stats.committed
-        fetched_stat = stats.fetched
-        loads_stat = stats.loads_committed
-        stores_stat = stats.stores_committed
-        instr_cls = DynInstr
-        instr_new = DynInstr.__new__
-        # Wrong-path records are a memoized pure function of pc; the memo
-        # hit is inlined per fetch, the miss path calls supply() (which
-        # re-checks the memo and inserts).
-        wp_memo_gets = [tc.wp_supplier._memo.get for tc in threads]
-        wp_supplies = [tc.wp_supplier.supply for tc in threads]
-        trace_recs = [tc.trace.rec for tc in threads]
-        trace_lens = [tc.trace.length for tc in threads]
-        ev_complete = EV_COMPLETE
-        ev_fill = EV_FILL
-        ev_declare = EV_DECLARE
-        ev_ungate = EV_UNGATE
-        ev_hybrid_gate = EV_HYBRID_GATE
-        ev_detect = EV_DETECT
-        # Gating state: only GatingMixin policies schedule EV_UNGATE /
-        # EV_HYBRID_GATE, so the None defaults are never dereferenced for
-        # non-gating policies.
-        gate_count = getattr(policy, "_gate_count", None)
-        gate_until_fill = getattr(policy, "gate_until_fill", None)
-        op_load = _OP_LOAD
-        op_store = _OP_STORE
-        op_branch = _OP_BRANCH
-        store_lat = latency[op_store]
-
-        # The latency-1 side list is drained (then cleared) before issue
-        # refills it, so one list object serves every cycle; the wheel's
-        # ``pending`` counter and the fetch-order dirty flag are shadowed in
-        # locals and written back each cycle / at loop exit (policy callbacks
-        # that touch the real attributes mid-cycle still take effect: both
-        # are re-read at their single consumption point).
-        nc = self._next_completes
-        nc_append = nc.append
-        pend = 0
-        dirty = self.order_dirty
-
-        cycle = self.cycle
-        end = cycle + n
-        while cycle < end:
-            self.cycle = cycle
-
-            # ---- drain: wheel bucket first, then last cycle's latency-1
-            # ---- completions (their old position at the bucket's tail)
-            bucket = bucket_pop(cycle, None) if events.pending else None
-            if bucket is not None:
-                pend -= len(bucket)
-                for ev in bucket:
-                    kind = ev[0]
-                    if kind == ev_complete:
-                        i = ev[1]
-                        if not i.squashed:
-                            i.completed = True
-                            i.complete_cycle = cycle
-                            deps = i.dependents
-                            if deps:
-                                for d in deps:
-                                    if not d.squashed and d.num_wait > 0:
-                                        d.num_wait -= 1
-                                        if d.num_wait == 0 and not d.issued:
-                                            heappush(
-                                                ready[queue_of[d.op]],
-                                                (d.gseq, d),
-                                            )
-                                i.dependents = None
-                            if i.op == op_branch:
-                                btid = i.tid
-                                threads[btid].brcount -= 1
-                                dirty = True
-                                if not i.wrongpath:
-                                    # _resolve_branch inlined: stats + train
-                                    # here, method call only on mispredicts
-                                    branches_resolved[btid] += 1
-                                    if i.brkind == bk_cond:
-                                        gidx = (
-                                            (i.pc >> 2) ^ i.ghist_snapshot
-                                        ) & gs_mask
-                                        ctr = gs_pht[gidx]
-                                        if i.taken:
-                                            if ctr < 3:
-                                                gs_pht[gidx] = ctr + 1
-                                        elif ctr > 0:
-                                            gs_pht[gidx] = ctr - 1
-                                    if i.taken:
-                                        btb_update(i.pc, i.target)
-                                    if i.mispredicted:
-                                        recover_mispredict(i)
-                    elif kind == ev_fill:
-                        i = ev[1]
-                        outstanding_pop(i.addr >> line_shift, None)
-                        if i.op == op_load:
-                            if i.dmiss_counted:
-                                tc = threads[i.tid]
-                                if tc.dmiss > 0:
-                                    tc.dmiss -= 1
-                            dirty = True
-                            on_l1d_fill(i)
-                    elif kind == ev_declare:
-                        i = ev[1]
-                        if not (i.squashed or i.completed):
-                            i.declared = True
-                            on_l2_declared(i)
-                    elif kind == ev_ungate:
-                        gate_count[ev[1]] -= 1
-                        dirty = True
-                    elif kind == ev_hybrid_gate:
-                        i = ev[1]
-                        if not i.squashed and not i.completed:
-                            gate_until_fill(i)
-                    elif kind == ev_detect:
-                        i = ev[1]
-                        i.dmiss_counted = True
-                        threads[i.tid].dmiss += 1
-                        dirty = True
-                        on_l1d_miss(i)
-                    else:  # EV_CALL
-                        ev[1]()
-            if nc:
-                for i in nc:
-                    if not i.squashed:
-                        i.completed = True
-                        i.complete_cycle = cycle
-                        deps = i.dependents
-                        if deps:
-                            for d in deps:
-                                if not d.squashed and d.num_wait > 0:
-                                    d.num_wait -= 1
-                                    if d.num_wait == 0 and not d.issued:
-                                        heappush(
-                                            ready[queue_of[d.op]],
-                                            (d.gseq, d),
-                                        )
-                            i.dependents = None
-                        if i.op == op_branch:
-                            btid = i.tid
-                            threads[btid].brcount -= 1
-                            dirty = True
-                            if not i.wrongpath:
-                                branches_resolved[btid] += 1
-                                if i.brkind == bk_cond:
-                                    gidx = (
-                                        (i.pc >> 2) ^ i.ghist_snapshot
-                                    ) & gs_mask
-                                    ctr = gs_pht[gidx]
-                                    if i.taken:
-                                        if ctr < 3:
-                                            gs_pht[gidx] = ctr + 1
-                                    elif ctr > 0:
-                                        gs_pht[gidx] = ctr - 1
-                                if i.taken:
-                                    btb_update(i.pc, i.target)
-                                if i.mispredicted:
-                                    recover_mispredict(i)
-                nc.clear()
-
-            # ---- commit
-            if self._rob_total:
-                budget = commit_width
-                free_int = self.free_int_regs
-                free_fp = self.free_fp_regs
-                popped = 0
-                start = cycle % nthreads
-                for k in range(nthreads):
-                    idx = start + k
-                    if idx >= nthreads:
-                        idx -= nthreads
-                    tc = threads[idx]
-                    rob = tc.rob
-                    while budget and rob:
-                        i = rob[0]
-                        if not i.completed:
-                            break
-                        rob.popleft()
-                        popped += 1
-                        budget -= 1
-                        tc.committed += 1
-                        committed_stat[idx] += 1
-                        op = i.op
-                        if op == op_load:
-                            loads_stat[idx] += 1
-                        elif op == op_store:
-                            stores_stat[idx] += 1
-                        d = i.dest
-                        if d >= 0:
-                            if d < 32:
-                                free_int += 1
-                            else:
-                                free_fp += 1
-                        i.prev_writer1 = None
-                    if not budget:
-                        break
-                if popped:
-                    self._rob_total -= popped
-                    dirty = True
-                    self.free_int_regs = free_int
-                    self.free_fp_regs = free_fp
-
-            # ---- issue (with the load/store execute paths inlined)
-            if r0 or r1 or r2:
-                budget = issue_width
-                c0 = units0
-                c1 = units1
-                c2 = units2
-                issued = 0
-                while budget:
-                    best_gseq = -1
-                    best_q = -1
-                    if c0:
-                        while r0 and r0[0][1].squashed:
-                            heappop(r0)
-                        if r0:
-                            best_gseq = r0[0][0]
-                            best_q = 0
-                    if c1:
-                        while r1 and r1[0][1].squashed:
-                            heappop(r1)
-                        if r1 and (best_q < 0 or r1[0][0] < best_gseq):
-                            best_gseq = r1[0][0]
-                            best_q = 1
-                    if c2:
-                        while r2 and r2[0][1].squashed:
-                            heappop(r2)
-                        if r2 and (best_q < 0 or r2[0][0] < best_gseq):
-                            best_gseq = r2[0][0]
-                            best_q = 2
-                    if best_q < 0:
-                        break
-                    if best_q == 0:
-                        i = heappop(r0)[1]
-                        c0 -= 1
-                    elif best_q == 1:
-                        i = heappop(r1)[1]
-                        c1 -= 1
-                    else:
-                        i = heappop(r2)[1]
-                        c2 -= 1
-                    budget -= 1
-                    issued += 1
-                    i.issued = True
-                    i.issue_cycle = cycle
-                    tid = i.tid
-                    tc = threads[tid]
-                    tc.icount -= 1
-                    q_free[best_q] += 1
-                    op = i.op
-                    if op == op_load:
-                        wrongpath = i.wrongpath
-                        addr = i.addr
-                        line = addr >> line_shift
-                        if not wrongpath:
-                            h_loads[tid] += 1
-                        lat = d_lat
-                        # bank conflict (Cache.bank_conflict inlined)
-                        bbit = 1 << (line & dc_bank_mask)
-                        if cycle != dcache._bank_busy_cycle:
-                            dcache._bank_busy_cycle = cycle
-                            dcache._bank_busy = bbit
-                        elif dcache._bank_busy & bbit:
-                            dcache.bank_conflicts += 1
-                            lat += 1
-                        else:
-                            dcache._bank_busy |= bbit
-                        # D-TLB (TLB.access inlined, MRU-last sets)
-                        dtlb.accesses += 1
-                        page = addr >> tlb_page_shift
-                        tset = tlb_sets[page & tlb_set_mask]
-                        tn = len(tset)
-                        if tn and tset[tn - 1] == page:
-                            tlbm = False
-                        else:
-                            tlbm = True
-                            for ti in range(tn - 1):
-                                if tset[ti] == page:
-                                    tset.append(tset.pop(ti))
-                                    tlbm = False
-                                    break
-                            if tlbm:
-                                dtlb.misses += 1
-                                if tn >= tlb_assoc:
-                                    tset.pop(0)
-                                tset.append(page)
-                                lat += tlb_penalty
-                                if not wrongpath:
-                                    h_tlb_misses[tid] += 1
-                        # outstanding-fill merge (secondary miss), then the
-                        # D-cache probe (hierarchy.load_access inlined)
-                        l1m = False
-                        l2m = False
-                        outs = out_d_get(line)
-                        if outs is not None:
-                            ofc = outs[0]
-                            if ofc > cycle + d_lat:
-                                l1m = True
-                                l2m = outs[1]
-                                fill_cycle = ofc
-                                if not wrongpath:
-                                    h_load_l1m[tid] += 1
-                                    if l2m:
-                                        h_load_l2m[tid] += 1
-                                if ofc - cycle > lat:
-                                    lat = ofc - cycle
-                            else:
-                                del out_d[line]
-                                outs = None
-                        if outs is None:
-                            dcache.accesses += 1
-                            cset = dc_sets[line & dc_set_mask]
-                            if cset and cset[-1] == line:
-                                fill_cycle = cycle + lat
-                            elif line in cset:
-                                cset.append(cset.pop(cset.index(line)))
-                                fill_cycle = cycle + lat
-                            else:
-                                dcache.misses += 1
-                                l1m = True
-                                if not wrongpath:
-                                    h_load_l1m[tid] += 1
-                                lat += l2_lat
-                                if not l2_probe(line):
-                                    l2m = True
-                                    lat += mem_lat
-                                    if not wrongpath:
-                                        h_load_l2m[tid] += 1
-                                    l2_fill(line)
-                                dc_fill(line)
-                                fill_cycle = cycle + lat
-                                out_d[line] = (fill_cycle, l2m)
-                        i.fill_cycle = fill_cycle
-                        if lat <= 1:
-                            nc_append(i)
-                        else:
-                            at = cycle + lat
-                            b = bucket_get(at)
-                            if b is None:
-                                buckets[at] = [(ev_complete, i)]
-                            else:
-                                b.append((ev_complete, i))
-                            pend += 1
-                        if tlbm:
-                            i.tlb_miss = True
-                            if not wrongpath:
-                                on_dtlb_miss(i)
-                        if l1m:
-                            i.l1_miss = True
-                            if l1_detect_extra == 0:
-                                i.dmiss_counted = True
-                                tc.dmiss += 1
-                                on_l1d_miss(i)
-                            elif fill_cycle > cycle + l1_detect_extra:
-                                at = cycle + l1_detect_extra
-                                b = bucket_get(at)
-                                if b is None:
-                                    buckets[at] = [(ev_detect, i)]
-                                else:
-                                    b.append((ev_detect, i))
-                                pend += 1
-                            b = bucket_get(fill_cycle)
-                            if b is None:
-                                buckets[fill_cycle] = [(ev_fill, i)]
-                            else:
-                                b.append((ev_fill, i))
-                            pend += 1
-                            if l2m:
-                                i.l2_miss = True
-                                if not wrongpath:
-                                    on_l2_miss(i)
-                                    declare_at = cycle + l2_declare_cycles
-                                    if fill_cycle > declare_at:
-                                        b = bucket_get(declare_at)
-                                        if b is None:
-                                            buckets[declare_at] = [
-                                                (ev_declare, i)
-                                            ]
-                                        else:
-                                            b.append((ev_declare, i))
-                                        pend += 1
-                        if wants_load_exec and not wrongpath:
-                            on_load_executed(i)
-                    elif op == op_store:
-                        # hierarchy.store_access inlined: write-allocate, no
-                        # bank conflict, latency hidden by the store buffer —
-                        # only the stats and line movement matter, plus a
-                        # fill event on a fresh miss.
-                        wrongpath = i.wrongpath
-                        addr = i.addr
-                        line = addr >> line_shift
-                        if not wrongpath:
-                            h_stores[tid] += 1
-                        dtlb.accesses += 1
-                        page = addr >> tlb_page_shift
-                        tset = tlb_sets[page & tlb_set_mask]
-                        tn = len(tset)
-                        if not (tn and tset[tn - 1] == page):
-                            tlbm = True
-                            for ti in range(tn - 1):
-                                if tset[ti] == page:
-                                    tset.append(tset.pop(ti))
-                                    tlbm = False
-                                    break
-                            if tlbm:
-                                dtlb.misses += 1
-                                if tn >= tlb_assoc:
-                                    tset.pop(0)
-                                tset.append(page)
-                                if not wrongpath:
-                                    h_tlb_misses[tid] += 1
-                        outs = out_d_get(line)
-                        if outs is not None and outs[0] > cycle:
-                            # merged with an in-flight fill: no new event
-                            if not wrongpath:
-                                h_store_l1m[tid] += 1
-                        else:
-                            if outs is not None:
-                                del out_d[line]
-                            dcache.accesses += 1
-                            cset = dc_sets[line & dc_set_mask]
-                            if cset and cset[-1] == line:
-                                pass
-                            elif line in cset:
-                                cset.append(cset.pop(cset.index(line)))
-                            else:
-                                dcache.misses += 1
-                                if not wrongpath:
-                                    h_store_l1m[tid] += 1
-                                lat = d_lat + l2_lat
-                                if l2_probe(line):
-                                    l2m = False
-                                else:
-                                    l2m = True
-                                    lat += mem_lat
-                                    l2_fill(line)
-                                dc_fill(line)
-                                fc = cycle + lat
-                                out_d[line] = (fc, l2m)
-                                # fresh store miss: fill event releases the
-                                # outstanding-line entry and policy gates
-                                b = bucket_get(fc)
-                                if b is None:
-                                    buckets[fc] = [(ev_fill, i)]
-                                else:
-                                    b.append((ev_fill, i))
-                                pend += 1
-                        if store_lat <= 1:
-                            nc_append(i)
-                        else:
-                            at = cycle + store_lat
-                            b = bucket_get(at)
-                            if b is None:
-                                buckets[at] = [(ev_complete, i)]
-                            else:
-                                b.append((ev_complete, i))
-                            pend += 1
-                    else:
-                        lat = latency[op]
-                        if lat <= 1:
-                            nc_append(i)
-                        else:
-                            at = cycle + lat
-                            b = bucket_get(at)
-                            if b is None:
-                                buckets[at] = [(ev_complete, i)]
-                            else:
-                                b.append((ev_complete, i))
-                            pend += 1
-                if issued:
-                    stats.issued += issued
-                    dirty = True
-
-            # ---- dispatch
-            if pipe:
-                budget = fetch_width
-                free_int = self.free_int_regs
-                free_fp = self.free_fp_regs
-                dispatched = 0
-                while budget and pipe:
-                    i = pipe[0]
-                    if i.squashed:
-                        pipe_popleft()
-                        threads[i.tid].pipe_count -= 1
-                        dirty = True
-                        continue
-                    if i.fetch_cycle + frontend_depth > cycle:
-                        break
-                    q = queue_of[i.op]
-                    if q_free[q] <= 0:
-                        break
-                    tc = threads[i.tid]
-                    rob = tc.rob
-                    if len(rob) >= rob_cap:
-                        break
-                    d = i.dest
-                    if d >= 0:
-                        if d < 32:
-                            if free_int <= 0:
-                                break
-                            free_int -= 1
-                        else:
-                            if free_fp <= 0:
-                                break
-                            free_fp -= 1
-                    pipe_popleft()
-                    tc.pipe_count -= 1
-                    rm = tc.renmap
-                    nw = 0
-                    s = i.src1
-                    if s >= 0:
-                        p = rm[s]
-                        if p is not None and not p.completed:
-                            nw = 1
-                            pd = p.dependents
-                            if pd is None:
-                                p.dependents = [i]
-                            else:
-                                pd.append(i)
-                    s = i.src2
-                    if s >= 0:
-                        p = rm[s]
-                        if p is not None and not p.completed:
-                            nw += 1
-                            pd = p.dependents
-                            if pd is None:
-                                p.dependents = [i]
-                            else:
-                                pd.append(i)
-                    if d >= 0:
-                        i.prev_writer1 = rm[d]
-                        rm[d] = i
-                    q_free[q] -= 1
-                    rob.append(i)
-                    dispatched += 1
-                    i.dispatched = True
-                    i.dispatch_cycle = cycle
-                    budget -= 1
-                    if nw == 0:
-                        heappush(ready[q], (i.gseq, i))
-                    else:
-                        i.num_wait = nw
-                if dispatched:
-                    stats.dispatched += dispatched
-                    self._rob_total += dispatched
-                self.free_int_regs = free_int
-                self.free_fp_regs = free_fp
-
-            # ---- fetch
-            if dirty or not order_cacheable or self.order_dirty:
-                order = fetch_order()
-                self._order_cache = order
-                dirty = False
-                self.order_dirty = False
-            else:
-                order = self._order_cache
-            if order:
-                room = pipe_cap - len(pipe)
-                if room > 0:
-                    budget = fetch_width if fetch_width <= room else room
-                    slots = fetch_threads
-                    gseq = self.gseq
-                    slots_used = 0
-                    for tid in order:
-                        if budget <= 0 or slots <= 0:
-                            break
-                        tc = threads[tid]
-                        if tc.fetch_ready_cycle > cycle:
-                            continue
-                        tlen = trace_lens[tid]
-                        if tc.wrongpath:
-                            pc = tc.wp_pc
-                        else:
-                            pc = trace_recs[tid][tc.cursor % tlen][1]
-                        slots -= 1
-                        # I-cache lookup (hierarchy.ifetch_ready inlined:
-                        # outstanding-fill check, MRU probe; refill path
-                        # still calls l2.probe / Cache.fill)
-                        first_line = pc >> line_shift
-                        iready = out_i_get(first_line)
-                        if iready is not None:
-                            if iready > cycle:
-                                tc.fetch_ready_cycle = iready
-                                continue
-                            del out_i[first_line]
-                        icache.accesses += 1
-                        iset = ic_sets[first_line & ic_set_mask]
-                        if iset and iset[-1] == first_line:
-                            pass
-                        elif first_line in iset:
-                            iset.append(iset.pop(iset.index(first_line)))
-                        else:
-                            icache.misses += 1
-                            h_if_misses[tid] += 1
-                            ilat = if_miss_lat
-                            if not l2_probe(first_line):
-                                ilat += mem_lat
-                                l2_fill(first_line)
-                            ic_fill(first_line)
-                            iready = cycle + ilat
-                            out_i[first_line] = iready
-                            tc.fetch_ready_cycle = iready
-                            continue
-                        recs = trace_recs[tid]
-                        seq = tc.seq_next
-                        burst = 0
-                        while budget > 0:
-                            # DynInstr.__init__ inlined: the hottest
-                            # allocation in the simulator — direct slot
-                            # stores skip the constructor frame and the
-                            # *rec unpack (see docs/PERFORMANCE.md).
-                            if tc.wrongpath:
-                                pc = tc.wp_pc
-                                if pc >> line_shift != first_line:
-                                    break
-                                rec = wp_memo_gets[tid](pc)
-                                if rec is None:
-                                    rec = wp_supplies[tid](pc)
-                                i = instr_new(instr_cls)
-                                i.tid = tid
-                                i.seq = seq
-                                i.idx = -1
-                                i.op = op = rec[0]
-                                i.pc = pc
-                                i.dest = rec[1]
-                                i.src1 = rec[2]
-                                i.src2 = rec[3]
-                                i.addr = rec[4]
-                                i.brkind = rec[5]
-                                i.taken = rec[6]
-                                i.target = rec[7]
-                                i.wrongpath = True
-                            else:
-                                cursor = tc.cursor
-                                rec = recs[cursor % tlen]
-                                pc = rec[1]
-                                if pc >> line_shift != first_line:
-                                    break
-                                i = instr_new(instr_cls)
-                                i.tid = tid
-                                i.seq = seq
-                                i.idx = cursor
-                                i.op = op = rec[0]
-                                i.pc = pc
-                                i.dest = rec[2]
-                                i.src1 = rec[3]
-                                i.src2 = rec[4]
-                                i.addr = rec[5]
-                                i.brkind = rec[6]
-                                i.taken = rec[7]
-                                i.target = rec[8]
-                                i.wrongpath = False
-                            # Branch-only fields (pred_*, mispredicted,
-                            # *_snapshot) and load-only fields (pmeta,
-                            # miss flags, fill_cycle) are initialized in
-                            # the per-op arms below — every reader is
-                            # op-guarded, so INT/FP/STORE skip ~13 slot
-                            # stores each.
-                            i.fetch_cycle = cycle
-                            i.dispatched = False
-                            i.issued = False
-                            i.completed = False
-                            i.squashed = False
-                            i.gseq = gseq
-                            # num_wait deliberately left unset: it is only
-                            # read on instructions that were registered as
-                            # some producer's dependent, and dispatch
-                            # writes it for exactly those (nw > 0).
-                            i.dependents = None
-                            seq += 1
-                            gseq += 1
-                            pipe_append(i)
-                            burst += 1
-                            budget -= 1
-                            if op == op_branch:
-                                tc.brcount += 1
-                                i.mispredicted = False
-                                if i.brkind == bk_cond:
-                                    # _fetch_branch + predictor.predict
-                                    # inlined for the dominant COND case
-                                    # (RET/CALL/JUMP take the method call)
-                                    predictor.lookups += 1
-                                    hist = gs_hist[tid]
-                                    gidx = ((pc >> 2) ^ hist) & gs_mask
-                                    ptaken = gs_pht[gidx] >= 2
-                                    gs_hist[tid] = (
-                                        (hist << 1) | ptaken
-                                    ) & gs_hist_mask
-                                    btbm = False
-                                    if ptaken:
-                                        ptarget = None
-                                        bset = btb_sets[
-                                            (pc >> 2) & btb_set_mask
-                                        ]
-                                        bn = len(bset)
-                                        for bi in range(bn):
-                                            ent = bset[bi]
-                                            if ent[0] == pc:
-                                                if bi != bn - 1:
-                                                    bset.append(bset.pop(bi))
-                                                btb.hits += 1
-                                                ptarget = ent[1]
-                                                break
-                                        if ptarget is None:
-                                            btb.misses += 1
-                                            btbm = True
-                                            ptarget = 0
-                                    else:
-                                        ptarget = pc + 4
-                                    i.pred_taken = ptaken
-                                    i.pred_target = ptarget
-                                    i.ghist_snapshot = hist
-                                    i.ras_snapshot = ras_list[tid]._tos
-                                    if tc.wrongpath:
-                                        if btbm:
-                                            tc.fetch_ready_cycle = (
-                                                cycle + 1 + misfetch_penalty
-                                            )
-                                            tc.wp_pc = pc + 4
-                                            break
-                                        if ptaken:
-                                            tc.wp_pc = ptarget
-                                            break
-                                        tc.wp_pc = pc + 4
-                                    else:
-                                        tc.cursor = cursor + 1
-                                        if btbm:
-                                            tc.fetch_ready_cycle = (
-                                                cycle + 1 + misfetch_penalty
-                                            )
-                                            if not i.taken:
-                                                i.mispredicted = True
-                                                tc.wrongpath = True
-                                                tc.wp_pc = i.target
-                                            break
-                                        if ptaken != i.taken:
-                                            i.mispredicted = True
-                                            tc.wrongpath = True
-                                            tc.wp_pc = (
-                                                ptarget if ptaken else pc + 4
-                                            )
-                                        elif ptaken and ptarget != i.target:
-                                            i.mispredicted = True
-                                            tc.wrongpath = True
-                                            tc.wp_pc = ptarget
-                                        if ptaken:
-                                            break
-                                elif fetch_branch(tc, i):
-                                    break
-                            else:
-                                if op == op_load:
-                                    i.pmeta = None
-                                    i.l1_miss = False
-                                    i.l2_miss = False
-                                    i.tlb_miss = False
-                                    i.dmiss_counted = False
-                                    i.fill_cycle = -1
-                                    if wants_load_fetch:
-                                        on_load_fetched(i)
-                                if tc.wrongpath:
-                                    tc.wp_pc = pc + 4
-                                else:
-                                    tc.cursor = cursor + 1
-                        if burst:
-                            tc.seq_next = seq
-                            tc.pipe_count += burst
-                            tc.icount += burst
-                            tc.fetched += burst
-                            fetched_stat[tid] += burst
-                            slots_used += burst
-                    if slots_used:
-                        self.gseq = gseq
-                        stats.fetch_slots_used += slots_used
-                        dirty = True
-
-            if pend:
-                events.pending += pend
-                pend = 0
-            cycle += 1
-        self.cycle = end
-        stats.cycles += n
-        self.order_dirty = dirty
+        for _ in range(n):
+            self._step()
 
     def _begin_window(self) -> None:
         self.stats.snapshot()
@@ -1427,67 +528,106 @@ class Simulator:
         )
 
     # ------------------------------------------------------------- one cycle
+    # Each stage opens with the bindings it reads (see repro.core.splice).
 
     def _step(self) -> None:
-        """One cycle. Quiesced structures are skipped wholesale: no pending
-        events -> no drain, empty ROBs -> no commit scan, empty ready queues
-        -> no issue scan, empty pipe -> no dispatch scan. The skips are pure
-        fast paths — each stage method is still a no-op on empty state, so
-        tests that monkeypatch a stage observe the same behaviour."""
-        cycle = self.cycle
+        """One cycle: drain events -> commit -> issue -> dispatch -> fetch.
+
+        Quiesced structures are skipped wholesale: no pending events -> no
+        drain, empty ROBs -> no commit scan, empty ready queues -> no issue
+        scan, empty pipe -> no dispatch scan. The skips are pure fast
+        paths — each stage method is still a no-op on empty state, so tests
+        that monkeypatch a stage observe the same behaviour.
+        """
         events = self.events
+        buckets = events.buckets
         nc = self._next_completes
-        if nc:
-            self._next_completes = []
+        ready = self.ready
+        pipe = self.pipe
+        stats = self.stats
+        policy = self.policy
+        cycle = self.cycle
+        # Drain the wheel bucket first, then last cycle's latency-1
+        # completions (their position at the bucket's tail, see
+        # _complete_after).
         if events.pending:
-            for ev in events.drain(cycle):
-                kind = ev[0]
-                if kind == EV_COMPLETE:
-                    self._complete(ev[1])
-                elif kind == EV_FILL:
-                    self._fill(ev[1])
-                elif kind == EV_DECLARE:
-                    self._declare(ev[1])
-                elif kind == EV_UNGATE:
-                    self.policy._gate_count[ev[1]] -= 1
-                    self.order_dirty = True
-                elif kind == EV_HYBRID_GATE:
-                    i = ev[1]
-                    if not i.squashed and not i.completed:
-                        self.policy.gate_until_fill(i)
-                elif kind == EV_DETECT:
-                    i = ev[1]
-                    i.dmiss_counted = True
-                    self.threads[i.tid].dmiss += 1
-                    self.order_dirty = True
-                    self.policy.on_l1d_miss(i)
-                else:  # EV_CALL
-                    ev[1]()
+            bucket = buckets.pop(cycle, None)
+            if bucket is not None:
+                events.pending -= len(bucket)
+                for ev in bucket:
+                    kind = ev[0]
+                    if kind == EV_COMPLETE:
+                        self._complete(ev[1])
+                    elif kind == EV_FILL:
+                        self._fill(ev[1])
+                    elif kind == EV_DECLARE:
+                        self._declare(ev[1])
+                    elif kind == EV_UNGATE:  # only gating policies schedule it
+                        policy._gate_count[ev[1]] -= 1
+                        self.order_dirty = True
+                    elif kind == EV_HYBRID_GATE:
+                        i = ev[1]
+                        if not i.squashed and not i.completed:
+                            policy.gate_until_fill(i)
+                    elif kind == EV_DETECT:
+                        self._detect(ev[1])
+                    else:  # EV_CALL
+                        ev[1]()
         if nc:
-            complete = self._complete
             for i in nc:
-                complete(i)
+                self._complete(i)
+            nc.clear()
         if self._rob_total:
             self._commit()
-        ready = self.ready
         if ready[0] or ready[1] or ready[2]:
             self._issue()
-        if self.pipe:
+        if pipe:
             self._dispatch()
         self._fetch()
-        self.cycle = cycle + 1
-        self.stats.cycles += 1
+        self.cycle += 1
+        stats.cycles += 1
 
     # ---------------------------------------------------------------- events
 
+    def _schedule(self, at: int, event: tuple) -> None:
+        """``events.schedule(at, event)``, written here so the generated
+        loop splices it instead of calling into the wheel."""
+        events = self.events
+        buckets = events.buckets
+        b = buckets.get(at)
+        if b is None:
+            buckets[at] = [event]
+        else:
+            b.append(event)
+        events.pending += 1
+
+    def _complete_after(self, i: DynInstr, lat: int) -> None:
+        """Schedule ``i``'s completion ``lat`` cycles from now.
+
+        Latency-1 completions bypass the wheel: they ride
+        ``_next_completes`` and drain at the start of the next cycle, after
+        that cycle's wheel bucket — the position they held as the bucket's
+        newest entries, since everything else landing in it was scheduled
+        on an earlier cycle. The one exception, an ``l1_detect_extra == 1``
+        EV_DETECT scheduled in the same issue phase, is observable by
+        nothing: its handler touches only per-thread miss counters, which
+        completions never read in the same cycle.
+        """
+        nc_append = self._next_completes.append
+        if lat <= 1:
+            nc_append(i)
+        else:
+            self._schedule(self.cycle + lat, (EV_COMPLETE, i))
+
     def _complete(self, i: DynInstr) -> None:
+        ready = self.ready
+        threads = self.threads
         if i.squashed:
             return
         i.completed = True
         i.complete_cycle = self.cycle
         deps = i.dependents
         if deps:
-            ready = self.ready
             for d in deps:
                 if not d.squashed and d.num_wait > 0:
                     d.num_wait -= 1
@@ -1495,24 +635,39 @@ class Simulator:
                         heappush(ready[QUEUE_OF[d.op]], (d.gseq, d))
             i.dependents = None
         if i.op == _OP_BRANCH:
-            self.threads[i.tid].brcount -= 1
+            threads[i.tid].brcount -= 1
             self.order_dirty = True
             if not i.wrongpath:
                 self._resolve_branch(i)
 
     def _resolve_branch(self, i: DynInstr) -> None:
-        tid = i.tid
-        self.stats.branches_resolved[tid] += 1
-        self.predictor.train(tid, i.pc, i.ghist_snapshot, i.brkind, i.taken, i.target)
-        if not i.mispredicted:
-            return
-        self._recover_mispredict(i)
+        """Train the predictor on a resolved correct-path branch
+        (``FrontEndPredictor.train``: the PHT counter the prediction read,
+        then the BTB target) and recover if it was mispredicted."""
+        branches_resolved = self.stats.branches_resolved
+        predictor = self.predictor
+        gshare = predictor.gshare
+        gs_pht = gshare._pht
+        gs_mask = gshare._mask
+        btb_update = predictor.btb.update
+        branches_resolved[i.tid] += 1
+        if i.brkind == _BK_COND:
+            gidx = ((i.pc >> 2) ^ i.ghist_snapshot) & gs_mask
+            ctr = gs_pht[gidx]
+            if i.taken:
+                if ctr < 3:
+                    gs_pht[gidx] = ctr + 1
+            elif ctr > 0:
+                gs_pht[gidx] = ctr - 1
+        if i.taken:
+            btb_update(i.pc, i.target)
+        if i.mispredicted:
+            self._recover_mispredict(i)
 
     def _recover_mispredict(self, i: DynInstr) -> None:
         """Mispredict tail of branch resolution: squash younger, redirect
         fetch, restore predictor state. Split from :meth:`_resolve_branch`
-        so the fused loop can inline the common (correctly-predicted)
-        resolve path and only pay a call on actual mispredicts."""
+        so the correctly-predicted resolve path pays no call."""
         tid = i.tid
         self.stats.mispredicts[tid] += 1
         tc = self.threads[tid]
@@ -1533,36 +688,56 @@ class Simulator:
             self.predictor.ras[tid].pop()
 
     def _fill(self, i: DynInstr) -> None:
-        self.hierarchy.fill_arrived(i.addr >> self._line_shift)
+        fill_arrived = self.hierarchy.fill_arrived
+        line_shift = self._line_shift
+        threads = self.threads
+        on_l1d_fill = self.policy.on_l1d_fill
+        fill_arrived(i.addr >> line_shift)
         if i.op == _OP_LOAD:
             if i.dmiss_counted:
-                tc = self.threads[i.tid]
+                tc = threads[i.tid]
                 if tc.dmiss > 0:
                     tc.dmiss -= 1
             self.order_dirty = True
-            self.policy.on_l1d_fill(i)
+            on_l1d_fill(i)
 
     def _declare(self, i: DynInstr) -> None:
+        on_l2_declared = self.policy.on_l2_declared
         if i.squashed or i.completed:
             return
         i.declared = True
-        self.policy.on_l2_declared(i)
+        on_l2_declared(i)
+
+    def _detect(self, i: DynInstr) -> None:
+        """Load ``i``'s L1-D miss reaches the front end: its thread counts
+        one more in-flight miss (DWarn's Dmiss group, §3) until the fill
+        arrives (:meth:`_fill`)."""
+        threads = self.threads
+        on_l1d_miss = self.policy.on_l1d_miss
+        i.dmiss_counted = True
+        threads[i.tid].dmiss += 1
+        self.order_dirty = True
+        on_l1d_miss(i)
 
     # ---------------------------------------------------------------- commit
 
     def _commit(self) -> None:
-        budget = self._commit_width
         threads = self.threads
-        n = self.num_threads
-        committed_stat = self.stats.committed
-        loads_stat = self.stats.loads_committed
-        stores_stat = self.stats.stores_committed
+        nthreads = self.num_threads
+        stats = self.stats
+        committed_stat = stats.committed
+        loads_stat = stats.loads_committed
+        stores_stat = stats.stores_committed
+        budget = self._commit_width
         free_int = self.free_int_regs
         free_fp = self.free_fp_regs
         popped = 0
-        start = self.cycle % n
-        for k in range(n):
-            tc = threads[(start + k) % n]
+        start = self.cycle % nthreads
+        for k in range(nthreads):
+            idx = start + k
+            if idx >= nthreads:
+                idx -= nthreads
+            tc = threads[idx]
             rob = tc.rob
             while budget and rob:
                 i = rob[0]
@@ -1571,14 +746,13 @@ class Simulator:
                 rob.popleft()
                 popped += 1
                 budget -= 1
-                tid = i.tid
                 tc.committed += 1
-                committed_stat[tid] += 1
+                committed_stat[idx] += 1
                 op = i.op
                 if op == _OP_LOAD:
-                    loads_stat[tid] += 1
+                    loads_stat[idx] += 1
                 elif op == _OP_STORE:
-                    stores_stat[tid] += 1
+                    stores_stat[idx] += 1
                 d = i.dest
                 if d >= 0:
                     if d < 32:
@@ -1597,37 +771,67 @@ class Simulator:
     # ----------------------------------------------------------------- issue
 
     def _issue(self) -> None:
-        budget = self._issue_width
-        r0, r1, r2 = self.ready
-        c0, c1, c2 = self._units
-        cycle = self.cycle
-        stats = self.stats
-        threads = self.threads
-        latency = self._latency
-        events = self.events
-        q_free = self.q_free
-        issued_any = False
+        """Oldest-first select across the three queues, honoring per-class
+        functional-unit limits; squashed entries are skipped lazily. The
+        queues hold (gseq, instr) tuples: heap ordering resolves on the int
+        key at C speed without calling back into Python.
 
+        Stores execute here: ``MemoryHierarchy.store_access`` written out —
+        write-allocate, no bank conflict, latency hidden by the store
+        buffer, so only the stats and line movement matter, plus a fill
+        event on a fresh miss.
+        """
+        ready = self.ready
+        r0 = ready[0]
+        r1 = ready[1]
+        r2 = ready[2]
+        units = self._units
+        threads = self.threads
+        q_free = self.q_free
+        latency = self._latency
+        store_lat = latency[_OP_STORE]
+        stats = self.stats
+        hierarchy = self.hierarchy
+        memcfg = hierarchy.cfg
+        d_lat = memcfg.dcache.latency
+        l2_lat = memcfg.l2.latency
+        mem_lat = memcfg.memory_latency
+        dcache = hierarchy.dcache
+        dc_sets = dcache._sets
+        dc_set_mask = dcache._set_mask
+        dtlb = hierarchy.dtlb
+        tlb_sets = dtlb._sets
+        tlb_page_shift = dtlb._page_shift
+        tlb_set_mask = dtlb._set_mask
+        tlb_assoc = dtlb._assoc
+        l2 = hierarchy.l2
+        out_d = hierarchy._outstanding_d
+        h_stores = hierarchy.stores
+        h_store_l1m = hierarchy.store_l1_misses
+        h_tlb_misses = hierarchy.tlb_misses
+        line_shift = self._line_shift
+        cycle = self.cycle
+        budget = self._issue_width
+        c0 = units[0]
+        c1 = units[1]
+        c2 = units[2]
+        issued = 0
         while budget:
-            # Oldest-first select across the three queues, honoring per-class
-            # functional-unit limits; squashed entries are skipped lazily.
-            # The queues hold (gseq, instr) tuples: heap ordering resolves on
-            # the int key at C speed without calling back into Python.
             best_gseq = -1
             best_q = -1
-            if c0 > 0:
+            if c0:
                 while r0 and r0[0][1].squashed:
                     heappop(r0)
                 if r0:
                     best_gseq = r0[0][0]
                     best_q = 0
-            if c1 > 0:
+            if c1:
                 while r1 and r1[0][1].squashed:
                     heappop(r1)
                 if r1 and (best_q < 0 or r1[0][0] < best_gseq):
                     best_gseq = r1[0][0]
                     best_q = 1
-            if c2 > 0:
+            if c2:
                 while r2 and r2[0][1].squashed:
                     heappop(r2)
                 if r2 and (best_q < 0 or r2[0][0] < best_gseq):
@@ -1645,73 +849,220 @@ class Simulator:
                 i = heappop(r2)[1]
                 c2 -= 1
             budget -= 1
-            issued_any = True
+            issued += 1
             i.issued = True
             i.issue_cycle = cycle
-            tc = threads[i.tid]
-            tc.icount -= 1
+            tid = i.tid
+            threads[tid].icount -= 1
             q_free[best_q] += 1
-            stats.issued += 1
             op = i.op
             if op == _OP_LOAD:
-                self._execute_load(i, tc)
+                self._execute_load(i, cycle)
             elif op == _OP_STORE:
-                res = self.hierarchy.store_access(
-                    i.tid, i.addr, cycle, count_stats=not i.wrongpath
-                )
-                if res.l1_miss and not res.merged:
-                    events.schedule(res.fill_cycle, (EV_FILL, i))
-                lat = latency[op]
-                if lat <= 1:
-                    self._next_completes.append(i)
+                wrongpath = i.wrongpath
+                addr = i.addr
+                line = addr >> line_shift
+                if not wrongpath:
+                    h_stores[tid] += 1
+                dtlb.accesses += 1
+                page = addr >> tlb_page_shift
+                tset = tlb_sets[page & tlb_set_mask]
+                tn = len(tset)
+                if not (tn and tset[tn - 1] == page):
+                    tlbm = True
+                    for ti in range(tn - 1):
+                        if tset[ti] == page:
+                            tset.append(tset.pop(ti))
+                            tlbm = False
+                            break
+                    if tlbm:
+                        dtlb.misses += 1
+                        if tn >= tlb_assoc:
+                            tset.pop(0)
+                        tset.append(page)
+                        if not wrongpath:
+                            h_tlb_misses[tid] += 1
+                outs = out_d.get(line)
+                if outs is not None and outs[0] > cycle:
+                    # merged with an in-flight fill: no new event
+                    if not wrongpath:
+                        h_store_l1m[tid] += 1
                 else:
-                    events.schedule(cycle + lat, (EV_COMPLETE, i))
+                    if outs is not None:
+                        del out_d[line]
+                    dcache.accesses += 1
+                    cset = dc_sets[line & dc_set_mask]
+                    if cset and cset[-1] == line:
+                        pass
+                    elif line in cset:
+                        cset.append(cset.pop(cset.index(line)))
+                    else:
+                        dcache.misses += 1
+                        if not wrongpath:
+                            h_store_l1m[tid] += 1
+                        lat = d_lat + l2_lat
+                        if l2.probe(line):
+                            l2m = False
+                        else:
+                            l2m = True
+                            lat += mem_lat
+                            l2.fill(line)
+                        dcache.fill(line)
+                        fill_cycle = cycle + lat
+                        out_d[line] = (fill_cycle, l2m)
+                        # a fresh store miss: the fill event releases the
+                        # outstanding-line entry and policy gates
+                        self._schedule(fill_cycle, (EV_FILL, i))
+                self._complete_after(i, store_lat)
             else:
-                lat = latency[op]
-                if lat <= 1:
-                    self._next_completes.append(i)
-                else:
-                    events.schedule(cycle + lat, (EV_COMPLETE, i))
-        if issued_any:
+                self._complete_after(i, latency[op])
+        if issued:
+            stats.issued += issued
             self.order_dirty = True
 
-    def _execute_load(self, i: DynInstr, tc: ThreadContext) -> None:
-        cycle = self.cycle
-        res = self.hierarchy.load_access(i.tid, i.addr, cycle, count_stats=not i.wrongpath)
-        i.fill_cycle = res.fill_cycle
-        lat = res.latency
-        if lat <= 1:
-            self._next_completes.append(i)
-        else:
-            self.events.schedule(cycle + lat, (EV_COMPLETE, i))
+    def _execute_load(self, i: DynInstr, cycle: int) -> None:
+        """Execute load ``i`` issued at ``cycle``.
+
+        ``MemoryHierarchy.load_access`` written out — bank conflict, D-TLB,
+        outstanding-fill merge (secondary miss) and the MRU-first cache
+        probe, with its exact stat side effects; only the refills call
+        ``Cache.fill`` and the L2 probe. Then the policy hooks and the miss
+        events.
+        """
+        hierarchy = self.hierarchy
+        memcfg = hierarchy.cfg
+        d_lat = memcfg.dcache.latency
+        l2_lat = memcfg.l2.latency
+        mem_lat = memcfg.memory_latency
+        tlb_penalty = memcfg.dtlb.miss_penalty
+        dcache = hierarchy.dcache
+        dc_sets = dcache._sets
+        dc_set_mask = dcache._set_mask
+        dc_bank_mask = dcache._bank_mask
+        dtlb = hierarchy.dtlb
+        tlb_sets = dtlb._sets
+        tlb_page_shift = dtlb._page_shift
+        tlb_set_mask = dtlb._set_mask
+        tlb_assoc = dtlb._assoc
+        l2 = hierarchy.l2
+        out_d = hierarchy._outstanding_d
+        h_loads = hierarchy.loads
+        h_load_l1m = hierarchy.load_l1_misses
+        h_load_l2m = hierarchy.load_l2_misses
+        h_tlb_misses = hierarchy.tlb_misses
         policy = self.policy
-        if res.tlb_miss:
+        on_load_executed = policy.on_load_executed
+        wants_load_exec = self._wants_load_exec
+        line_shift = self._line_shift
+        l1_detect_extra = self._l1_detect_extra
+        l2_declare_cycles = self._l2_declare_cycles
+        tid = i.tid
+        wrongpath = i.wrongpath
+        addr = i.addr
+        line = addr >> line_shift
+        if not wrongpath:
+            h_loads[tid] += 1
+        lat = d_lat
+        # one access per bank per cycle; a conflict costs one retry cycle
+        bbit = 1 << (line & dc_bank_mask)
+        if cycle != dcache._bank_busy_cycle:
+            dcache._bank_busy_cycle = cycle
+            dcache._bank_busy = bbit
+        elif dcache._bank_busy & bbit:
+            dcache.bank_conflicts += 1
+            lat += 1
+        else:
+            dcache._bank_busy |= bbit
+        # D-TLB (MRU-last sets)
+        dtlb.accesses += 1
+        page = addr >> tlb_page_shift
+        tset = tlb_sets[page & tlb_set_mask]
+        tn = len(tset)
+        if tn and tset[tn - 1] == page:
+            tlbm = False
+        else:
+            tlbm = True
+            for ti in range(tn - 1):
+                if tset[ti] == page:
+                    tset.append(tset.pop(ti))
+                    tlbm = False
+                    break
+            if tlbm:
+                dtlb.misses += 1
+                if tn >= tlb_assoc:
+                    tset.pop(0)
+                tset.append(page)
+                lat += tlb_penalty
+                if not wrongpath:
+                    h_tlb_misses[tid] += 1
+        l1m = False
+        l2m = False
+        outs = out_d.get(line)
+        if outs is not None:
+            ofc = outs[0]
+            if ofc > cycle + d_lat:
+                # secondary miss: merge with the in-flight fill
+                l1m = True
+                l2m = outs[1]
+                fill_cycle = ofc
+                if not wrongpath:
+                    h_load_l1m[tid] += 1
+                    if l2m:
+                        h_load_l2m[tid] += 1
+                if ofc - cycle > lat:
+                    lat = ofc - cycle
+            else:
+                del out_d[line]  # fill already arrived; stale entry
+                outs = None
+        if outs is None:
+            dcache.accesses += 1
+            cset = dc_sets[line & dc_set_mask]
+            if cset and cset[-1] == line:
+                fill_cycle = cycle + lat
+            elif line in cset:
+                cset.append(cset.pop(cset.index(line)))
+                fill_cycle = cycle + lat
+            else:
+                dcache.misses += 1
+                l1m = True
+                if not wrongpath:
+                    h_load_l1m[tid] += 1
+                lat += l2_lat
+                if not l2.probe(line):
+                    l2m = True
+                    lat += mem_lat
+                    if not wrongpath:
+                        h_load_l2m[tid] += 1
+                    l2.fill(line)
+                dcache.fill(line)
+                fill_cycle = cycle + lat
+                out_d[line] = (fill_cycle, l2m)
+        i.fill_cycle = fill_cycle
+        self._complete_after(i, lat)
+        if tlbm:
             i.tlb_miss = True
-            if not i.wrongpath:
+            if not wrongpath:
                 policy.on_dtlb_miss(i)
-        if res.l1_miss:
+        if l1m:
             i.l1_miss = True
-            detect_extra = self._l1_detect_extra
-            if detect_extra == 0:
+            if l1_detect_extra == 0:
                 # Baseline: the fetch stage learns of the miss at probe time.
-                i.dmiss_counted = True
-                tc.dmiss += 1
-                policy.on_l1d_miss(i)
-            elif res.fill_cycle > cycle + detect_extra:
+                self._detect(i)
+            elif fill_cycle > cycle + l1_detect_extra:
                 # Deeper pipeline (§6): the miss indication takes extra
                 # cycles to reach the front end; misses that resolve first
                 # are never seen by the counters at all.
-                self.events.schedule(cycle + detect_extra, (EV_DETECT, i))
-            self.events.schedule(res.fill_cycle, (EV_FILL, i))
-            if res.l2_miss:
+                self._schedule(cycle + l1_detect_extra, (EV_DETECT, i))
+            self._schedule(fill_cycle, (EV_FILL, i))
+            if l2m:
                 i.l2_miss = True
-                if not i.wrongpath:
+                if not wrongpath:
                     policy.on_l2_miss(i)
-                    declare_at = cycle + self._l2_declare_cycles
-                    if res.fill_cycle > declare_at:
-                        self.events.schedule(declare_at, (EV_DECLARE, i))
-        if self._wants_load_exec and not i.wrongpath:
-            policy.on_load_executed(i)
+                    declare_at = cycle + l2_declare_cycles
+                    if fill_cycle > declare_at:
+                        self._schedule(declare_at, (EV_DECLARE, i))
+        if wants_load_exec and not wrongpath:
+            on_load_executed(i)
 
     # -------------------------------------------------------------- dispatch
 
@@ -1723,15 +1074,15 @@ class Simulator:
         destination) a physical register. A blocked head stalls the whole
         pipe: the front end is a rigid in-order structure.
         """
-        budget = self._fetch_width  # rename width tracks fetch width
-        depth = self._frontend_depth
-        rob_cap = self._rob_cap
-        cycle = self.cycle
         threads = self.threads
         q_free = self.q_free
         ready = self.ready
         stats = self.stats
         pipe = self.pipe
+        frontend_depth = self._frontend_depth
+        rob_cap = self._rob_cap
+        cycle = self.cycle
+        budget = self._fetch_width  # rename width tracks fetch width
         free_int = self.free_int_regs
         free_fp = self.free_fp_regs
         dispatched = 0
@@ -1744,7 +1095,7 @@ class Simulator:
                 # input), so draining squashed instrs can reorder fetch.
                 self.order_dirty = True
                 continue
-            if i.fetch_cycle + depth > cycle:
+            if i.fetch_cycle + frontend_depth > cycle:
                 break
             q = QUEUE_OF[i.op]
             if q_free[q] <= 0:
@@ -1809,36 +1160,56 @@ class Simulator:
     # ----------------------------------------------------------------- fetch
 
     def _fetch(self) -> None:
-        cycle = self.cycle
+        """Fetch up to ``fetch_width`` instructions from at most
+        ``fetch_threads`` threads in the policy's priority order, one
+        I-cache line per thread per cycle, predicting branches as they
+        are fetched."""
+        threads = self.threads
         policy = self.policy
+        fetch_order = policy.fetch_order
+        on_load_fetched = policy.on_load_fetched
+        pipe = self.pipe
+        stats = self.stats
+        fetched_stat = stats.fetched
+        ifetch_ready = self.hierarchy.ifetch_ready
+        predictor = self.predictor
+        gshare = predictor.gshare
+        gs_pht = gshare._pht
+        gs_mask = gshare._mask
+        gs_hist = gshare._hist
+        gs_hist_mask = gshare._hist_mask
+        btb = predictor.btb
+        btb_sets = btb._sets
+        btb_set_mask = btb._set_mask
+        ras_list = predictor.ras
+        instr_new = DynInstr.__new__
+        line_shift = self._line_shift
+        fetch_width = self._fetch_width
+        fetch_threads = self._fetch_threads
+        pipe_cap = self._pipe_cap
+        misfetch_penalty = self._misfetch_penalty
+        wants_load_fetch = self._wants_load_fetch
+        order_cacheable = self._order_cacheable
+        cycle = self.cycle
         # Priority recomputation hides behind the dirty flag: during long
         # memory stalls (nothing fetched/issued/filled/committed) the order
         # provably cannot change for cacheable policies, so the sort is
         # skipped entirely.
-        if self.order_dirty or not self._order_cacheable:
-            order = policy.fetch_order()
+        if self.order_dirty or not order_cacheable:
+            order = fetch_order()
             self._order_cache = order
             self.order_dirty = False
         else:
             order = self._order_cache
         if not order:
             return
-        budget = self._fetch_width
-        pipe = self.pipe
-        room = self._pipe_cap - len(pipe)
+        room = pipe_cap - len(pipe)
         if room <= 0:
             return  # the shared decode/rename pipe is backed up
-        if room < budget:
-            budget = room
-        slots = self._fetch_threads
-        threads = self.threads
-        fetched_stat = self.stats.fetched
-        line_shift = self._line_shift
-        wants_load_fetch = self._wants_load_fetch
-        ifetch_ready = self.hierarchy.ifetch_ready
+        budget = fetch_width if fetch_width <= room else room
+        slots = fetch_threads
         gseq = self.gseq
         slots_used = 0
-
         for tid in order:
             if budget <= 0 or slots <= 0:
                 break
@@ -1846,78 +1217,187 @@ class Simulator:
             if tc.fetch_ready_cycle > cycle:
                 continue
             trace = tc.trace
+            recs = trace.rec
             tlen = trace.length
             if tc.wrongpath:
                 pc = tc.wp_pc
             else:
-                pc = trace.rec[tc.cursor % tlen][1]
+                pc = recs[tc.cursor % tlen][1]
             slots -= 1
             ready_at = ifetch_ready(tid, pc, cycle)
             if ready_at > cycle:
                 tc.fetch_ready_cycle = ready_at
                 continue
             first_line = pc >> line_shift
-            recs = trace.rec
-
+            seq = tc.seq_next
+            burst = 0
             while budget > 0:
+                # DynInstr.__init__ written out: the hottest allocation in
+                # the simulator — direct slot stores skip the constructor
+                # frame and the *rec unpack (see docs/PERFORMANCE.md).
                 if tc.wrongpath:
                     pc = tc.wp_pc
                     if pc >> line_shift != first_line:
                         break
-                    rec = tc.wp_supplier.supply(pc)
-                    seq = tc.seq_next
-                    tc.seq_next = seq + 1
-                    i = DynInstr(
-                        tid, seq, -1,
-                        rec[0], pc, rec[1], rec[2], rec[3], rec[4],
-                        rec[5], rec[6], rec[7],
-                    )
+                    # wrong-path records are a memoized pure function of pc
+                    wp = tc.wp_supplier
+                    rec = wp._memo.get(pc)
+                    if rec is None:
+                        rec = wp.supply(pc)
+                    i = instr_new(DynInstr)
+                    i.tid = tid
+                    i.seq = seq
+                    i.idx = -1
+                    i.op = op = rec[0]
+                    i.pc = pc
+                    i.dest = rec[1]
+                    i.src1 = rec[2]
+                    i.src2 = rec[3]
+                    i.addr = rec[4]
+                    i.brkind = rec[5]
+                    i.taken = rec[6]
+                    i.target = rec[7]
                     i.wrongpath = True
                 else:
-                    idx = tc.cursor % tlen
-                    rec = recs[idx]
+                    cursor = tc.cursor
+                    rec = recs[cursor % tlen]
                     pc = rec[1]
                     if pc >> line_shift != first_line:
                         break
-                    seq = tc.seq_next
-                    tc.seq_next = seq + 1
-                    i = DynInstr(tid, seq, tc.cursor, *rec)
-                i.gseq = gseq
-                gseq += 1
+                    i = instr_new(DynInstr)
+                    i.tid = tid
+                    i.seq = seq
+                    i.idx = cursor
+                    i.op = op = rec[0]
+                    i.pc = pc
+                    i.dest = rec[2]
+                    i.src1 = rec[3]
+                    i.src2 = rec[4]
+                    i.addr = rec[5]
+                    i.brkind = rec[6]
+                    i.taken = rec[7]
+                    i.target = rec[8]
+                    i.wrongpath = False
+                # Branch-only fields (pred_*, mispredicted, *_snapshot) and
+                # load-only fields (pmeta, miss flags, fill_cycle) are set in
+                # the per-op arms below — every reader is op-guarded, so
+                # INT/FP/STORE skip ~13 slot stores each. num_wait is left
+                # unset too: it is only read on instructions registered as
+                # some producer's dependent, and dispatch writes it for
+                # exactly those.
                 i.fetch_cycle = cycle
+                i.dispatched = False
+                i.issued = False
+                i.completed = False
+                i.squashed = False
+                i.gseq = gseq
+                i.dependents = None
+                seq += 1
+                gseq += 1
                 pipe.append(i)
-                tc.pipe_count += 1
-                tc.icount += 1
-                tc.fetched += 1
-                fetched_stat[tid] += 1
-                slots_used += 1
+                burst += 1
                 budget -= 1
-
-                op = i.op
                 if op == _OP_BRANCH:
                     tc.brcount += 1
-                    if self._fetch_branch(tc, i):
+                    i.mispredicted = False
+                    if i.brkind == _BK_COND:
+                        # FrontEndPredictor.predict for the dominant COND
+                        # case; RET/CALL/JUMP take _fetch_branch.
+                        predictor.lookups += 1
+                        hist = gs_hist[tid]
+                        gidx = ((pc >> 2) ^ hist) & gs_mask
+                        ptaken = gs_pht[gidx] >= 2
+                        gs_hist[tid] = ((hist << 1) | ptaken) & gs_hist_mask
+                        btbm = False
+                        if ptaken:
+                            ptarget = None
+                            bset = btb_sets[(pc >> 2) & btb_set_mask]
+                            bn = len(bset)
+                            for bi in range(bn):
+                                ent = bset[bi]
+                                if ent[0] == pc:
+                                    if bi != bn - 1:
+                                        bset.append(bset.pop(bi))
+                                    btb.hits += 1
+                                    ptarget = ent[1]
+                                    break
+                            if ptarget is None:
+                                btb.misses += 1
+                                btbm = True
+                                ptarget = 0
+                        else:
+                            ptarget = pc + 4
+                        i.pred_taken = ptaken
+                        i.pred_target = ptarget
+                        i.ghist_snapshot = hist
+                        i.ras_snapshot = ras_list[tid]._tos
+                        if tc.wrongpath:
+                            # already on a wrong path: follow the prediction
+                            if btbm:
+                                tc.fetch_ready_cycle = cycle + 1 + misfetch_penalty
+                                tc.wp_pc = pc + 4
+                                break
+                            if ptaken:
+                                tc.wp_pc = ptarget
+                                break
+                            tc.wp_pc = pc + 4
+                        else:
+                            tc.cursor = cursor + 1
+                            if btbm:
+                                # predicted taken, no target: bubble until
+                                # decode computes it; if the branch falls
+                                # through, that redirect is the wrong path
+                                tc.fetch_ready_cycle = cycle + 1 + misfetch_penalty
+                                if not i.taken:
+                                    i.mispredicted = True
+                                    tc.wrongpath = True
+                                    tc.wp_pc = i.target
+                                break
+                            if ptaken != i.taken:
+                                i.mispredicted = True
+                                tc.wrongpath = True
+                                tc.wp_pc = ptarget if ptaken else pc + 4
+                            elif ptaken and ptarget != i.target:
+                                i.mispredicted = True
+                                tc.wrongpath = True
+                                tc.wp_pc = ptarget
+                            if ptaken:
+                                break
+                    elif self._fetch_branch(tc, i):
                         break
                 else:
-                    if wants_load_fetch and op == _OP_LOAD:
-                        policy.on_load_fetched(i)
+                    if op == _OP_LOAD:
+                        i.pmeta = None
+                        i.l1_miss = False
+                        i.l2_miss = False
+                        i.tlb_miss = False
+                        i.dmiss_counted = False
+                        i.fill_cycle = -1
+                        if wants_load_fetch:
+                            on_load_fetched(i)
                     if tc.wrongpath:
                         tc.wp_pc = pc + 4
                     else:
-                        tc.cursor += 1
-
+                        tc.cursor = cursor + 1
+            if burst:
+                tc.seq_next = seq
+                tc.pipe_count += burst
+                tc.icount += burst
+                tc.fetched += burst
+                fetched_stat[tid] += burst
+                slots_used += burst
         if slots_used:
             self.gseq = gseq
-            self.stats.fetch_slots_used += slots_used
+            stats.fetch_slots_used += slots_used
             self.order_dirty = True
 
     def _fetch_branch(self, tc: ThreadContext, i: DynInstr) -> bool:
-        """Predict a fetched branch; returns True if fetch must stop for this
-        thread this cycle (predicted-taken redirect or misfetch bubble)."""
+        """Predict a fetched RET/CALL/JUMP (:meth:`_fetch` predicts COND
+        branches itself); returns True if fetch must stop for this thread
+        this cycle (taken redirect or misfetch bubble)."""
         cycle = self.cycle
-        tid = i.tid
         pc = i.pc
-        pred = self.predictor.predict(tid, pc, i.brkind, pc + 4)
+        pred = self.predictor.predict(i.tid, pc, i.brkind, pc + 4)
         i.pred_taken = pred.taken
         i.pred_target = pred.target
         i.ghist_snapshot = pred.hist_snapshot
@@ -1932,36 +1412,22 @@ class Simulator:
             tc.wp_pc = pred.target if pred.taken else pc + 4
             return pred.taken
 
-        actual_taken = i.taken
-        static_target = i.target
         tc.cursor += 1
-
         if pred.btb_miss:
             # Predicted taken, no target: bubble until decode computes it.
             tc.fetch_ready_cycle = cycle + 1 + self._misfetch_penalty
-            if not actual_taken:
+            if not i.taken:
                 # Direction was wrong too: decode redirects to the computed
                 # taken-target — the wrong path.
                 i.mispredicted = True
                 tc.wrongpath = True
-                tc.wp_pc = static_target
+                tc.wp_pc = i.target
             return True
-
-        if i.brkind == _BK_COND:
-            if pred.taken != actual_taken:
-                i.mispredicted = True
-                tc.wrongpath = True
-                tc.wp_pc = pred.target if pred.taken else pc + 4
-            elif pred.taken and pred.target != static_target:
-                i.mispredicted = True
-                tc.wrongpath = True
-                tc.wp_pc = pred.target
-        else:
-            # JUMP/CALL/RET are always taken; only the target can be wrong.
-            if pred.target != static_target:
-                i.mispredicted = True
-                tc.wrongpath = True
-                tc.wp_pc = pred.target
+        # Always taken: only the target can be wrong.
+        if pred.target != i.target:
+            i.mispredicted = True
+            tc.wrongpath = True
+            tc.wp_pc = pred.target
         return pred.taken
 
     # ---------------------------------------------------------------- squash
@@ -2187,3 +1653,12 @@ class Simulator:
             "icount": [tc.icount for tc in self.threads],
             "dmiss": [tc.dmiss for tc in self.threads],
         }
+
+
+
+@functools.cache
+def _fast_loop() -> Callable[[Simulator, int], None]:
+    """The production loop: the ``Simulator._run_fast`` template with every
+    stage in ``_SPLICED`` spliced in (:func:`repro.core.splice.splice`),
+    built on first use, once per process."""
+    return splice(Simulator, "_run_fast", _SPLICED)

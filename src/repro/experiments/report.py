@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import time
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from repro.experiments import (
 )
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 
-__all__ = ["ALL_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "generate_report", "run_all"]
+__all__ = ["ALL_EXPERIMENTS", "EXTENSION_EXPERIMENTS", "generate_report", "main", "run_all"]
 
 #: (module, description) in the paper's presentation order.
 ALL_EXPERIMENTS = (
@@ -99,5 +100,13 @@ def generate_report(
     return out
 
 
+def main(argv: list[str] | None = None) -> int:
+    """``python -m repro.experiments.report [options]`` is ``dwarn-sim report
+    [options]``, so both write the same EXPERIMENTS.md."""
+    from repro.cli import main as cli_main
+
+    return cli_main(["report", *(sys.argv[1:] if argv is None else argv)])
+
+
 if __name__ == "__main__":  # pragma: no cover
-    generate_report()
+    raise SystemExit(main())

@@ -27,7 +27,7 @@ behind the single ``Simulator.obs`` attachment point::
 
 Zero-cost-when-disabled: a simulator with ``obs is None`` (the default)
 takes the exact pre-observability control flow, and every component attaches
-through seams that keep the fused hot loop intact unless per-instruction
+through seams that keep the generated hot loop intact unless per-instruction
 stage tracing is explicitly requested (see ``repro.obs.pipeline``).
 """
 

@@ -6,7 +6,7 @@ with in-flight L1-D misses should slip down the priority list before its
 L2 miss is confirmed, but — unlike STALL/FLUSH — never be fully gated on a
 mere L1 miss. End-of-run aggregates can't show that ordering happening;
 the :class:`ExplainRecorder` can. It wraps ``policy.fetch_order`` (an
-instance attribute both execution paths re-read, so the fused loop is
+instance attribute both execution paths re-read, so the generated loop is
 retained) and records, per fetch decision, the chosen priority order plus
 each thread's inputs to that decision — ICOUNT value, in-flight-miss
 (dmiss) count, Normal-vs-Dmiss group membership, gate state — as reported
@@ -109,7 +109,7 @@ class ExplainRecorder:
     def attach(self, sim: "Simulator") -> None:
         """Wrap ``sim.policy.fetch_order`` with the recording shim.
 
-        The wrap is an instance attribute: the fused loop re-hoists
+        The wrap is an instance attribute: the generated loop re-hoists
         ``policy.fetch_order`` on every ``run_cycles`` call and the staged
         path reads it per fetch, so both honor the shim and the fast path
         stays eligible.

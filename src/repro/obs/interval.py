@@ -16,7 +16,7 @@ Integration contract (how this stays off the hot path):
 - The collector never hooks a pipeline stage. :meth:`Simulator.run` merely
   *pauses* its chunked ``run_cycles`` loop at window boundaries when an
   observability hub is attached and lets the collector sample quiescent
-  simulator state. The fused ``_run_fast`` loop runs unmodified between
+  simulator state. The generated loop (``_fast_loop``) runs unmodified between
   boundaries, so instrumented runs stay within a few percent of
   uninstrumented speed (guarded by ``perfguard --obs-overhead``) and results
   are bit-identical (chunk boundaries are behavior-neutral; the parity tests

@@ -9,18 +9,19 @@ recoveries, FLUSH flushes and fetch-gates — into a bounded ring buffer
 (newest events win; ``dropped`` counts what the ring let go).
 
 Zero-cost-when-disabled contract: the tracer is pure opt-in and nothing in
-the fused ``_run_fast`` loop is touched — an untraced simulator carries no
-trace code at all. Attaching installs *instance-level* wrappers at existing
-seams. Policy hooks (``on_l1d_miss`` …) and ``flush_after`` /
+the generated loop (``_fast_loop``) is touched — an untraced simulator carries
+no trace code at all. Attaching installs *instance-level* wrappers at
+existing seams. Policy hooks (``on_l1d_miss`` …) and ``flush_after`` /
 ``gate_until_fill`` are re-read from the instance by both execution paths,
-so miss/fill/flush/gate tracing works under the fused loop too (it syncs
-``sim.cycle`` every cycle). Per-instruction ``fetch`` / ``issue`` /
+so miss/fill/flush/gate tracing works under the generated loop too (it
+keeps ``sim.cycle`` current). Per-instruction ``fetch`` / ``issue`` /
 ``mispredict`` records need stage wrappers; those land in
 ``Simulator.__dict__`` where ``_fast_eligible`` sees them and automatically
-routes execution through the staged ``_step`` path, which honors them.
-Because the property suite pins the staged and fused paths cycle-for-cycle
-equal, a traced run commits exactly what an untraced run commits (the
-parity test in ``tests/test_obs_pipeline.py``). Full event tracing is the
+routes execution through the staged ``_step`` path, which honors them and
+runs the same stage methods the generated loop is spliced from. The
+property suite pins the two paths cycle-for-cycle equal, so a traced run
+commits exactly what an untraced run commits (the parity test in
+``tests/test_obs_pipeline.py``). Full event tracing is the
 deliberately-heavyweight debugging mode; the interval collector
 (``repro.obs.interval``) is the always-affordable one.
 
@@ -99,7 +100,7 @@ class PipelineTracer:
         """Install stage/hook wrappers on ``sim`` (single-use, like a
         policy). When per-instruction kinds (fetch/issue/mispredict) are
         enabled, the instance-level stage overrides route the run through
-        the staged path; hook-only tracing keeps the fused loop."""
+        the staged path; hook-only tracing keeps the generated loop."""
         if self._sim is not None:
             raise RuntimeError(
                 "PipelineTracer is single-use: create a fresh tracer per run"

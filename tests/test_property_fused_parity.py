@@ -1,13 +1,15 @@
-"""Property tests: the fused fast loop is cycle-for-cycle identical to the
-staged reference path.
+"""Property tests: the generated loop is cycle-for-cycle identical to the
+staged path, which is what tests the splicer (``repro.core.splice``).
 
-``Simulator.run_cycles`` dispatches to ``_run_fast`` — every pipeline stage
-inlined into one frame — unless a stage method is overridden, in which case
-it falls back to calling ``_step`` per cycle. The fast loop is pure
-optimization: for any workload, policy and seed, both paths must produce
-exactly the same ``SimResult``. Pinning an instance attribute for any
+``Simulator.run_cycles`` dispatches to ``_run_fast`` — the loop the splicer
+builds from the stage methods, each stage's body spliced into one frame —
+unless a stage method is overridden, in which case it falls back to calling
+``_step`` per cycle, which calls the same stage methods one frame each. For
+any workload, policy and seed both paths must produce exactly the same
+``SimResult``; a splicing fault (a rebound local, a wrongly hoisted binding,
+a lost guard) shows as a difference. Pinning an instance attribute for any
 ``_FAST_STAGES`` method (here ``_step`` itself) is the supported way to
-force the reference path (see ``Simulator._fast_eligible``).
+force the staged path (see ``Simulator._fast_eligible``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from repro.core import Simulator, make_policy  # noqa: E402
 from repro.workloads import build_programs, get_workload  # noqa: E402
 
 #: The paper's six-policy comparison — each exercises different hook paths
-#: (gating, flush/squash, predictive pmeta protocol) through the fast loop.
+#: (gating, flush/squash, predictive pmeta protocol) through the generated loop.
 SIX_POLICIES = ("icount", "stall", "flush", "dg", "pdg", "dwarn")
 
 
