@@ -54,7 +54,7 @@ from repro.core import (
     make_policy,
 )
 from repro.metrics import FairnessReport, hmean_relative, relative_ipcs, weighted_speedup
-from repro.trace import PROFILES, find_ingested, get_profile, generate_trace
+from repro.trace import PROFILES, get_profile, generate_trace
 from repro.workloads import WORKLOADS, get_workload, build_programs, build_single
 
 __version__ = "1.0.0"
@@ -105,20 +105,12 @@ def quick_run(
 ) -> SimResult:
     """Run one (workload, policy) simulation with sensible defaults.
 
-    ``workload`` is a Table 2(b) name like ``"4-MIX"`` or a single benchmark
-    name like ``"mcf"`` (run alone); ``policy`` and ``machine`` name entries
-    of :data:`POLICIES` / the config presets.
+    ``workload`` is a Table 2(b) name like ``"4-MIX"``, a single benchmark
+    name like ``"mcf"`` (run alone) or an ingested trace name (see
+    :func:`build_programs`); ``policy`` and ``machine`` name entries of
+    :data:`POLICIES` / the config presets.
     """
     simcfg = simcfg or SimulationConfig()
-    if workload in WORKLOADS:
-        programs = build_programs(get_workload(workload), simcfg)
-    elif workload in PROFILES or find_ingested(workload) is not None:
-        programs = build_single(workload, simcfg)
-    else:
-        raise KeyError(
-            f"unknown workload {workload!r}; valid: {sorted(WORKLOADS)}, a "
-            f"benchmark from {sorted(PROFILES)}, or an ingested trace name "
-            f"(see `dwarn-sim ingest`)"
-        )
+    programs = build_programs(workload, simcfg)
     sim = Simulator(get_preset(machine), programs, make_policy(policy), simcfg)
     return sim.run()

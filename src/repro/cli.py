@@ -445,19 +445,13 @@ def _simcfg(args: argparse.Namespace) -> SimulationConfig:
 def _cache_command(args: argparse.Namespace) -> int:
     """``dwarn-sim cache stats|clear``: the two on-disk sweep caches (JSON
     simulation results + binary trace artifacts) without spelunking."""
-    from repro.experiments.parallel import SweepCostModel
     from repro.trace import TraceArtifactCache, trace_cache_stats
     from repro.trace.ingest import ingest_stats
 
     result_dir = Path(args.cache_dir)
-    cost_path = result_dir / SweepCostModel.FILENAME
     trace_dir, trace_src = resolve_trace_cache_dir(args.trace_cache)
     trace_cache = TraceArtifactCache(trace_dir)
-    result_files = (
-        [f for f in sorted(result_dir.glob("*.json")) if f != cost_path]
-        if result_dir.is_dir()
-        else []
-    )
+    result_files = sorted(result_dir.glob("*.json")) if result_dir.is_dir() else []
 
     if args.action == "stats":
         ts = trace_cache.stats()
@@ -477,8 +471,6 @@ def _cache_command(args: argparse.Namespace) -> int:
         print(format_table(["cache", "directory", "entries", "bytes"],
                            rows, title="dwarn-sim caches"))
         print(f"  trace-cache directory from {trace_src}")
-        n_costs = len(SweepCostModel(cost_path)) if cost_path.exists() else 0
-        print(f"  cost model: {n_costs} measured pair costs ({cost_path})")
         mem = trace_cache_stats()
         print(
             f"  this process: {mem['mem_entries']} traces memoized, "
@@ -487,12 +479,9 @@ def _cache_command(args: argparse.Namespace) -> int:
         return 0
 
     removed_traces = trace_cache.clear()
-    removed_results = 0
     for f in result_files:
         f.unlink(missing_ok=True)
-        removed_results += 1
-    cost_path.unlink(missing_ok=True)
-    print(f"removed {removed_results} cached results, {removed_traces} trace artifacts")
+    print(f"removed {len(result_files)} cached results, {removed_traces} trace artifacts")
     return 0
 
 

@@ -1392,10 +1392,14 @@ class Simulator:
             self.order_dirty = True
 
     def _fetch_branch(self, tc: ThreadContext, i: DynInstr) -> bool:
-        """Predict a fetched RET/CALL/JUMP (:meth:`_fetch` predicts COND
-        branches itself); returns True if fetch must stop for this thread
-        this cycle (taken redirect or misfetch bubble)."""
-        cycle = self.cycle
+        """Predict a fetched correct-path RET/CALL/JUMP; returns True if
+        fetch must stop for this thread this cycle (taken redirect or
+        misfetch bubble).
+
+        Only the correct path reaches here: :meth:`_fetch` predicts COND
+        branches itself, and the wrong-path supplier emits only non-branch
+        and COND records.
+        """
         pc = i.pc
         pred = self.predictor.predict(i.tid, pc, i.brkind, pc + 4)
         i.pred_taken = pred.taken
@@ -1403,19 +1407,10 @@ class Simulator:
         i.ghist_snapshot = pred.hist_snapshot
         i.ras_snapshot = pred.ras_snapshot
 
-        if tc.wrongpath:
-            # Already on a wrong path: just follow the prediction.
-            if pred.btb_miss:
-                tc.fetch_ready_cycle = cycle + 1 + self._misfetch_penalty
-                tc.wp_pc = pc + 4
-                return True
-            tc.wp_pc = pred.target if pred.taken else pc + 4
-            return pred.taken
-
         tc.cursor += 1
         if pred.btb_miss:
             # Predicted taken, no target: bubble until decode computes it.
-            tc.fetch_ready_cycle = cycle + 1 + self._misfetch_penalty
+            tc.fetch_ready_cycle = self.cycle + 1 + self._misfetch_penalty
             if not i.taken:
                 # Direction was wrong too: decode redirects to the computed
                 # taken-target — the wrong path.
@@ -1445,12 +1440,29 @@ class Simulator:
         restoration unwinds correctly. When ``restore_predictor`` is set the
         branch history/RAS are rolled back to the snapshot of the *oldest*
         squashed branch (the state right after the youngest surviving branch).
-        The per-instruction squash bookkeeping is inlined here (its only
-        call site): this runs on every mispredict recovery, typically a
-        couple dozen instructions a pop, and the freed physical registers
+        The per-instruction squash bookkeeping is one inline loop over the
+        collected victims: this runs on every mispredict recovery, typically
+        a couple dozen instructions a pop, and the freed physical registers
         are batched into one update at the end (no squash hook reads them).
         """
-        count = 0
+        tid = tc.tid
+        # The thread's instructions still in the shared decode/rename pipe
+        # are all younger than any dispatched pivot; once marked squashed the
+        # pipe drain in _dispatch discards them. The ROB tail follows.
+        victims = []
+        if tc.pipe_count:
+            victims = [
+                i for i in reversed(self.pipe)
+                if i.tid == tid and not i.squashed and i.seq > pivot_seq
+            ]
+        in_pipe = len(victims)
+        rob = tc.rob
+        while rob and rob[-1].seq > pivot_seq:
+            victims.append(rob.pop())
+        count = len(victims)
+        if not count:
+            return 0
+
         best_seq = None
         best_hist = 0
         best_ras = 0
@@ -1461,54 +1473,9 @@ class Simulator:
         queue_of = QUEUE_OF
         op_branch = _OP_BRANCH
         renmap = tc.renmap
-        stats = self.stats
-        squash_stat = stats.squashed_flush if flush else stats.squashed_mispredict
-        tid = tc.tid
         free_int = 0
         free_fp = 0
-
-        # The thread's instructions still in the shared decode/rename pipe
-        # are all younger than any dispatched pivot; mark them squashed (the
-        # pipe drain in _dispatch discards them) youngest-first.
-        if tc.pipe_count:
-            for i in reversed(self.pipe):
-                if i.tid == tid and not i.squashed and i.seq > pivot_seq:
-                    count += 1
-                    i.squashed = True
-                    if not i.issued:
-                        tc.icount -= 1
-                    op = i.op
-                    if op == op_branch:
-                        if not i.completed:
-                            tc.brcount -= 1
-                        if best_seq is None or i.seq < best_seq:
-                            best_seq = i.seq
-                            best_hist = i.ghist_snapshot
-                            best_ras = i.ras_snapshot
-                    if i.dispatched:
-                        if not i.issued:
-                            q_free[queue_of[op]] += 1
-                        d = i.dest
-                        if d >= 0:
-                            if d < 32:
-                                free_int += 1
-                            else:
-                                free_fp += 1
-                            if renmap[d] is i:
-                                renmap[d] = i.prev_writer1
-                    squash_stat[tid] += 1
-                    if wants_squash:
-                        on_squash_instr(i)
-
-        rob = tc.rob
-        rob_popped = 0
-        while rob:
-            i = rob[-1]
-            if i.seq <= pivot_seq:
-                break
-            rob.pop()
-            rob_popped += 1
-            count += 1
+        for i in victims:
             i.squashed = True
             if not i.issued:
                 tc.icount -= 1
@@ -1531,20 +1498,20 @@ class Simulator:
                         free_fp += 1
                     if renmap[d] is i:
                         renmap[d] = i.prev_writer1
-            squash_stat[tid] += 1
             if wants_squash:
                 on_squash_instr(i)
+        stats = self.stats
+        (stats.squashed_flush if flush else stats.squashed_mispredict)[tid] += count
         if free_int:
             self.free_int_regs += free_int
         if free_fp:
             self.free_fp_regs += free_fp
-        if rob_popped:
-            self._rob_total -= rob_popped
-        if count:
-            self.order_dirty = True
+        if count > in_pipe:
+            self._rob_total -= count - in_pipe
+        self.order_dirty = True
 
         if restore_predictor and best_seq is not None:
-            self.predictor.squash_recover(tc.tid, best_hist, best_ras, None)
+            self.predictor.squash_recover(tid, best_hist, best_ras, None)
         return count
 
     # ------------------------------------------------------------ FLUSH hook

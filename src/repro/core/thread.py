@@ -63,12 +63,6 @@ class ThreadContext:
         self.fetched = 0
         self.committed = 0
 
-    def next_seq(self) -> int:
-        """Allocate the next program-order sequence number for this thread."""
-        seq = self.seq_next
-        self.seq_next = seq + 1
-        return seq
-
     @property
     def inflight(self) -> int:
         """Instructions anywhere in the pipeline (frontend pipe + ROB)."""

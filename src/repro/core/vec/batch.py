@@ -43,7 +43,7 @@ from repro.core.policies import make_policy
 from repro.core.result import SimResult
 from repro.core.simulator import Simulator
 from repro.trace.artifact import TraceArtifactCache
-from repro.workloads import build_programs, build_single, get_workload
+from repro.workloads import build_programs
 
 __all__ = [
     "Lane",
@@ -88,18 +88,6 @@ class VecLaneError(RuntimeError):
         self.seed = lane.seed
 
 
-def _build_lane_programs(
-    workload: str, simcfg: SimulationConfig, trace_cache: TraceArtifactCache | None
-) -> list[Any]:
-    """Thread programs for a workload name or lone benchmark (the same
-    resolution rule as ``ExperimentRunner._build_programs``)."""
-    try:
-        spec = get_workload(workload)
-    except KeyError:
-        return build_single(workload, simcfg, trace_cache=trace_cache)
-    return build_programs(spec, simcfg, trace_cache=trace_cache)
-
-
 class VecBatchSimulator:
     """Run many (workload, policy, seed) runs in one process.
 
@@ -124,8 +112,8 @@ class VecBatchSimulator:
         self.trace_cache = trace_cache
         self.results: list[SimResult] | None = None
         #: Wall clock of the whole batch (build and run), attributed to
-        #: lanes proportionally to ``cycles * num_threads``
-        #: (scheduling-cost-model food, not a per-lane measurement).
+        #: lanes proportionally to ``cycles * num_threads`` (the manifest's
+        #: per-pair seconds, not a per-lane measurement).
         self.batch_seconds: float = 0.0
         self.lane_seconds: list[float] = []
         self._sims: list[Simulator] = []
@@ -156,7 +144,7 @@ class VecBatchSimulator:
             cfg = self._effective_simcfg(seed)
             lane0 = self.lanes[members[0]]
             try:
-                programs = _build_lane_programs(workload, cfg, self.trace_cache)
+                programs = build_programs(workload, cfg, trace_cache=self.trace_cache)
                 sim0 = Simulator(self.machine, programs, make_policy(lane0.policy), cfg)
             except Exception as exc:
                 raise VecLaneError(f"lane setup failed: {exc!r}", lane0) from exc

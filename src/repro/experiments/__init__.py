@@ -31,7 +31,6 @@ from repro.experiments import (
     table4,
 )
 from repro.experiments.parallel import (
-    SweepCostModel,
     SweepError,
     prefetch,
     prefetch_seed_sweep,
@@ -53,7 +52,6 @@ __all__ = [
     "table4",
     "ext_metrics",
     "ext_seeds",
-    "SweepCostModel",
     "SweepError",
     "prefetch",
     "prefetch_seed_sweep",

@@ -16,8 +16,7 @@ from pathlib import Path
 from repro.core import PAPER_POLICIES, Simulator, make_policy
 from repro.experiments.runner import ExperimentResult, ExperimentRunner
 from repro.trace import ingest
-from repro.workloads import build_single, get_workload, workloads_for_machine
-from repro.workloads.builder import build_programs
+from repro.workloads import build_programs, workloads_for_machine
 
 __all__ = ["run", "NAME", "FIXTURE_RELPATH", "INGESTED_NAME"]
 
@@ -68,11 +67,7 @@ def _switch_count(runner: ExperimentRunner, workload: str) -> tuple[int, str]:
     which owns the switch log — is discarded, so the log is sampled with
     one small uncached simulation here.
     """
-    try:
-        spec = get_workload(workload)
-        programs = build_programs(spec, runner.simcfg, trace_cache=runner.trace_cache)
-    except KeyError:
-        programs = build_single(workload, runner.simcfg, trace_cache=runner.trace_cache)
+    programs = build_programs(workload, runner.simcfg, trace_cache=runner.trace_cache)
     policy = make_policy("meta")
     Simulator(runner.machine, programs, policy, runner.simcfg).run()
     switches = getattr(policy, "switches", [])

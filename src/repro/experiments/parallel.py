@@ -9,12 +9,12 @@ run already cached.
 
 The scheduler is built for sweep *throughput* and *robustness*:
 
-- **Cost-model ordering.** Pairs are dispatched longest-job-first, using
-  wall-clock costs measured on previous sweeps (persisted as
-  ``sweep_costs.json`` next to the result cache) and falling back to
-  ``num_threads x trace_length`` for never-measured pairs. With streaming
-  completion this minimizes the makespan tail: an 8-thread MEM workload no
-  longer starts last and runs alone while the other workers idle.
+- **Widest-first ordering.** Pairs are dispatched widest workload first
+  (thread count; 1 for a lone benchmark or ingested trace), ties in the
+  order given. With streaming completion an 8-thread MEM workload no
+  longer starts last and runs alone while the other workers idle; ordering
+  by exact measured costs instead would shorten a report sweep by under
+  2% (docs/PERFORMANCE.md, "Sweep order").
 - **Streaming completion.** Results are consumed as they finish
   (``concurrent.futures.wait``), not in submission order, so one slow pair
   never serializes the tail, and progress is observable while the sweep runs
@@ -23,9 +23,8 @@ The scheduler is built for sweep *throughput* and *robustness*:
   ``kill -9``) breaks the whole ``ProcessPoolExecutor``; the scheduler
   rebuilds the pool and re-queues every unfinished pair, bounded by
   :data:`MAX_POOL_RESTARTS`. A pair whose simulation *raises* is retried
-  once (``retries``), then the sweep is aborted with a :class:`SweepError`
-  naming the failing (workload, policy) pair, with outstanding futures
-  cancelled.
+  once, then the sweep is aborted with a :class:`SweepError` naming the
+  failing (workload, policy) pair, with outstanding futures cancelled.
 
 Workers rebuild traces from seeds (deterministic), so only small picklable
 inputs (machine config, simulation config, names) cross process boundaries.
@@ -50,12 +49,8 @@ Usage::
 
 from __future__ import annotations
 
-import dataclasses
-import json
-import os
 import time
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor, wait
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.config import MachineConfig, SimulationConfig
@@ -64,14 +59,13 @@ from repro.core.columnar import ColumnarState, SnapshotError, run_checkpointed
 from repro.core.vec import VecBatchSimulator, VecLaneError
 from repro.experiments.runner import ExperimentRunner
 from repro.trace.artifact import TraceArtifactCache
-from repro.workloads import build_programs, build_single, get_workload, workloads_for_machine
+from repro.workloads import WORKLOADS, build_programs, workloads_for_machine
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.manifest import RunManifest
 
 __all__ = [
     "MAX_POOL_RESTARTS",
-    "SweepCostModel",
     "SweepError",
     "prefetch",
     "prefetch_seed_sweep",
@@ -84,6 +78,10 @@ __all__ = [
 #: re-queues the unfinished pairs into a fresh pool; past this many pool
 #: losses the environment (not a transient) is the problem, so fail loudly.
 MAX_POOL_RESTARTS = 3
+
+#: How many times a pair whose simulation raises is re-run before the
+#: sweep aborts.
+_PAIR_RETRIES = 1
 
 #: Progress callback signature: (done, total, workload, policy, secs).
 ProgressFn = Callable[[int, int, str, str, float], None]
@@ -108,121 +106,6 @@ class SweepError(RuntimeError):
         self.workload = workload
         self.policy = policy
         self.seed = seed
-
-
-# ----------------------------------------------------------------------
-# Cost model
-
-
-class SweepCostModel:
-    """Per-pair wall-clock costs, measured on prior sweeps and persisted.
-
-    Lives as ``sweep_costs.json`` inside the result-cache directory. Keys
-    fold in the machine preset and the cost-determining simulation
-    parameters (measured cycles, trace length), so estimates from a scaled
-    run never misorder a full-scale sweep. Estimates for never-measured
-    pairs fall back to ``num_threads x trace_length`` — in different units
-    than measured seconds, which deliberately sorts unknown pairs *first*
-    (conservative for longest-job-first: an unknown job is scheduled as if
-    long).
-    """
-
-    FILENAME = "sweep_costs.json"
-    _VERSION = 1
-
-    def __init__(self, path: str | Path | None) -> None:
-        self.path = Path(path) if path else None
-        self._costs: dict[str, float] = {}
-        self._dirty = False
-        if self.path is not None and self.path.exists():
-            try:
-                data = json.loads(self.path.read_text())
-                if data.get("version") == self._VERSION:
-                    self._costs = {str(k): float(v) for k, v in data["costs"].items()}
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError):
-                self._costs = {}  # unreadable model: start fresh
-
-    @classmethod
-    def for_cache_dir(cls, cache_dir: str | Path | None) -> "SweepCostModel":
-        """Cost model persisted in ``cache_dir`` (in-memory only if None)."""
-        return cls(Path(cache_dir) / cls.FILENAME if cache_dir else None)
-
-    # -- keys ----------------------------------------------------------
-
-    @staticmethod
-    def _key(machine_name: str, simcfg: SimulationConfig, workload: str, policy: str) -> str:
-        return f"{machine_name}/{workload}/{policy}/c{simcfg.measure_cycles}/t{simcfg.trace_length}"
-
-    @staticmethod
-    def fallback(simcfg: SimulationConfig, workload: str) -> float:
-        """Cost proxy for a never-measured pair: ``num_threads x trace_length``
-        (simulation work scales with both; policy barely matters)."""
-        try:
-            n_threads = len(get_workload(workload).benchmarks)
-        except KeyError:
-            n_threads = 1  # single-benchmark reference run
-        return float(n_threads * simcfg.trace_length)
-
-    # -- estimate / record ---------------------------------------------
-
-    def estimate(
-        self, machine_name: str, simcfg: SimulationConfig, workload: str, policy: str
-    ) -> float:
-        """Expected cost of one pair (measured seconds, else the fallback
-        proxy — see class docstring for why the units may differ)."""
-        measured = self._costs.get(self._key(machine_name, simcfg, workload, policy))
-        return measured if measured is not None else self.fallback(simcfg, workload)
-
-    def record(
-        self, machine_name: str, simcfg: SimulationConfig, workload: str, policy: str, secs: float
-    ) -> None:
-        """Fold one measured pair cost into the model (EMA over runs, so a
-        one-off noisy measurement cannot wreck future schedules)."""
-        key = self._key(machine_name, simcfg, workload, policy)
-        old = self._costs.get(key)
-        self._costs[key] = secs if old is None else 0.5 * old + 0.5 * secs
-        self._dirty = True
-
-    def record_partial(
-        self,
-        machine_name: str,
-        simcfg: SimulationConfig,
-        workload: str,
-        policy: str,
-        secs: float,
-        *,
-        resumed_from: int = 0,
-    ) -> None:
-        """Fold a possibly-resumed pair cost into the model.
-
-        A worker that resumed from a checkpoint at ``resumed_from`` only
-        paid wall clock for the cycles past it. Recording that verbatim
-        would teach the model the pair is cheap, and re-recording a full
-        wall time on every redelivery would let repeated preemption
-        double-count; instead the incremental seconds are scaled to a
-        full-run equivalent by the executed fraction of the cycle horizon.
-        ``resumed_from=0`` (a cold run) degenerates to :meth:`record`.
-        """
-        total = simcfg.total_cycles
-        if 0 < resumed_from < total:
-            secs = secs * (total / (total - resumed_from))
-        self.record(machine_name, simcfg, workload, policy, secs)
-
-    def save(self) -> None:
-        """Persist the model atomically (write-then-rename, same discipline
-        as the trace artifacts); a no-op when nothing changed or in-memory."""
-        if self.path is None or not self._dirty:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(f"{self.path.name}.tmp-{os.getpid()}")
-        tmp.write_text(
-            json.dumps({"version": self._VERSION, "costs": self._costs}, sort_keys=True)
-        )
-        os.replace(tmp, self.path)
-        self._dirty = False
-
-    def __len__(self) -> int:
-        return len(self._costs)
 
 
 # ----------------------------------------------------------------------
@@ -253,8 +136,8 @@ def _simulate_one(
     """Worker: one full simulation (module-level so it pickles).
 
     Returns ``(workload, policy, result, secs)`` — the elapsed time is
-    measured *inside* the worker so queue wait never pollutes the cost
-    model. When ``trace_cache_dir`` is given, trace generation reads/writes
+    measured *inside* the worker so queue wait never pollutes the per-pair
+    seconds the manifest records. When ``trace_cache_dir`` is given, trace generation reads/writes
     persistent artifacts there instead of walking from scratch.
     """
     res, _, secs = simulate_resumable(
@@ -289,17 +172,13 @@ def simulate_resumable(
 
     Returns ``(result, resumed_from, secs)`` — ``resumed_from`` is the cycle
     the run actually continued from (0 = ran cold), and ``secs`` is the
-    incremental in-process wall clock, which pairs with
-    :meth:`SweepCostModel.record_partial` for training.
+    incremental in-process wall clock.
     """
     t0 = time.perf_counter()
     cache = _worker_trace_cache(trace_cache_dir)
 
     def build() -> Simulator:
-        try:
-            programs = build_programs(get_workload(workload), simcfg, trace_cache=cache)
-        except KeyError:
-            programs = build_single(workload, simcfg, trace_cache=cache)
+        programs = build_programs(workload, simcfg, trace_cache=cache)
         return Simulator(machine, programs, make_policy(policy), simcfg)
 
     sim = build()
@@ -353,9 +232,7 @@ def run_pairs(
     processes: int | None = None,
     *,
     trace_cache_dir: str | None = None,
-    cost_model: SweepCostModel | None = None,
     progress: ProgressFn | None = None,
-    retries: int = 1,
     worker: Callable[..., tuple[str, str, SimResult, float]] | None = None,
     manifest: "RunManifest | None" = None,
     sweep: str = "sweep",
@@ -365,19 +242,19 @@ def run_pairs(
     """Run pairs in a process pool; returns (workload, policy, result) in
     the order the pairs were given.
 
-    Scheduling is longest-job-first by ``cost_model`` estimate, completion
-    is streamed, worker-process deaths rebuild the pool and re-queue the
-    unfinished pairs (at most :data:`MAX_POOL_RESTARTS` times), and a pair
-    whose simulation raises is retried ``retries`` times before the sweep
-    aborts with a :class:`SweepError` naming it. ``worker`` overrides the
-    simulation callable (tests inject crashing workers through this).
+    Pairs are dispatched widest workload first (ties in the order given),
+    completion is streamed, worker-process deaths rebuild the pool and
+    re-queue the unfinished pairs (at most :data:`MAX_POOL_RESTARTS`
+    times), and a pair whose simulation raises is retried once before the
+    sweep aborts with a :class:`SweepError` naming it. ``worker`` overrides
+    the simulation callable (tests inject crashing workers through this).
 
     ``backend`` selects the execution engine: ``"process"`` (default) is
     the pool described above; ``"vec"`` runs the whole batch in-process
     through :class:`~repro.core.vec.VecBatchSimulator` — bit-identical
     results (the engine-parity test pins this), setup shared across the
-    pairs of one (workload, seed), and a serial-path fallback (honoring
-    ``retries``) if the batch aborts.
+    pairs of one (workload, seed), and a serial-path fallback (with its
+    one retry per pair) if the batch aborts.
 
     When ``manifest`` is given, every completed pair is recorded into it as
     ``source="simulated"`` (with its in-worker seconds and retry count,
@@ -392,21 +269,17 @@ def run_pairs(
     # SweepError messages carry it so a failing pair is reproducible as
     # (workload, policy, seed), not just (workload, policy).
     eff_seed = seed if seed is not None else simcfg.seed
-    # Not ``or``: an empty cost model is falsy (len 0) but must still be
-    # recorded into, so later sweeps inherit this one's measurements.
-    model = cost_model if cost_model is not None else SweepCostModel(None)
-    order = sorted(
-        range(len(pairs)),
-        key=lambda i: model.estimate(machine.name, simcfg, *pairs[i]),
-        reverse=True,
-    )
+    # Widest workload first (a lone benchmark or ingested trace is one
+    # thread); sorted() stays stable under reverse=True, so equal widths
+    # keep the given order.
+    widths = [WORKLOADS[wl].num_threads if wl in WORKLOADS else 1 for wl, _ in pairs]
+    order = sorted(range(len(pairs)), key=widths.__getitem__, reverse=True)
     total = len(pairs)
     results: dict[int, SimResult] = {}
 
     def _finish(i: int, res: SimResult, secs: float, nretries: int) -> None:
         results[i] = res
         wl, pol = pairs[i]
-        model.record(machine.name, simcfg, wl, pol, secs)
         if manifest is not None:
             manifest.record_pair(
                 sweep, wl, pol, "simulated", secs, retries=nretries, seed=seed
@@ -442,7 +315,7 @@ def run_pairs(
                     break
                 except Exception as exc:
                     attempt += 1
-                    if attempt > retries:
+                    if attempt > _PAIR_RETRIES:
                         raise SweepError(
                             f"simulation failed for ({wl}, {pol}, seed={eff_seed}): "
                             f"{exc!r}",
@@ -485,7 +358,7 @@ def run_pairs(
                         break
                     except Exception as exc:
                         attempts[i] += 1
-                        if attempts[i] > retries:
+                        if attempts[i] > _PAIR_RETRIES:
                             for other in pending:
                                 other.cancel()
                             pool.shutdown(wait=False, cancel_futures=True)
@@ -530,10 +403,8 @@ def prefetch(
     experiment modules hit memory afterwards either way. Returns the number
     of simulations actually executed.
 
-    Measured per-pair costs are recorded into the sweep cost model next to
-    the result cache, improving the longest-job-first schedule of every
-    later sweep. When ``manifest`` is given, cache-served pairs are recorded
-    as ``source="memory"``/``"disk"`` and simulated pairs with their worker
+    When ``manifest`` is given, cache-served pairs are recorded as
+    ``source="memory"``/``"disk"`` and simulated pairs with their worker
     timing and retry counts (see :func:`run_pairs`).
     """
     seed = runner.simcfg.seed
@@ -554,14 +425,12 @@ def prefetch(
                 )
             continue
         todo.append((wl, pol))
-    cost_model = SweepCostModel.for_cache_dir(runner.cache_dir)
     results = run_pairs(
         runner.machine,
         runner.simcfg,
         todo,
         processes,
         trace_cache_dir=runner.trace_cache_dir,
-        cost_model=cost_model,
         progress=progress,
         manifest=manifest,
         sweep=sweep,
@@ -570,7 +439,6 @@ def prefetch(
     )
     for wl, pol, res in results:
         runner.store_result(wl, pol, res)
-    cost_model.save()
     runner.simulations_run += len(results)
     return len(results)
 
@@ -598,16 +466,7 @@ def prefetch_seed_sweep(
     total = 0
     pairs = list(pairs)
     for seed in seeds:
-        sub = ExperimentRunner(
-            runner.machine,
-            dataclasses.replace(runner.simcfg, seed=seed),
-            runner.cache_dir,
-            runner.verbose,
-            trace_cache_dir=runner.trace_cache_dir,
-        )
-        sub._mem_cache = runner._mem_cache
-        if runner.trace_cache is not None:
-            sub.trace_cache = runner.trace_cache  # share hit/miss accounting
+        sub = runner.with_seed(seed)
         total += prefetch(
             sub,
             pairs,

@@ -18,7 +18,7 @@ from repro.core import Simulator, SimResult, make_policy
 from repro.metrics.fairness import FairnessReport
 from repro.trace.artifact import TraceArtifactCache
 from repro.utils.rng import stable_hash64
-from repro.workloads import WorkloadSpec, build_programs, build_single, get_workload
+from repro.workloads import WorkloadSpec, build_programs
 
 __all__ = ["ExperimentRunner", "ExperimentResult", "MultiSeedResult", "CACHE_VERSION"]
 
@@ -161,6 +161,13 @@ class ExperimentRunner:
             other.trace_cache = self.trace_cache  # share hit/miss accounting
         return other
 
+    def with_seed(self, seed: int) -> "ExperimentRunner":
+        """A runner for a different trace seed sharing both caches (keys
+        include the seed, so sharing is collision-free)."""
+        other = self.with_machine(self.machine)
+        other.simcfg = dataclasses.replace(self.simcfg, seed=seed)
+        return other
+
     def _key(self, workload: str, policy: str) -> str:
         sim = self.simcfg
         h = stable_hash64(
@@ -251,7 +258,7 @@ class ExperimentRunner:
         is bit-identical to an uninstrumented one, so storing it would only
         duplicate work the plain :meth:`run` path can fill in later.
         """
-        programs = self._build_programs(workload)
+        programs = build_programs(workload, self.simcfg, trace_cache=self.trace_cache)
         if self.verbose:  # pragma: no cover
             wl = workload if isinstance(workload, str) else workload.name
             print(f"[sim+obs] {self.machine.name} {wl} {policy}", flush=True)
@@ -272,34 +279,16 @@ class ExperimentRunner:
         is substance versus trace luck. Results are cached per seed.
         """
         results = []
-        base_simcfg = self.simcfg
         for seed in seeds:
-            sub = ExperimentRunner(
-                self.machine,
-                dataclasses.replace(base_simcfg, seed=seed),
-                self.cache_dir,
-                self.verbose,
-                trace_cache_dir=self.trace_cache_dir,
-            )
-            sub._mem_cache = self._mem_cache  # share within this runner
+            sub = self.with_seed(seed)
             results.append(sub.run(workload, policy))
             self.simulations_run += sub.simulations_run
         return MultiSeedResult(results)
 
     # ------------------------------------------------------------------
 
-    def _build_programs(self, workload: str | WorkloadSpec) -> list:
-        """Thread programs for a workload name, lone benchmark, or spec."""
-        if isinstance(workload, str):
-            try:
-                spec = get_workload(workload)
-            except KeyError:
-                return build_single(workload, self.simcfg, trace_cache=self.trace_cache)
-            return build_programs(spec, self.simcfg, trace_cache=self.trace_cache)
-        return build_programs(workload, self.simcfg, trace_cache=self.trace_cache)
-
     def _simulate(self, workload: str | WorkloadSpec, policy: str) -> SimResult:
-        programs = self._build_programs(workload)
+        programs = build_programs(workload, self.simcfg, trace_cache=self.trace_cache)
         if self.verbose:  # pragma: no cover
             wl = workload if isinstance(workload, str) else workload.name
             print(f"[sim] {self.machine.name} {wl} {policy}", flush=True)

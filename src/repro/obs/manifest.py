@@ -2,7 +2,7 @@
 cache-hit counters.
 
 ``experiments.parallel`` fans a sweep's (workload, policy) pairs out over a
-process pool with longest-job-first scheduling, worker retries and pool
+process pool with widest-first dispatch, worker retries and pool
 restarts — and until now the only record of what happened was the progress
 lines scrolling past. A :class:`RunManifest` captures the same facts as
 data: one :class:`PairRecord` per completed pair (who ran it, how long it

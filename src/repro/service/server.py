@@ -94,7 +94,7 @@ from typing import Any
 import repro
 from repro.core import POLICIES, SimResult
 from repro.core.policies import is_policy_name
-from repro.experiments.parallel import SweepCostModel, simulate_resumable
+from repro.experiments.parallel import simulate_resumable
 from repro.experiments.runner import CACHE_VERSION, ExperimentRunner
 from repro.obs.manifest import RunManifest
 from repro.service.http import (
@@ -360,8 +360,7 @@ class SimulationService:
         A job whose key has a stored checkpoint (a worker died mid-run and
         the job fell back to the daemon) resumes from it, fail-open like a
         worker. A simulation that raises fails this job alone, with the
-        error message. A completed job's seconds train the sweep cost model
-        that ``dwarn-sim report`` reads from the shared ``--cache-dir``.
+        error message.
         """
         spec = job.spec
         wl, pol, simcfg = spec.workload, spec.policy, spec.sim_config()
@@ -387,11 +386,6 @@ class SimulationService:
                 job, f"simulation failed for ({wl}, {pol}, seed={spec.seed}): {exc!r}"
             )
             return
-        # record_partial scales a resumed run's seconds to a full run's and
-        # is plain record for a cold one.
-        cost_model = SweepCostModel.for_cache_dir(self.cfg.cache_dir)
-        cost_model.record_partial(spec.machine, simcfg, wl, pol, secs, resumed_from=resumed_from)
-        cost_model.save()
         self._runner_for(spec).store_result(wl, pol, res)
         self.exec_manifest.record_pair("service", wl, pol, "simulated", secs, seed=spec.seed)
         pair = asdict(self.exec_manifest.pairs[-1])
@@ -790,7 +784,6 @@ class SimulationService:
         unknown = sorted(set(by_id) - set(lease.job_ids))
         acked: list[str] = []
         requeued: list[str] = []
-        cost_model = SweepCostModel.for_cache_dir(self.cfg.cache_dir)
         for jid in lease.job_ids:
             job = self.jobs.get(jid)
             if job is None or job.state in JobState.TERMINAL:
@@ -826,20 +819,6 @@ class SimulationService:
                     job.resumed_from = upload.resumed_from
                     self.counters["resumed"] += 1
                 self._complete_job(job, res, "worker", pair=pair)
-                # Fleet measurements feed the same cost model local jobs
-                # train (``report`` orders its sweeps by it).
-                # A resumed job's wall clock covers only the cycles past its
-                # checkpoint; record_partial scales it to a full-run
-                # equivalent so repeated preemption cannot inflate (or
-                # deflate) the EMA with double-counted or fractional time.
-                cost_model.record_partial(
-                    job.spec.machine,
-                    job.spec.sim_config(),
-                    wl,
-                    pol,
-                    upload.secs,
-                    resumed_from=upload.resumed_from,
-                )
                 self.exec_manifest.record_pair(
                     "worker", wl, pol, "worker", upload.secs,
                     retries=upload.retries, seed=job.spec.seed,
@@ -847,7 +826,6 @@ class SimulationService:
             else:
                 self._fail_job(job, upload.error or "worker reported failure")
             acked.append(jid)
-        cost_model.save()
         self.counters["worker_results"] += len(acked)
         return 200, {"acknowledged": acked, "requeued": requeued, "unknown": unknown}, {}
 

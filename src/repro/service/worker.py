@@ -18,8 +18,8 @@ the function the daemon's local dispatcher runs its jobs through, with the
 persistent trace-artifact cache (``--trace-cache``), so a workload
 appearing in several leased jobs generates its traces once per *worker
 machine*, ever. A job that fails is reported failed without touching the
-rest of its lease. The measured seconds flow back in the upload to train
-the server's cost model. To use more cores, run more workers.
+rest of its lease. The measured seconds flow back in the upload into the
+server's execution manifest. To use more cores, run more workers.
 
 Failure discipline (the chaos tests pin all of this):
 
@@ -35,11 +35,10 @@ Failure discipline (the chaos tests pin all of this):
 - A redelivered lease ships the job's stored checkpoint back; every
   worker decodes it fail-open (anything wrong -> run cold from cycle 0)
   and resumes from the captured cycle, reporting ``resumed_from`` with the
-  result so the server can train its cost model on the *incremental*
-  seconds only. With ``--checkpoint-interval N`` the worker is also
-  *preemptible*: every N cycles the live ``Simulator`` is snapshotted
-  (``checkpoint_to_bytes``) and PUT to ``/v1/leases/{id}/checkpoint``,
-  best-effort.
+  result, whose seconds then cover only the cycles past the checkpoint.
+  With ``--checkpoint-interval N`` the worker is also *preemptible*: every
+  N cycles the live ``Simulator`` is snapshotted (``checkpoint_to_bytes``)
+  and PUT to ``/v1/leases/{id}/checkpoint``, best-effort.
 
 The HTTP transport is injected (anything with ``ServiceClient.request``'s
 signature), which is how the fault-injection tests interpose

@@ -217,7 +217,7 @@ def collect_sweep(processes: int = _SWEEP_PROCESSES) -> dict[str, float]:
 
     from repro.experiments.parallel import run_pairs
     from repro.trace.artifact import TraceArtifactCache, trace_cache_installed
-    from repro.workloads import build_programs, build_single, get_workload
+    from repro.workloads import build_programs
 
     calib = calibration_score()
     simcfg = SimulationConfig(**_DIGEST_SIMCFG)
@@ -226,10 +226,7 @@ def collect_sweep(processes: int = _SWEEP_PROCESSES) -> dict[str, float]:
         cache = TraceArtifactCache(tmp)
         with trace_cache_installed(cache):  # pre-warm the artifact cache
             for wl, _pol in SWEEP_PAIRS:
-                try:
-                    build_programs(get_workload(wl), simcfg)
-                except KeyError:
-                    build_single(wl, simcfg)
+                build_programs(wl, simcfg)
         t0 = time.perf_counter()
         run_pairs(machine, simcfg, list(SWEEP_PAIRS), processes, trace_cache_dir=tmp)
         sweep_secs = time.perf_counter() - t0

@@ -20,16 +20,13 @@ import time
 from repro.config import SimulationConfig, get_preset
 from repro.core import Simulator, make_policy
 from repro.core.simulator import _fast_loop
-from repro.workloads import build_programs, build_single, get_workload
+from repro.workloads import build_programs
 
 __all__ = ["profile_simulation", "cycles_per_second"]
 
 
 def _build(workload: str, policy: str, machine: str, simcfg: SimulationConfig) -> Simulator:
-    try:
-        programs = build_programs(get_workload(workload), simcfg)
-    except KeyError:
-        programs = build_single(workload, simcfg)
+    programs = build_programs(workload, simcfg)
     _fast_loop()  # built once per process, on first use: keep that out of the timers
     return Simulator(get_preset(machine), programs, make_policy(policy), simcfg)
 

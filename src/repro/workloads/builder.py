@@ -19,7 +19,7 @@ from repro.trace.profiles import PROFILES, BenchmarkProfile, get_profile
 from repro.trace.synthetic import SyntheticTrace, generate_trace
 from repro.trace.wrongpath import WrongPathSupplier
 from repro.utils.rng import derive_seed
-from repro.workloads.specint import WorkloadSpec
+from repro.workloads.specint import WORKLOADS, WorkloadSpec
 
 __all__ = [
     "ThreadProgram",
@@ -58,11 +58,16 @@ def _make_program(
 
 
 def build_programs(
-    spec: WorkloadSpec,
+    spec: WorkloadSpec | str,
     simcfg: SimulationConfig,
     trace_cache: TraceArtifactCache | None = None,
 ) -> list[ThreadProgram]:
-    """Thread programs for a Table 2(b) workload (slot order preserved).
+    """Thread programs for a workload (slot order preserved).
+
+    ``spec`` is a :class:`WorkloadSpec` or a name: a Table 2(b) workload
+    (``"4-MIX"``), else a lone benchmark or an ingested trace, which run as
+    :func:`build_single` builds them. Any other name raises a KeyError
+    listing all three kinds.
 
     ``trace_cache`` optionally backs trace generation with the persistent
     artifact cache for the duration of the build: the six-policies-over-one-
@@ -71,6 +76,16 @@ def build_programs(
     instance), all of which this builder determines, so cached replay is
     bit-identical to regeneration.
     """
+    if isinstance(spec, str):
+        if spec not in WORKLOADS:
+            if spec not in PROFILES and ingest.find_ingested(spec) is None:
+                raise KeyError(
+                    f"unknown workload {spec!r}; valid: {sorted(WORKLOADS)}, a "
+                    f"benchmark from {sorted(PROFILES)}, or an ingested trace name "
+                    f"(see `dwarn-sim ingest`)"
+                )
+            return build_single(spec, simcfg, trace_cache)
+        spec = WORKLOADS[spec]
     instance_count: dict[str, int] = {}
     programs = []
     with trace_cache_installed(trace_cache):

@@ -19,10 +19,8 @@ Three layers are pinned here, mirroring the service's preemption path:
   the same fail-closed/fail-open discipline tests/test_trace_ingest.py
   pins for the ingest boundary.
 
-Plus the cost-model regression: resumed jobs train the scheduler with
-full-run-equivalent seconds, so repeated preemption cannot deflate (or
-re-recording inflate) the learned EMA costs. And a worker restores the
-checkpoint its lease ships whether or not it captures checkpoints itself.
+Plus: a worker restores the checkpoint its lease ships whether or not it
+captures checkpoints itself.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from repro.core.columnar import (
     run_checkpointed,
 )
 from repro.core.vec import run_batch
-from repro.experiments.parallel import SweepCostModel, simulate_resumable
+from repro.experiments.parallel import simulate_resumable
 from repro.workloads import build_programs, get_workload
 
 POLICIES = ("icount", "stall", "flush", "dg", "pdg", "dwarn")
@@ -499,56 +497,6 @@ class TestWirePathFuzz:
             spec, {"cycle": cycle, "data": grant_data}
         )
         assert state is None or isinstance(state, ColumnarState)
-
-
-# ----------------------------------------------------------------------
-# Cost-model training under preemption
-
-
-class TestCostModelUnderPreemption:
-    MACHINE = "baseline"
-
-    def test_partial_secs_scale_to_full_equivalent(self):
-        simcfg = _simcfg(warmup_cycles=0, measure_cycles=500)
-        model = SweepCostModel(None)
-        # Resumed from 50%: the incremental 5s means a 10s full run.
-        model.record_partial(
-            self.MACHINE, simcfg, "2-MEM", "dwarn", 5.0, resumed_from=250
-        )
-        assert model.estimate(self.MACHINE, simcfg, "2-MEM", "dwarn") == pytest.approx(10.0)
-
-    def test_zero_resume_degenerates_to_record(self):
-        simcfg = _simcfg(warmup_cycles=0, measure_cycles=500)
-        model = SweepCostModel(None)
-        model.record_partial(self.MACHINE, simcfg, "2-MEM", "dwarn", 7.5)
-        assert model.estimate(self.MACHINE, simcfg, "2-MEM", "dwarn") == pytest.approx(7.5)
-
-    def test_repeated_preemption_does_not_inflate_ema(self):
-        """The regression: re-recording full wall time on every redelivery
-        used to inflate the EMA; scaled incremental records keep it at the
-        true full-run cost no matter how often the job is preempted."""
-        simcfg = _simcfg(warmup_cycles=0, measure_cycles=1_000)
-        model = SweepCostModel(None)
-        model.record(self.MACHINE, simcfg, "2-MEM", "dwarn", 10.0)
-        for _ in range(8):
-            # Preempted at 60%: the resumed worker pays 4s for the last 40%.
-            model.record_partial(
-                self.MACHINE, simcfg, "2-MEM", "dwarn", 4.0, resumed_from=600
-            )
-        assert model.estimate(self.MACHINE, simcfg, "2-MEM", "dwarn") == pytest.approx(
-            10.0
-        )
-
-    def test_out_of_range_resume_points_fall_back_to_raw_secs(self):
-        simcfg = _simcfg(warmup_cycles=0, measure_cycles=500)
-        for resumed_from in (-1, 500, 10_000):
-            model = SweepCostModel(None)
-            model.record_partial(
-                self.MACHINE, simcfg, "2-MEM", "dwarn", 3.0, resumed_from=resumed_from
-            )
-            assert model.estimate(
-                self.MACHINE, simcfg, "2-MEM", "dwarn"
-            ) == pytest.approx(3.0)
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,18 @@ class TestRunnerCaching:
         res = small.run("2-MIX", "icount")
         assert res.machine == "small"
 
+    def test_run_multi_counts_seed_runs_trace_stores(self, tmp_path):
+        from repro.trace import clear_trace_cache
+
+        runner = ExperimentRunner(
+            "baseline", TINY, cache_dir=tmp_path / "results",
+            trace_cache_dir=tmp_path / "traces",
+        )
+        clear_trace_cache()  # every seed's traces are walked and stored
+        runner.run_multi("2-MIX", "icount", seeds=(31, 32))
+        # Two seeds x two threads, all stored through the parent's cache.
+        assert runner.trace_cache.stats()["stores"] == 4
+
 
 class TestExperimentResult:
     def make(self, checks=None):

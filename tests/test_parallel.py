@@ -1,10 +1,9 @@
-"""Tests for the process-pool sweep executor: scheduling, streaming
-completion, fault tolerance (worker death, failing pairs), the persisted
-cost model, and prefetch cache semantics."""
+"""Tests for the process-pool sweep executor: widest-first dispatch,
+streaming completion, fault tolerance (worker death, failing pairs), and
+prefetch cache semantics."""
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -12,7 +11,6 @@ import pytest
 from repro.config import SimulationConfig
 from repro.experiments import (
     ExperimentRunner,
-    SweepCostModel,
     SweepError,
     prefetch,
     run_pairs,
@@ -92,12 +90,30 @@ class TestRunPairs:
         runner = ExperimentRunner("baseline", TINY)
         assert run_pairs(runner.machine, TINY, [], processes=2) == []
 
+    def test_widest_workload_first(self):
+        # The serial path dispatches in scheduling order: widest first,
+        # equal widths in the order given, a lone benchmark as one thread.
+        runner = ExperimentRunner("baseline", TINY)
+        started: list[str] = []
+        run_pairs(
+            runner.machine, TINY,
+            [("gzip", "icount"), ("2-ILP", "icount"), ("4-MIX", "icount"), ("2-MIX", "icount")],
+            processes=1,
+            progress=lambda done, total, wl, pol, secs: started.append(wl),
+        )
+        assert started == ["4-MIX", "2-ILP", "2-MIX", "gzip"]
+
 
 class TestPrefetch:
     def test_fills_caches(self, tmp_path):
         runner = ExperimentRunner("baseline", TINY, cache_dir=tmp_path)
-        n = prefetch(runner, [("2-ILP", "icount"), ("2-ILP", "dwarn")], processes=2)
+        pairs = [("2-ILP", "icount"), ("2-ILP", "dwarn")]
+        n = prefetch(runner, pairs, processes=2)
         assert n == 2
+        # The cache directory holds the two results and nothing else.
+        assert sorted(tmp_path.iterdir()) == sorted(
+            runner._disk_path(runner._key(wl, pol)) for wl, pol in pairs
+        )
         before = runner.simulations_run
         runner.run("2-ILP", "icount")  # cache hit
         assert runner.simulations_run == before
@@ -180,14 +196,6 @@ class TestPrefetch:
         assert [d for d, _ in seen] == [1, 2, 3]
         assert all(t == 3 for _, t in seen)
 
-    def test_records_costs_for_later_sweeps(self, tmp_path):
-        runner = ExperimentRunner("baseline", TINY, cache_dir=tmp_path)
-        prefetch(runner, [("2-ILP", "icount"), ("gzip", "icount")], processes=2)
-        model = SweepCostModel.for_cache_dir(tmp_path)
-        assert len(model) == 2
-        measured = model.estimate("baseline", TINY, "2-ILP", "icount")
-        assert 0.0 < measured < SweepCostModel.fallback(TINY, "2-ILP")
-
 
 class TestFaultTolerance:
     def test_worker_death_is_retried(self, tmp_path, monkeypatch):
@@ -253,8 +261,8 @@ class TestFaultTolerance:
         assert "seed=909" in str(exc_info.value)
 
     def test_transient_exception_is_retried(self, tmp_path, monkeypatch):
-        # The worker raises exactly once: with the default retries=1 the
-        # re-queued attempt succeeds and the sweep completes.
+        # The worker raises exactly once: the one retry a pair gets
+        # re-queues it, the attempt succeeds and the sweep completes.
         flag = tmp_path / "raise-once"
         flag.touch()
         monkeypatch.setenv(_KILL_FLAG_ENV, str(flag))
@@ -267,78 +275,3 @@ class TestFaultTolerance:
         assert not flag.exists()
         assert len(out) == 1 and out[0][2].throughput > 0
 
-
-class TestCostModel:
-    def test_fallback_scales_with_threads(self):
-        assert SweepCostModel.fallback(TINY, "8-MEM") == 8 * TINY.trace_length
-        assert SweepCostModel.fallback(TINY, "2-ILP") == 2 * TINY.trace_length
-        assert SweepCostModel.fallback(TINY, "gzip") == 1 * TINY.trace_length
-
-    def test_record_save_load_roundtrip(self, tmp_path):
-        model = SweepCostModel.for_cache_dir(tmp_path)
-        model.record("baseline", TINY, "4-MIX", "dwarn", 2.5)
-        model.save()
-        reloaded = SweepCostModel.for_cache_dir(tmp_path)
-        assert reloaded.estimate("baseline", TINY, "4-MIX", "dwarn") == 2.5
-
-    def test_record_uses_ema(self, tmp_path):
-        model = SweepCostModel(None)
-        model.record("baseline", TINY, "4-MIX", "dwarn", 2.0)
-        model.record("baseline", TINY, "4-MIX", "dwarn", 4.0)
-        assert model.estimate("baseline", TINY, "4-MIX", "dwarn") == 3.0
-
-    def test_key_distinguishes_scale_and_machine(self, tmp_path):
-        model = SweepCostModel(None)
-        model.record("baseline", TINY, "4-MIX", "dwarn", 2.0)
-        other_scale = SimulationConfig(
-            warmup_cycles=100, measure_cycles=9000, trace_length=4000, seed=3
-        )
-        assert model.estimate("small", TINY, "4-MIX", "dwarn") == SweepCostModel.fallback(
-            TINY, "4-MIX"
-        )
-        assert model.estimate(
-            "baseline", other_scale, "4-MIX", "dwarn"
-        ) == SweepCostModel.fallback(other_scale, "4-MIX")
-
-    def test_corrupt_model_file_starts_fresh(self, tmp_path):
-        path = tmp_path / SweepCostModel.FILENAME
-        path.write_text("{broken json")
-        model = SweepCostModel(path)
-        assert len(model) == 0
-        model.record("baseline", TINY, "gzip", "icount", 1.0)
-        model.save()
-        assert json.loads(path.read_text())["version"] == 1
-
-    def test_longest_job_first_dispatch(self, tmp_path):
-        # Seed measured costs that *invert* the fallback ordering, then watch
-        # the serial scheduler (deterministic dispatch order) follow them.
-        model = SweepCostModel(None)
-        model.record("baseline", TINY, "gzip", "icount", 30.0)
-        model.record("baseline", TINY, "2-ILP", "icount", 10.0)
-        model.record("baseline", TINY, "2-MIX", "icount", 20.0)
-        runner = ExperimentRunner("baseline", TINY)
-        started: list[str] = []
-        run_pairs(
-            runner.machine, TINY,
-            [("2-ILP", "icount"), ("gzip", "icount"), ("2-MIX", "icount")],
-            processes=1,
-            cost_model=model,
-            progress=lambda done, total, wl, pol, secs: started.append(wl),
-        )
-        assert started == ["gzip", "2-MIX", "2-ILP"]
-
-    def test_unknown_pairs_scheduled_before_measured(self, tmp_path):
-        # Fallback costs (work units) dwarf measured seconds by construction:
-        # never-measured pairs run first, which is the conservative LJF bet.
-        model = SweepCostModel(None)
-        model.record("baseline", TINY, "gzip", "icount", 30.0)
-        runner = ExperimentRunner("baseline", TINY)
-        started: list[str] = []
-        run_pairs(
-            runner.machine, TINY,
-            [("gzip", "icount"), ("2-ILP", "icount")],
-            processes=1,
-            cost_model=model,
-            progress=lambda done, total, wl, pol, secs: started.append(wl),
-        )
-        assert started == ["2-ILP", "gzip"]

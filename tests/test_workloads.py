@@ -110,3 +110,18 @@ class TestBuilder:
         programs = build_programs(get_workload("2-MIX"), self.CFG)
         for p in programs:
             assert p.wp_supplier.base == p.trace.base
+
+    def test_names_build_what_spec_and_build_single_build(self):
+        from repro.trace import clear_trace_cache
+
+        def fingerprint(build, arg):
+            clear_trace_cache()  # every build walks its own traces
+            return [
+                (p.profile.name, p.trace.base, p.trace.rec, p.wp_supplier.seed)
+                for p in build(arg, self.CFG)
+            ]
+
+        assert fingerprint(build_programs, "4-MIX") == fingerprint(
+            build_programs, get_workload("4-MIX")
+        )
+        assert fingerprint(build_programs, "mcf") == fingerprint(build_single, "mcf")
