@@ -41,6 +41,7 @@ worst a little more slowly.
 
 from __future__ import annotations
 
+import base64
 import json
 import struct
 import sys
@@ -79,7 +80,8 @@ __all__ = [
 
 #: Bump on any change to the column set, codec layout, or structural schema.
 #: v2: serializable policy-bound ``EV_CALL`` markers + meta-policy state.
-SNAPSHOT_VERSION = 2
+#: v3: each cache's tags as one packed, zlib-compressed array.
+SNAPSHOT_VERSION = 3
 
 #: Version of the checkpoint *envelope* (the resume unit shipped over the
 #: lease protocol): a small header binding the captured cycle and run horizon
@@ -408,7 +410,7 @@ class ColumnarState:
             "warm_committed": sim._warm_committed,
             "hierarchy": {
                 "caches": {
-                    name: _cache_state(c)
+                    name: _cache_state(c, _pack_tags(c._tags))
                     for name, c in (
                         ("icache", hier.icache),
                         ("dcache", hier.dcache),
@@ -605,7 +607,8 @@ class ColumnarState:
             ("dcache", hier.dcache),
             ("l2", hier.l2),
         ):
-            _restore_cache(c, hmeta["caches"][name])
+            state = hmeta["caches"][name]
+            _restore_cache(c, state, _unpack_tags(state["tags"]))
         hier.dtlb._sets = [list(s) for s in hmeta["dtlb"]["sets"]]
         hier.dtlb.accesses = hmeta["dtlb"]["accesses"]
         hier.dtlb.misses = hmeta["dtlb"]["misses"]
@@ -751,9 +754,23 @@ class ColumnarState:
         )
 
 
-def _cache_state(c: Any) -> dict[str, Any]:
+def _pack_tags(tags: list[int]) -> str:
+    """A cache's flat tag list as base64 of zlib over little-endian int64s:
+    mostly empty ways and small line addresses compress about 20x, so the
+    JSON section carries a few KB instead of one list per set."""
+    return base64.b64encode(zlib.compress(_array_bytes("q", tags), 1)).decode("ascii")
+
+
+def _unpack_tags(data: str) -> list[int]:
+    try:
+        return _array_from("q", zlib.decompress(base64.b64decode(data)))
+    except (TypeError, ValueError, zlib.error) as exc:
+        raise SnapshotError(f"bad cache tag array: {exc}") from exc
+
+
+def _cache_state(c: Any, tags: Any) -> dict[str, Any]:
     return {
-        "sets": [list(s) for s in c._sets],
+        "tags": tags,
         "bank_busy_cycle": c._bank_busy_cycle,
         "bank_busy": c._bank_busy,
         "accesses": c.accesses,
@@ -762,8 +779,12 @@ def _cache_state(c: Any) -> dict[str, Any]:
     }
 
 
-def _restore_cache(c: Any, state: dict[str, Any]) -> None:
-    c._sets = [list(s) for s in state["sets"]]
+def _restore_cache(c: Any, state: dict[str, Any], tags: list[int]) -> None:
+    if len(tags) != len(c._tags):
+        raise SnapshotError(
+            f"{c.name}: {len(tags)} tags captured, cache has {len(c._tags)} ways"
+        )
+    c._tags = tags
     c._bank_busy_cycle = state["bank_busy_cycle"]
     c._bank_busy = state["bank_busy"]
     c.accesses = state["accesses"]
@@ -916,12 +937,12 @@ def capture_warm_hierarchy(hier: Any) -> dict[str, Any]:
     batch backend (``repro.core.vec``) constructs one lane per program group
     with pre-warm enabled, captures this template, and builds the remaining
     lanes with pre-warm off plus :func:`restore_warm_hierarchy` — identical
-    state at a fraction of the constructor cost.
+    state at a fraction of the constructor cost: one list copy per cache.
     """
     return {
-        "icache": _cache_state(hier.icache),
-        "dcache": _cache_state(hier.dcache),
-        "l2": _cache_state(hier.l2),
+        "icache": _cache_state(hier.icache, list(hier.icache._tags)),
+        "dcache": _cache_state(hier.dcache, list(hier.dcache._tags)),
+        "l2": _cache_state(hier.l2, list(hier.l2._tags)),
         "dtlb_sets": [list(s) for s in hier.dtlb._sets],
         "dtlb_accesses": hier.dtlb.accesses,
         "dtlb_misses": hier.dtlb.misses,
@@ -931,9 +952,9 @@ def capture_warm_hierarchy(hier: Any) -> dict[str, Any]:
 def restore_warm_hierarchy(hier: Any, state: dict[str, Any]) -> None:
     """Overwrite ``hier``'s cache/TLB content from a template captured by
     :func:`capture_warm_hierarchy` (see there for the cloning contract)."""
-    _restore_cache(hier.icache, state["icache"])
-    _restore_cache(hier.dcache, state["dcache"])
-    _restore_cache(hier.l2, state["l2"])
+    for name in ("icache", "dcache", "l2"):
+        cstate = state[name]
+        _restore_cache(getattr(hier, name), cstate, list(cstate["tags"]))
     hier.dtlb._sets = [list(s) for s in state["dtlb_sets"]]
     hier.dtlb.accesses = state["dtlb_accesses"]
     hier.dtlb.misses = state["dtlb_misses"]

@@ -797,8 +797,9 @@ class Simulator:
         l2_lat = memcfg.l2.latency
         mem_lat = memcfg.memory_latency
         dcache = hierarchy.dcache
-        dc_sets = dcache._sets
+        dc_tags = dcache._tags
         dc_set_mask = dcache._set_mask
+        dc_assoc = dcache._assoc
         dtlb = hierarchy.dtlb
         tlb_sets = dtlb._sets
         tlb_page_shift = dtlb._page_shift
@@ -890,14 +891,9 @@ class Simulator:
                 else:
                     if outs is not None:
                         del out_d[line]
-                    dcache.accesses += 1
-                    cset = dc_sets[line & dc_set_mask]
-                    if cset and cset[-1] == line:
-                        pass
-                    elif line in cset:
-                        cset.append(cset.pop(cset.index(line)))
-                    else:
-                        dcache.misses += 1
+                    if dc_tags[(line & dc_set_mask) * dc_assoc] == line:
+                        dcache.accesses += 1  # MRU hit
+                    elif not dcache.probe(line):
                         if not wrongpath:
                             h_store_l1m[tid] += 1
                         lat = d_lat + l2_lat
@@ -924,10 +920,10 @@ class Simulator:
         """Execute load ``i`` issued at ``cycle``.
 
         ``MemoryHierarchy.load_access`` written out — bank conflict, D-TLB,
-        outstanding-fill merge (secondary miss) and the MRU-first cache
-        probe, with its exact stat side effects; only the refills call
-        ``Cache.fill`` and the L2 probe. Then the policy hooks and the miss
-        events.
+        outstanding-fill merge (secondary miss) and the cache probe's MRU-way
+        test, with its exact stat side effects; the other ways go through
+        ``Cache.probe``, and only the refills call ``Cache.fill`` and the L2
+        probe. Then the policy hooks and the miss events.
         """
         hierarchy = self.hierarchy
         memcfg = hierarchy.cfg
@@ -936,8 +932,9 @@ class Simulator:
         mem_lat = memcfg.memory_latency
         tlb_penalty = memcfg.dtlb.miss_penalty
         dcache = hierarchy.dcache
-        dc_sets = dcache._sets
+        dc_tags = dcache._tags
         dc_set_mask = dcache._set_mask
+        dc_assoc = dcache._assoc
         dc_bank_mask = dcache._bank_mask
         dtlb = hierarchy.dtlb
         tlb_sets = dtlb._sets
@@ -1015,15 +1012,12 @@ class Simulator:
                 del out_d[line]  # fill already arrived; stale entry
                 outs = None
         if outs is None:
-            dcache.accesses += 1
-            cset = dc_sets[line & dc_set_mask]
-            if cset and cset[-1] == line:
+            if dc_tags[(line & dc_set_mask) * dc_assoc] == line:
+                dcache.accesses += 1  # MRU hit
                 fill_cycle = cycle + lat
-            elif line in cset:
-                cset.append(cset.pop(cset.index(line)))
+            elif dcache.probe(line):
                 fill_cycle = cycle + lat
             else:
-                dcache.misses += 1
                 l1m = True
                 if not wrongpath:
                     h_load_l1m[tid] += 1

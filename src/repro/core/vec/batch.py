@@ -15,14 +15,17 @@ Where the batch wins (the reason the backend exists):
 - **Pre-warm template cloning.** Cache pre-warming is a pure function of
   (machine, programs), so the first lane of each group warms the hierarchy
   and the siblings clone it (``repro.core.columnar.capture_warm_hierarchy``)
-  instead of re-filling thousands of cache lines each.
+  instead of re-filling thousands of cache lines each: a clone is one list
+  copy per cache (a cache's tags are one flat list) plus the D-TLB's sets.
 - **Paused GC.** One simulation allocates millions of short-lived tuples;
   B simulations in one process thrash the collector B times harder. The
   batch disables GC for the build and run phases and restores it after.
   It first runs one full collection: a finished ``Simulator`` is cyclic
   garbage (its policy points back at it), so without that collect the
   previous batches' lanes would stay resident until CPython's gen-2
-  heuristic happened to fire.
+  heuristic happened to fire. With three tag lists per lane instead of one
+  list per cache set, that collection frees about 165 objects a lane, not
+  about 5,300.
 
 The batch runs in *one* process — it removes the per-worker duplicated
 setup that process pools pay, and composes with them (each worker can run

@@ -1,8 +1,15 @@
 """Set-associative LRU cache with bank-conflict accounting.
 
-Sets are small Python lists of line tags kept in LRU order (MRU last): for
-2-way caches a list scan beats any indexed structure, and `list.pop/append`
-keep the hot path allocation-free (hpc guide: minimize per-access work).
+A cache's tags live in one flat list, ``_tags``: set ``s`` owns
+``_tags[s * assoc:(s + 1) * assoc]`` in LRU order, MRU way first, and
+``-1`` marks an empty way (empty ways always sit at the LRU end, since a
+fill ages every way by one). One list per cache instead of one per set keeps
+a simulator's tag state to three objects, so building, cloning,
+checkpointing and freeing a simulator costs a few list copies, not
+thousands of small lists. Hits in the MRU way, the common case, cost one
+index; other ways are scanned and shifted in place with plain loops, since
+on the two-way sets of the modelled machines one slice costs more than the
+whole loop.
 
 Addresses are byte addresses; the cache operates on line addresses
 (``addr >> line_shift``).
@@ -24,7 +31,7 @@ class Cache:
         "line_shift",
         "_set_mask",
         "_assoc",
-        "_sets",
+        "_tags",
         "_bank_mask",
         "_bank_busy_cycle",
         "_bank_busy",
@@ -38,10 +45,9 @@ class Cache:
         self.cfg = cfg
         self.name = cfg.name
         self.line_shift = cfg.line_bytes.bit_length() - 1
-        num_sets = cfg.num_sets
-        self._set_mask = num_sets - 1
+        self._set_mask = cfg.num_sets - 1
         self._assoc = cfg.assoc
-        self._sets: list[list[int]] = [[] for _ in range(num_sets)]
+        self._tags: list[int] = [-1] * cfg.num_lines
         self._bank_mask = cfg.banks - 1
         # Bank arbitration: one access per bank per cycle. We track, per
         # cycle, which banks have been used; stale entries are reset lazily.
@@ -56,42 +62,49 @@ class Cache:
     def probe(self, line_addr: int) -> bool:
         """True if the line is present; updates LRU on hit. Counts stats."""
         self.accesses += 1
-        s = self._sets[line_addr & self._set_mask]
-        if s and s[-1] == line_addr:  # MRU fast path
+        tags = self._tags
+        base = (line_addr & self._set_mask) * self._assoc
+        if tags[base] == line_addr:  # MRU fast path
             return True
-        # Membership + position via C-level list scans: for the 2-8 way sets
-        # this model uses, ``in``/``index`` beat any interpreted loop.
-        if line_addr in s:
-            s.append(s.pop(s.index(line_addr)))
-            return True
+        w = base + 1
+        end = base + self._assoc
+        while w < end:
+            if tags[w] == line_addr:
+                while w > base:  # the ways before it age by one
+                    tags[w] = tags[w - 1]
+                    w -= 1
+                tags[base] = line_addr
+                return True
+            w += 1
         self.misses += 1
         return False
 
     def contains(self, line_addr: int) -> bool:
         """Presence check without LRU update or stats (testing/policy hook)."""
-        return line_addr in self._sets[line_addr & self._set_mask]
+        base = (line_addr & self._set_mask) * self._assoc
+        return line_addr in self._tags[base : base + self._assoc]
 
     def fill(self, line_addr: int) -> int:
-        """Insert a line, evicting LRU if needed. Returns the victim line
-        address or -1 (used by the hierarchy for inclusive back-invalidation
-        accounting; we model non-inclusive caches so victims are dropped)."""
-        s = self._sets[line_addr & self._set_mask]
-        if line_addr in s:
+        """Insert a line as MRU, evicting the LRU way. Returns the victim line
+        address, or -1 if the set had an empty way or already held the line
+        (a present line's LRU position is left alone). The hierarchy models
+        non-inclusive caches, so victims are dropped."""
+        tags = self._tags
+        base = (line_addr & self._set_mask) * self._assoc
+        w = base + self._assoc - 1  # the LRU way
+        victim = tags[w]
+        if victim == line_addr or tags[base] == line_addr:
             return -1
-        victim = -1
-        if len(s) >= self._assoc:
-            victim = s.pop(0)
-        s.append(line_addr)
+        i = base + 1
+        while i < w:
+            if tags[i] == line_addr:
+                return -1
+            i += 1
+        while w > base:  # every way ages by one; the LRU way falls off
+            tags[w] = tags[w - 1]
+            w -= 1
+        tags[base] = line_addr
         return victim
-
-    def invalidate(self, line_addr: int) -> bool:
-        """Remove a line if present (returns True if it was)."""
-        s = self._sets[line_addr & self._set_mask]
-        try:
-            s.remove(line_addr)
-            return True
-        except ValueError:
-            return False
 
     # -- banking -------------------------------------------------------------
 
@@ -120,7 +133,7 @@ class Cache:
 
     def occupancy(self) -> int:
         """Number of valid lines (testing hook)."""
-        return sum(len(s) for s in self._sets)
+        return len(self._tags) - self._tags.count(-1)
 
     def reset_stats(self) -> None:
         """Zero the access/miss/conflict counters (tag state untouched)."""

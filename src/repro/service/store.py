@@ -4,9 +4,10 @@ Every job the service completes appends one self-contained JSON line:
 the canonical spec, the ``RunManifest``-derived execution record (source,
 in-worker seconds, retries, seed — the same fields
 ``repro.obs.manifest.PairRecord`` tracks for sweeps), and the serialized
-``SimResult``. Append-only JSONL keeps the write path a single
-``write()+flush()`` — crash-safe in the sense that a torn final line is
-simply skipped on reload — while still being greppable and ``jq``-able.
+``SimResult``. Append-only JSONL keeps the write path one
+``write()+flush()+fsync()`` per record — durable once ``add`` returns, and
+crash-safe in the sense that a torn final line is simply skipped on reload —
+while still being greppable and ``jq``-able.
 
 Reads are served from an in-memory index (by job id and by spec cache key);
 ``load()`` rebuilds it on startup, keeping the newest record per cache key
@@ -117,7 +118,8 @@ class ResultStore:
         return len(self._by_key)
 
     def add(self, record: dict[str, Any]) -> None:
-        """Index a record and append it to the JSONL file (flushed)."""
+        """Index a record and append it to the JSONL file (flushed and
+        fsynced, so the record survives a crash once this returns)."""
         self._insert(record)
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)

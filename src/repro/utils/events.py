@@ -18,8 +18,9 @@ class EventWheel:
     """Maps future cycle -> list of opaque events.
 
     Events are arbitrary payloads; the simulator decides how to interpret
-    them when it drains a cycle. Draining returns events in scheduling order,
-    which keeps the simulation deterministic.
+    them when it drains a cycle: its drain stage pops that cycle's bucket
+    and subtracts its length from ``pending``. A bucket lists its events in
+    scheduling order, which keeps the simulation deterministic.
     """
 
     __slots__ = ("buckets", "pending")
@@ -36,14 +37,6 @@ class EventWheel:
         else:
             bucket.append(event)
         self.pending += 1
-
-    def drain(self, cycle: int) -> list[Any]:
-        """Remove and return all events scheduled for ``cycle`` (may be [])."""
-        bucket = self.buckets.pop(cycle, None)
-        if bucket is None:
-            return []
-        self.pending -= len(bucket)
-        return bucket
 
     def __len__(self) -> int:
         return self.pending

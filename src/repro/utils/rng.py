@@ -24,6 +24,7 @@ import math
 import sys
 from array import array
 from collections.abc import Callable, Iterator
+from functools import lru_cache
 from itertools import chain, count
 
 __all__ = [
@@ -38,6 +39,10 @@ _MASK64 = (1 << 64) - 1
 # FNV-1a 64-bit parameters.
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+# FNV-1a over k zero bytes is one multiply by _FNV_PRIME**k (``h ^= 0`` is a
+# no-op). An int's bytes end in at most 16 zero bytes: its 16-byte form
+# holds the whole run, and a wider form has at most a zero sign byte.
+_ZERO_RUN = [pow(_FNV_PRIME, k, 1 << 64) for k in range(17)]
 
 # SplitMix64 increment ("golden gamma") and finalizer multipliers.
 _GAMMA = 0x9E3779B97F4A7C15
@@ -60,13 +65,28 @@ _GAMMA_IDX = int.from_bytes(
 _LANES = int.from_bytes(_MASK64.to_bytes(16, "little") * _BLOCK, "little")
 
 
+def _fnv1a(h: int, data: bytes) -> int:
+    """FNV-1a state ``h`` after ``data``, one byte at a time."""
+    for byte in data:
+        h ^= byte
+        h = (h * _FNV_PRIME) & _MASK64
+    return h
+
+
+#: Long string parts (``repr(machine)`` is about 1 KB) recur with the same
+#: state in every result-cache key, and a dict lookup beats the byte loop.
+_fnv1a_long = lru_cache(maxsize=64)(_fnv1a)
+
+
 def stable_hash64(*parts: object) -> int:
     """Hash an arbitrary tuple of ints/strings to a stable 64-bit value.
 
     Uses FNV-1a over each part's bytes (16-byte two's complement for ints,
     wider for ints beyond 128 bits, UTF-8 of ``str(part)`` otherwise), which
     is stable across processes and Python versions (unlike built-in
-    ``hash``).
+    ``hash``). An int's trailing zero bytes cost one multiply, and string
+    parts of 256 bytes or more are memoized; the values are those of the
+    plain byte loop.
     """
     h = _FNV_OFFSET
     for part in parts:
@@ -77,11 +97,11 @@ def stable_hash64(*parts: object) -> int:
                 # Beyond 128 bits: as many bytes as it needs, so every
                 # in-range hash stays what it was.
                 data = part.to_bytes((part.bit_length() + 8) // 8, "little", signed=True)
+            body = data.rstrip(b"\0")
+            h = (_fnv1a(h, body) * _ZERO_RUN[len(data) - len(body)]) & _MASK64
         else:
             data = str(part).encode("utf-8")
-        for byte in data:
-            h ^= byte
-            h = (h * _FNV_PRIME) & _MASK64
+            h = (_fnv1a_long if len(data) >= 256 else _fnv1a)(h, data)
         # Part separator (0xFF never appears in UTF-8 and breaks the
         # 16-byte int framing): ("a","b") must differ from ("ab",).
         h ^= 0xFF

@@ -18,7 +18,13 @@ import pytest
 
 from repro.config import SimulationConfig, baseline
 from repro.core import Simulator, make_policy
-from repro.core.columnar import SNAPSHOT_VERSION, ColumnarState, SnapshotError
+from repro.core.columnar import (
+    SNAPSHOT_VERSION,
+    ColumnarState,
+    SnapshotError,
+    checkpoint_to_bytes,
+    run_checkpointed,
+)
 from repro.workloads import build_programs, get_workload
 
 POLICIES = ("icount", "stall", "flush", "dg", "pdg", "dwarn")
@@ -129,7 +135,54 @@ def test_resume_on_staged_engine_matches_fused():
 
 def test_snapshot_version_constant():
     # v2: policy-bound EV_CALL markers + meta-policy state (checkpoint PR).
-    assert SNAPSHOT_VERSION == 2
+    # v3: each cache's tags as one packed array.
+    assert SNAPSHOT_VERSION == 3
+
+
+def test_restored_cache_tags_equal_captured():
+    simcfg = _simcfg()
+    sim = _fresh_sim("4-MIX", "dwarn", simcfg)
+    sim._begin_window()
+    sim.run_cycles(250)
+    state = ColumnarState.from_bytes(ColumnarState.capture(sim).to_bytes())
+    resumed = _fresh_sim("4-MIX", "dwarn", simcfg)
+    state.restore_into(resumed)
+    for name in ("icache", "dcache", "l2"):
+        captured = getattr(sim.hierarchy, name)._tags
+        restored = getattr(resumed.hierarchy, name)._tags
+        assert restored == captured
+        assert restored is not captured
+        assert any(t >= 0 for t in captured)
+
+
+def test_checkpoint_smaller_than_per_set_lists():
+    """The 2-MIX/dwarn checkpoint at cycle 512 of a 200 + 1,200-cycle run
+    over 6,000-record traces: with one JSON list per cache set it took
+    38,606 bytes; the packed tag arrays must keep it below that."""
+    simcfg = SimulationConfig(warmup_cycles=200, measure_cycles=1200, trace_length=6_000)
+    sim = _fresh_sim("2-MIX", "dwarn", simcfg)
+    sizes: list[int] = []
+
+    def capture(s: Simulator) -> None:
+        if not sizes:
+            sizes.append(len(checkpoint_to_bytes(s)))
+
+    run_checkpointed(sim, 512, capture)
+    assert sizes and sizes[0] < 38_606
+
+
+def test_bad_tag_array_raises_snapshot_error():
+    simcfg = _simcfg()
+    sim = _fresh_sim("2-MEM", "icount", simcfg)
+    state = ColumnarState.capture(sim)
+    state.meta["hierarchy"]["caches"]["l2"]["tags"] = "not base64!"
+    with pytest.raises(SnapshotError):
+        state.restore_into(_fresh_sim("2-MEM", "icount", simcfg))
+    state = ColumnarState.capture(sim)
+    caches = state.meta["hierarchy"]["caches"]
+    caches["dcache"]["tags"] = caches["l2"]["tags"]  # 8,192 ways for 1,024
+    with pytest.raises(SnapshotError):
+        state.restore_into(_fresh_sim("2-MEM", "icount", simcfg))
 
 
 def test_corrupt_payload_raises_snapshot_error():

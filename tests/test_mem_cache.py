@@ -57,12 +57,17 @@ class TestCacheBasics:
         assert c.fill(3) == -1
         assert c.occupancy() == 1
 
-    def test_invalidate(self):
-        c = tiny_cache()
-        c.fill(7)
-        assert c.invalidate(7)
-        assert not c.contains(7)
-        assert not c.invalidate(7)
+    def test_fill_victim_order_at_assoc_3(self):
+        c = tiny_cache(assoc=3, sets=4)
+        # Lines 1, 5, 9, 13, 17 all map to set 1.
+        assert [c.fill(x) for x in (1, 5, 9)] == [-1, -1, -1]
+        assert c.fill(13) == 1  # LRU goes first
+        assert c.probe(5)  # 5 becomes MRU; 9 is now LRU
+        assert c.fill(17) == 9
+        assert c.fill(5) == -1  # present: no eviction, no reorder
+        assert c.fill(1) == 13
+        assert [x for x in (1, 5, 9, 13, 17) if c.contains(x)] == [1, 5, 17]
+        assert c.occupancy() == 3
 
     def test_stats(self):
         c = tiny_cache()
@@ -114,17 +119,23 @@ class _RefLRU:
 
 
 class TestLRUProperty:
+    @pytest.mark.parametrize("assoc", [1, 2, 3, 4])
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=300))
-    def test_matches_reference_model(self, lines):
-        c = tiny_cache(assoc=2, sets=8)
-        ref = _RefLRU(8, 2)
+    def test_matches_reference_model(self, assoc, lines):
+        c = tiny_cache(assoc=assoc, sets=8)
+        ref = _RefLRU(8, assoc)
         for line in lines:
             got = c.probe(line)
             if not got:
                 c.fill(line)
             expected = ref.access(line)
             assert got == expected, f"divergence at line {line}"
+            # The flat layout: the set's ways MRU first, empty ways last.
+            ways = ref.sets[line & ref.mask][::-1]
+            base = (line & ref.mask) * assoc
+            assert c._tags[base : base + assoc] == ways + [-1] * (assoc - len(ways))
+        assert c.occupancy() == sum(len(s) for s in ref.sets)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=255), min_size=1, max_size=200))

