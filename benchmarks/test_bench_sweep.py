@@ -46,7 +46,7 @@ def test_bench_trace_artifact_load(benchmark, tmp_path):
         lambda: cache.load(profile, TRACE_LENGTH, 0, 123, 0), rounds=5, iterations=1
     )
     assert loaded is not None and len(loaded) == TRACE_LENGTH
-    assert loaded.rec == trace.rec
+    assert loaded.cols == trace.cols
 
 
 @pytest.mark.parametrize("processes", [1, 2])

@@ -24,11 +24,10 @@ def characterize(bench: str, length: int = 60_000):
 
     counts = trace.op_counts()
     branches = counts.get(int(OpClass.BRANCH), 0)
-    # One tuple per dynamic instruction, laid out as repro.trace.RECORD_FIELDS.
-    taken = calls = 0
-    for op, _pc, _dest, _src1, _src2, _addr, brkind, was_taken, _target in trace.rec:
-        taken += op == OpClass.BRANCH and was_taken
-        calls += brkind == BranchKind.CALL
+    # One list per field, in repro.trace.RECORD_FIELDS order.
+    ops, brkinds, takens = trace.cols[0], trace.cols[6], trace.cols[7]
+    taken = sum(t for op, t in zip(ops, takens) if op == OpClass.BRANCH)
+    calls = brkinds.count(BranchKind.CALL)
 
     return [
         bench,

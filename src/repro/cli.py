@@ -473,7 +473,8 @@ def _cache_command(args: argparse.Namespace) -> int:
         print(f"  trace-cache directory from {trace_src}")
         mem = trace_cache_stats()
         print(
-            f"  this process: {mem['mem_entries']} traces memoized, "
+            f"  this process: {mem['mem_entries']} traces memoized "
+            f"({mem['mem_records']} records), "
             f"{mem['mem_hits']} memo hits, {mem['generated']} generated"
         )
         return 0

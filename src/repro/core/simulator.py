@@ -1211,12 +1211,13 @@ class Simulator:
             if tc.fetch_ready_cycle > cycle:
                 continue
             trace = tc.trace
-            recs = trace.rec
+            (c_op, c_pc, c_dest, c_src1, c_src2, c_addr, c_brkind, c_taken,
+             c_target) = trace.cols
             tlen = trace.length
             if tc.wrongpath:
                 pc = tc.wp_pc
             else:
-                pc = recs[tc.cursor % tlen][1]
+                pc = c_pc[tc.cursor % tlen]
             slots -= 1
             ready_at = ifetch_ready(tid, pc, cycle)
             if ready_at > cycle:
@@ -1228,7 +1229,7 @@ class Simulator:
             while budget > 0:
                 # DynInstr.__init__ written out: the hottest allocation in
                 # the simulator — direct slot stores skip the constructor
-                # frame and the *rec unpack (see docs/PERFORMANCE.md).
+                # frame and its nine arguments (see docs/PERFORMANCE.md).
                 if tc.wrongpath:
                     pc = tc.wp_pc
                     if pc >> line_shift != first_line:
@@ -1254,23 +1255,23 @@ class Simulator:
                     i.wrongpath = True
                 else:
                     cursor = tc.cursor
-                    rec = recs[cursor % tlen]
-                    pc = rec[1]
+                    ri = cursor % tlen
+                    pc = c_pc[ri]
                     if pc >> line_shift != first_line:
                         break
                     i = instr_new(DynInstr)
                     i.tid = tid
                     i.seq = seq
                     i.idx = cursor
-                    i.op = op = rec[0]
+                    i.op = op = c_op[ri]
                     i.pc = pc
-                    i.dest = rec[2]
-                    i.src1 = rec[3]
-                    i.src2 = rec[4]
-                    i.addr = rec[5]
-                    i.brkind = rec[6]
-                    i.taken = rec[7]
-                    i.target = rec[8]
+                    i.dest = c_dest[ri]
+                    i.src1 = c_src1[ri]
+                    i.src2 = c_src2[ri]
+                    i.addr = c_addr[ri]
+                    i.brkind = c_brkind[ri]
+                    i.taken = c_taken[ri]
+                    i.target = c_target[ri]
                     i.wrongpath = False
                 # Branch-only fields (pred_*, mispredicted, *_snapshot) and
                 # load-only fields (pmeta, miss flags, fill_cycle) are set in

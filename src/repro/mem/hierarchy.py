@@ -188,20 +188,12 @@ class MemoryHierarchy:
 
     # ----------------------------------------------------------------- ifetch
 
-    def ifetch_access(self, tid: int, pc: int, cycle: int) -> tuple[bool, int]:
-        """Instruction-cache probe for the line holding ``pc``.
-
-        Returns ``(hit, ready_cycle)``: on a miss the thread cannot fetch
-        until ``ready_cycle``.
-        """
-        ready = self.ifetch_ready(tid, pc, cycle)
-        return (ready <= cycle, cycle if ready <= cycle else ready)
-
     def ifetch_ready(self, tid: int, pc: int, cycle: int) -> int:
-        """Hot-path variant of :meth:`ifetch_access`: the cycle fetch can
-        proceed for the line holding ``pc`` — equal to ``cycle`` on a hit,
-        later on a miss. Returning a bare int keeps the per-cycle fetch loop
-        free of tuple allocation (one call per offered thread per cycle)."""
+        """Instruction-cache probe for the line holding ``pc``: the cycle
+        fetch can proceed — equal to ``cycle`` on a hit, later on a miss,
+        and the thread cannot fetch before it. Returning a bare int keeps
+        the per-cycle fetch loop free of tuple allocation (one call per
+        offered thread per cycle)."""
         line = pc >> self.line_shift
         outstanding = self._outstanding_i
         ready = outstanding.get(line)

@@ -808,6 +808,7 @@ class SimulationRouter:
                         "latency": p.get("latency"),
                         "workers": p.get("workers"),
                         "http": p.get("http"),
+                        "traces": p.get("traces"),
                     }
                     if p is not None
                     else {"status": "down"}

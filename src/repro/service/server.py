@@ -125,7 +125,7 @@ from repro.service.protocol import (
 )
 from repro.service.queue import DEFAULT_RETRY_AFTER, JobQueue, QueueFull
 from repro.service.store import STORE_VERSION, ResultStore
-from repro.trace import PROFILES, find_ingested
+from repro.trace import PROFILES, find_ingested, trace_cache_stats
 from repro.trace.artifact import schema_info
 from repro.workloads import WORKLOADS
 
@@ -1074,6 +1074,7 @@ class SimulationService:
         c = self.counters
         submitted = c["submitted"]
         served_without_execution = c["store_hits"] + c["cache_hits"] + c["coalesced"]
+        memo = trace_cache_stats()
         return {
             "queue": {
                 "depth": len(self.queue),
@@ -1120,6 +1121,14 @@ class SimulationService:
             "http": {
                 "connections": self.http.accepted,
                 "requests": self.http.served,
+            },
+            # The in-process trace memo keeps every trace this daemon has
+            # simulated, at about 72 bytes a record.
+            "traces": {
+                "memoized": memo["mem_entries"],
+                "records": memo["mem_records"],
+                "memo_hits": memo["mem_hits"],
+                "generated": memo["generated"],
             },
         }
 

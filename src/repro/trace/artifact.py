@@ -117,7 +117,7 @@ def schema_info() -> dict[str, object]:
 
 def _encode(trace: SyntheticTrace) -> bytes:
     """Serialize a trace to the version-1 artifact byte string."""
-    columns = dict(zip(RECORD_FIELDS, zip(*trace.rec)))
+    columns = dict(zip(RECORD_FIELDS, trace.cols))
     parts: list[bytes] = []
     for typecode, field in _FIELDS:
         arr = array(typecode, columns[field])

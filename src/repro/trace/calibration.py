@@ -70,14 +70,14 @@ def replay_miss_rates(
     warm_end = int(len(trace) * warmup_fraction)
     snap = None
     cycle = 0
-    for i, rec in enumerate(trace.rec):
+    ops, addrs = trace.cols[0], trace.cols[5]
+    for i, op in enumerate(ops):
         if i == warm_end:
             snap = (hier.loads[0], hier.load_l1_misses[0], hier.load_l2_misses[0])
-        op = rec[0]
         if op == _OP_LOAD:
-            hier.load_access(0, rec[5], cycle)
+            hier.load_access(0, addrs[i], cycle)
         elif op == _OP_STORE:
-            hier.store_access(0, rec[5], cycle)
+            hier.store_access(0, addrs[i], cycle)
         cycle += cycles_per_op
 
     base = snap or (0, 0, 0)

@@ -54,7 +54,7 @@ import zlib
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.isa.opcodes import BranchKind, OpClass
 from repro.trace.address_space import (
@@ -300,7 +300,7 @@ def _parse_header(data: bytes, path: Path | None) -> tuple[IngestHeader, int]:
 
 
 def _validate_arrays(
-    arrays: dict[str, list[int]], records: int, path: Path | None
+    arrays: Mapping[str, Sequence[int]], records: int, path: Path | None
 ) -> None:
     """Range/consistency checks over the decoded parallel arrays.
 
@@ -419,7 +419,7 @@ def write_trace_file(
     path: str | Path,
     name: str,
     profile: str,
-    arrays: dict[str, list[int]],
+    arrays: Mapping[str, Sequence[int]],
     address_mode: str,
     base: int,
 ) -> Path:
@@ -475,9 +475,7 @@ def export_trace(
     a deterministic synthetic trace, ingest it back, and require the
     round trip to be bit-identical — no proprietary trace inputs needed.
     """
-    arrays = {
-        field: list(column) for field, column in zip(RECORD_FIELDS, zip(*trace.rec))
-    }
+    arrays = dict(zip(RECORD_FIELDS, trace.cols))
     return write_trace_file(
         path,
         name=name or trace.profile.name,
@@ -677,7 +675,7 @@ def materialize(
 ) -> SyntheticTrace:
     """Build a :class:`SyntheticTrace`-compatible trace from a read file.
 
-    The result has the record list (one shared int per distinct PC,
+    The result has the nine field columns (one shared int per distinct PC,
     address and target), wrap-to-index-0 patching, code layout and address
     space of a generated trace, so everything downstream (simulator,
     columnar snapshots, vec backend) runs it unchanged. Deterministic given

@@ -1,15 +1,16 @@
 """The synthetic trace generator: a dynamic walk over the CFG.
 
 A trace is the *correct-path* dynamic instruction sequence of one thread,
-stored once: ``SyntheticTrace.rec`` is a list of 9-tuples in
-``RECORD_FIELDS`` (``DynInstr`` argument) order, so the hot fetch loop does
-one list index and reads the fields by position. Each distinct PC, address
-and branch target is a single shared ``int`` (one intern table per trace),
-which halves a trace's memory: a trace has a few thousand distinct values
-but tens of thousands of records. Index ``i+1`` is always the architectural
-successor of index ``i``; the final record is patched into an unconditional
-jump back to index 0 so traces wrap seamlessly when a simulated thread
-outruns its trace.
+stored once: ``SyntheticTrace.cols`` is a tuple of nine lists, one per
+``RECORD_FIELDS`` entry (``DynInstr`` argument order), each exactly
+``length`` long, so record ``i`` is ``col[i]`` of every column and the hot
+fetch loop reads each field with one list index. A record costs nine list
+slots (72 bytes) and no object of its own. Each distinct PC, address and
+branch target is a single shared ``int`` (one intern table per trace): a
+trace has a few thousand distinct values but tens of thousands of records.
+Index ``i+1`` is always the architectural successor of index ``i``; the
+final record is patched into an unconditional jump back to index 0 so
+traces wrap seamlessly when a simulated thread outruns its trace.
 
 Traces are cached per (profile, length, seed, base, instance): the cache
 makes sweeping 6 policies over the same workload pay generation cost once.
@@ -17,6 +18,7 @@ makes sweeping 6 policies over the same workload pay generation cost once.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from repro.isa.opcodes import BranchKind, OpClass
@@ -41,16 +43,22 @@ __all__ = [
 
 _MAX_CALL_DEPTH = 64
 
-#: Field names of one trace record, in the tuple order of
-#: ``SyntheticTrace.rec`` (the ``DynInstr`` argument order).
+#: Field names of one trace record, in the column order of
+#: ``SyntheticTrace.cols`` (the ``DynInstr`` argument order).
 RECORD_FIELDS = ("op", "pc", "dest", "src1", "src2", "addr", "brkind", "taken", "target")
 
 #: One trace record, laid out as ``RECORD_FIELDS``.
 Record = tuple[int, int, int, int, int, int, int, bool, int]
 
+#: A trace's records as one list per ``RECORD_FIELDS`` entry, in that order.
+Columns = tuple[
+    list[int], list[int], list[int], list[int], list[int],
+    list[int], list[int], list[bool], list[int],
+]
+
 
 class SyntheticTrace:
-    """Immutable per-thread instruction trace: one list of record tuples."""
+    """Immutable per-thread instruction trace: nine field columns."""
 
     __slots__ = (
         "profile",
@@ -60,14 +68,20 @@ class SyntheticTrace:
         "instance",
         "layout",
         "aspace",
-        "rec",
+        "cols",
     )
 
     def __init__(
         self, profile: BenchmarkProfile, length: int, base: int, seed: int, instance: int
     ) -> None:
         walk_seed = self._init_static(profile, length, base, seed, instance)
-        self.rec: list[Record] = []
+        # Preallocated, so each column is exactly ``length`` slots; the walk
+        # writes by index and leaves the prefilled defaults of the fields a
+        # record does not use (no address, not a branch).
+        self.cols: Columns = (
+            [0] * length, [0] * length, [0] * length, [0] * length, [0] * length,
+            [0] * length, [int(BranchKind.NONE)] * length, [False] * length, [0] * length,
+        )
         self._walk(splitmix64_stream(walk_seed).__next__, self.aspace)
         self._patch_wrap()
 
@@ -109,31 +123,29 @@ class SyntheticTrace:
 
         ``arrays`` maps the nine ``RECORD_FIELDS`` names to full-length
         sequences, lists or ``array`` objects (``taken`` as 0/1 ints), and is
-        only read. PCs, addresses and targets go through one intern table, as
-        in the walk, so a loaded trace is as compact as a generated one. The
-        code layout and address space are regenerated from the key — they
-        are deterministic and cheap, and the simulator only reads their
-        static products (resident-line sets, code footprint), so the result
-        is behaviorally identical to a freshly generated trace; the parity
-        tests enforce this record by record.
+        only read; each becomes its column. PCs, addresses and targets go
+        through one intern table, as in the walk, so a loaded trace is as
+        compact as a generated one. The code layout and address space are
+        regenerated from the key — they are deterministic and cheap, and the
+        simulator only reads their static products (resident-line sets, code
+        footprint), so the result is behaviorally identical to a freshly
+        generated trace; the parity tests enforce this record by record.
         """
         self = object.__new__(cls)
         self._init_static(profile, length, base, seed, instance)
         table: dict[int, int] = {}
         intern: Callable[[int, int], int] = table.setdefault
         pc, addr, target = arrays["pc"], arrays["addr"], arrays["target"]
-        self.rec = list(
-            zip(
-                arrays["op"],
-                map(intern, pc, pc),
-                arrays["dest"],
-                arrays["src1"],
-                arrays["src2"],
-                map(intern, addr, addr),
-                arrays["brkind"],
-                map(bool, arrays["taken"]),
-                map(intern, target, target),
-            )
+        self.cols = (
+            list(arrays["op"]),
+            list(map(intern, pc, pc)),
+            list(arrays["dest"]),
+            list(arrays["src1"]),
+            list(arrays["src2"]),
+            list(map(intern, addr, addr)),
+            list(arrays["brkind"]),
+            list(map(bool, arrays["taken"])),
+            list(map(intern, target, target)),
         )
         return self
 
@@ -149,7 +161,8 @@ class SyntheticTrace:
         length = self.length
         profile = self.profile
 
-        append = self.rec.append
+        (op_col, pc_col, dest_col, src1_col, src2_col, addr_col, brkind_col,
+         taken_col, target_col) = self.cols
         # One intern table for PCs, addresses and targets: each distinct
         # value is one int object across the whole trace (a taken target is
         # the next record's PC, so they share it too).
@@ -175,7 +188,6 @@ class SyntheticTrace:
         op_fp = int(OpClass.FP)
         op_int = int(OpClass.INT)
         op_branch = int(OpClass.BRANCH)
-        brk_none = int(BranchKind.NONE)
 
         # Dataflow state: sources come from recently-written registers; the
         # window size controls the dependency-chain tightness (ILP).
@@ -238,19 +250,21 @@ class SyntheticTrace:
                 if op == op_store:
                     dest = REG_NONE
                     addr = aspace.store_address()
-                    addr = intern(addr, addr)
+                    addr_col[emitted] = intern(addr, addr)
                 elif op == op_load:
                     dest = draw() % 28
                     addr = aspace.load_address()
-                    addr = intern(addr, addr)
+                    addr_col[emitted] = intern(addr, addr)
                 elif op == op_fp:
                     dest = 32 + draw() % 28
-                    addr = 0
                 else:
                     dest = draw() % 28
-                    addr = 0
 
-                append((op, pcs[off], dest, src1, src2, addr, brk_none, False, 0))
+                op_col[emitted] = op
+                pc_col[emitted] = pcs[off]
+                dest_col[emitted] = dest
+                src1_col[emitted] = src1
+                src2_col[emitted] = src2
                 emitted += 1
 
                 if dest != REG_NONE:
@@ -306,34 +320,26 @@ class SyntheticTrace:
             target = next_block.pc if taken else block.fallthrough_pc
             # Conditional branches read a recently-computed value; calls
             # write the link register (arch reg 31 by convention).
-            append((
-                op_branch,
-                pcs[-1],
-                31 if brkind == BranchKind.CALL else REG_NONE,
-                draw() % 28 if brkind == BranchKind.COND else REG_NONE,
-                REG_NONE,
-                0,
-                brkind,
-                taken,
-                intern(target, target),
-            ))
+            op_col[emitted] = op_branch
+            pc_col[emitted] = pcs[-1]
+            dest_col[emitted] = 31 if brkind == BranchKind.CALL else REG_NONE
+            src1_col[emitted] = draw() % 28 if brkind == BranchKind.COND else REG_NONE
+            src2_col[emitted] = REG_NONE
+            brkind_col[emitted] = brkind
+            taken_col[emitted] = taken
+            target_col[emitted] = intern(target, target)
             emitted += 1
             block = next_block
 
     def _patch_wrap(self) -> None:
         """Rewrite the final record as a jump to index 0 so the trace wraps."""
-        rec = self.rec
-        rec[-1] = (
-            int(OpClass.BRANCH),
-            rec[-1][1],
-            REG_NONE,
-            REG_NONE,
-            REG_NONE,
-            0,
-            int(BranchKind.JUMP),
-            True,
-            rec[0][1],
-        )
+        op, pc, dest, src1, src2, addr, brkind, taken, target = self.cols
+        op[-1] = int(OpClass.BRANCH)
+        dest[-1] = src1[-1] = src2[-1] = REG_NONE
+        addr[-1] = 0
+        brkind[-1] = int(BranchKind.JUMP)
+        taken[-1] = True
+        target[-1] = pc[0]
 
     # ------------------------------------------------------------------
 
@@ -342,16 +348,13 @@ class SyntheticTrace:
 
     def record(self, i: int) -> Record:
         """One record, laid out as ``RECORD_FIELDS`` (testing/debugging; the
-        simulator indexes ``rec`` directly)."""
-        return self.rec[i]
+        simulator indexes ``cols`` directly)."""
+        op, pc, dest, src1, src2, addr, brkind, taken, target = self.cols
+        return (op[i], pc[i], dest[i], src1[i], src2[i], addr[i], brkind[i], taken[i], target[i])
 
     def op_counts(self) -> dict[int, int]:
         """Histogram of op classes (calibration checks)."""
-        counts: dict[int, int] = {}
-        for r in self.rec:
-            op = r[0]
-            counts[op] = counts.get(op, 0) + 1
-        return counts
+        return dict(Counter(self.cols[0]))
 
 
 _TRACE_CACHE: dict[tuple[BenchmarkProfile, int, int, int, int], SyntheticTrace] = {}
@@ -422,10 +425,14 @@ def clear_trace_cache() -> None:
 
 
 def trace_cache_stats() -> dict[str, int]:
-    """In-process trace-cache counters: memoized entries, memo hits, and
-    traces actually generated (walked) since interpreter start."""
+    """In-process trace-cache counters: memoized entries, the records they
+    hold (about 72 bytes each), memo hits, and traces actually generated
+    (walked) since interpreter start."""
     return {
         "mem_entries": len(_TRACE_CACHE),
+        # list() copies the values atomically: a service job thread may be
+        # memoizing a trace while /metrics reads this.
+        "mem_records": sum(t.length for t in list(_TRACE_CACHE.values())),
         "mem_hits": _STATS["mem_hits"],
         "generated": _STATS["generated"],
     }

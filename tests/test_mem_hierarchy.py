@@ -100,33 +100,33 @@ class TestStores:
 
 
 class TestIFetch:
+    """``ifetch_ready`` returns ``cycle`` on a hit and the fill's ready
+    cycle, later than ``cycle``, on a miss."""
+
     def test_miss_then_ready(self):
         h = make_hier()
         pc = 0x5000_0000
-        hit, ready = h.ifetch_access(0, pc, 0)
-        assert not hit
-        assert ready == 0 + 1 + 10 + 100  # icache + L2 + memory
+        ready = h.ifetch_ready(0, pc, 0)
+        assert ready == 0 + 1 + 10 + 100  # a miss: icache + L2 + memory
         # Before the fill: still a miss with the same ready cycle.
-        hit2, ready2 = h.ifetch_access(0, pc, ready - 5)
-        assert not hit2 and ready2 == ready
+        assert h.ifetch_ready(0, pc, ready - 5) == ready
         # After the fill: hit.
-        hit3, _ = h.ifetch_access(0, pc, ready)
-        assert hit3
+        cycle = ready
+        assert h.ifetch_ready(0, pc, cycle) == cycle
 
     def test_l2_hit_path(self):
         h = make_hier()
         pc = 0x5000_0000
-        _, ready = h.ifetch_access(0, pc, 0)
+        ready = h.ifetch_ready(0, pc, 0)
         # Evict from icache (2-way, 512 sets) but not from L2.
-        h.ifetch_access(0, pc + 512 * 64, ready + 1)
-        h.ifetch_access(0, pc + 2 * 512 * 64, ready + 200)
-        hit, ready2 = h.ifetch_access(0, pc, ready + 400)
-        assert not hit
-        assert ready2 == ready + 400 + 1 + 10
+        h.ifetch_ready(0, pc + 512 * 64, ready + 1)
+        h.ifetch_ready(0, pc + 2 * 512 * 64, ready + 200)
+        cycle = ready + 400
+        assert h.ifetch_ready(0, pc, cycle) == cycle + 1 + 10  # a miss that hits in L2
 
     def test_ifetch_miss_stat(self):
         h = make_hier()
-        h.ifetch_access(0, 0x6000_0000, 0)
+        h.ifetch_ready(0, 0x6000_0000, 0)
         assert h.ifetch_misses[0] == 1
 
 

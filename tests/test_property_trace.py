@@ -12,9 +12,9 @@ BENCH = st.sampled_from(sorted(PROFILES))
 SEED = st.integers(min_value=0, max_value=2**20)
 
 
-def _columns(trace) -> dict[str, tuple]:
-    """The trace's records transposed once: field name -> one value per record."""
-    return dict(zip(RECORD_FIELDS, zip(*trace.rec)))
+def _columns(trace) -> dict[str, list]:
+    """The trace's columns by field name: one value per record."""
+    return dict(zip(RECORD_FIELDS, trace.cols))
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -36,7 +36,7 @@ def test_successor_consistency_property(bench, seed, tid):
 def test_record_wellformedness_property(bench, seed):
     """Every record satisfies the structural contract the simulator assumes."""
     trace = generate_trace(get_profile(bench), 1200, base=1 << 30, seed=seed)
-    for op, _, dest, _, _, addr, brkind, taken, target in trace.rec:
+    for op, _, dest, _, _, addr, brkind, taken, target in zip(*trace.cols):
         if op in (OpClass.LOAD, OpClass.STORE):
             assert addr >> 30 == 1  # inside the thread's slice
         if op == OpClass.STORE:

@@ -21,9 +21,10 @@ from repro.core import Simulator
 from repro.core.columnar import checkpoint_to_bytes
 from repro.experiments.parallel import simulate_resumable
 from repro.service.protocol import Checkpoint, JobSpec, JobState, result_payload
+from repro.trace import clear_trace_cache, synthetic
 
 from test_service_e2e import TINY
-from test_service_longpoll import _boot, _drain
+from test_service_longpoll import _boot, _call, _drain
 
 
 def _admit_all(svc, policies: tuple[str, ...]) -> list:
@@ -46,6 +47,27 @@ async def _until(predicate, timeout: float = 30.0) -> None:
 
 
 class TestLocalDispatcher:
+    def test_metrics_count_the_trace_memo(self):
+        """After a local job, ``/metrics`` reports the records the trace
+        memo holds: the sum of the memoized traces' lengths."""
+        clear_trace_cache()
+
+        async def scenario():
+            svc, task = await _boot()
+            (job,) = _admit_all(svc, ("icount",))
+            await _until(lambda: job.state in JobState.TERMINAL)
+            status, metrics, _ = await _call(svc, "GET", "/metrics")
+            await _drain(svc, task)
+            assert status == 200
+            return job, metrics["traces"]
+
+        job, traces = asyncio.run(scenario())
+        assert job.state == "done"
+        memo = list(synthetic._TRACE_CACHE.values())
+        assert traces["memoized"] == len(memo) == 2  # 2-MIX: two threads
+        assert traces["records"] == sum(t.length for t in memo) == 2 * TINY["trace_length"]
+        assert traces["generated"] >= 1
+
     def test_failing_job_fails_alone(self, monkeypatch):
         """A simulation that raises fails its own job; the job queued with
         it still completes and is stored."""

@@ -241,6 +241,12 @@ class TestLiveRouting:
         assert record["state"] == "done"
         assert record["result"]["throughput"] > 0
 
+        # The router copies each shard's trace memo section; every trace
+        # a shard memoizes here is TINY's length.
+        traces = fleet.client.metrics()["per_shard"][_owner(_spec(1))]["traces"]
+        assert traces["memoized"] >= 2 and traces["generated"] >= 1
+        assert traces["records"] == traces["memoized"] * TINY["trace_length"]
+
         # A duplicate lands on the same shard and is cache-served there.
         dup = fleet.client.submit(_spec(1))
         assert dup["id"].split("@")[0] == jobs[1]["id"].split("@")[0]

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import sys
+import tracemalloc
 from array import array
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,7 @@ from repro.trace import (
     generate_trace,
     get_profile,
 )
+from repro.trace import ingest
 from repro.trace.address_space import (
     COLD_OFFSET,
     L1_SETS,
@@ -34,9 +38,9 @@ from repro.trace.codegen import INSTR_BYTES, CodeLayout
 from repro.trace.synthetic import RECORD_FIELDS, SyntheticTrace
 
 
-def _columns(trace) -> dict[str, tuple]:
-    """The trace's records transposed once: field name -> one value per record."""
-    return dict(zip(RECORD_FIELDS, zip(*trace.rec)))
+def _columns(trace) -> dict[str, list]:
+    """The trace's columns by field name: one value per record."""
+    return dict(zip(RECORD_FIELDS, trace.cols))
 
 
 class TestProfiles:
@@ -209,9 +213,12 @@ class TestSyntheticTrace:
 
 
 class TestCompactRecords:
-    """``rec`` is a trace's only per-record store, and each distinct PC,
-    address and target is one shared int, whether the trace was walked or
-    loaded from an artifact."""
+    """The nine field columns in ``cols`` are a trace's only per-record
+    store, and each distinct PC, address and target is one shared int,
+    whether the trace was walked, loaded from an artifact or ingested from
+    a DWIT file."""
+
+    KINDS = ["generated", "loaded", "ingested"]
 
     @pytest.fixture(scope="class")
     def traces(self, tmp_path_factory):
@@ -220,27 +227,72 @@ class TestCompactRecords:
         cache.store(generated)
         loaded = cache.load(generated.profile, 6000, 1 << 30, 4242, 0)
         assert loaded is not None
-        return {"generated": generated, "loaded": loaded}
+        path = ingest.export_trace(generated, tmp_path_factory.mktemp("dwit") / "gcc.dwit")
+        ingested = ingest.materialize(ingest.read_trace_file(path), base=1 << 30, seed=4242)
+        return {"generated": generated, "loaded": loaded, "ingested": ingested}
 
-    @pytest.mark.parametrize("kind", ["generated", "loaded"])
-    def test_rec_is_the_only_per_record_store(self, traces, kind):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cols_are_the_only_per_record_store(self, traces, kind):
         trace = traces[kind]
-        slots = {name: getattr(trace, name) for name in SyntheticTrace.__slots__}
+        assert len(trace.cols) == len(RECORD_FIELDS)
+        for col in trace.cols:
+            assert type(col) is list and len(col) == len(trace)
         per_record = [
             name
-            for name, value in slots.items()
-            if hasattr(value, "__len__") and len(value) == len(trace)
+            for name in SyntheticTrace.__slots__
+            if hasattr(getattr(trace, name), "__len__")
+            and len(getattr(trace, name)) == len(trace)
         ]
-        assert per_record == ["rec"]
+        assert per_record == []
         assert not hasattr(trace, "__dict__")
 
-    @pytest.mark.parametrize("kind", ["generated", "loaded"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_each_distinct_value_is_one_int(self, traces, kind):
-        values = [v for r in traces[kind].rec for v in (r[1], r[5], r[8])]
+        cols = _columns(traces[kind])
+        values = [v for field in ("pc", "addr", "target") for v in cols[field]]
         assert len({id(v) for v in values}) == len(set(values))
 
     def test_loaded_records_equal_generated(self, traces):
-        assert traces["loaded"].rec == traces["generated"].rec
+        assert traces["loaded"].cols == traces["generated"].cols
+
+    def test_ingested_records_equal_generated(self, traces):
+        assert traces["ingested"].cols == traces["generated"].cols
+
+
+class TestTraceMemory:
+    """What an 80,000-record gcc trace (the default length, the largest
+    code footprint) retains, counted by tracemalloc: nine list slots a
+    record plus its share of interned values and static products. Rows of
+    9-tuples retained about 129 bytes a record."""
+
+    LENGTH = 80_000
+    BOUND = 90  # bytes a record
+
+    @staticmethod
+    def _retained_per_record(build, length):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = build()
+            gc.collect()
+            return trace, tracemalloc.get_traced_memory()[0] / length
+        finally:
+            tracemalloc.stop()
+
+    def test_walked_and_loaded_trace_bytes_per_record(self, tmp_path):
+        profile, n = get_profile("gcc"), self.LENGTH
+        walked, walked_bytes = self._retained_per_record(
+            lambda: SyntheticTrace(profile, n, 1 << 30, 4242, 0), n
+        )
+        cache = TraceArtifactCache(tmp_path)
+        cache.store(walked)
+        del walked
+        loaded, loaded_bytes = self._retained_per_record(
+            lambda: cache.load(profile, n, 1 << 30, 4242, 0), n
+        )
+        assert loaded is not None
+        assert walked_bytes <= self.BOUND, walked_bytes
+        assert loaded_bytes <= self.BOUND, loaded_bytes
 
 
 _PIN_FIELDS = ("pc", "op", "dest", "src1", "src2", "addr", "brkind", "taken", "target")
@@ -273,7 +325,8 @@ def _walk_paths(trace) -> Counter:
     """Count the records each path of the walk produced."""
     paths: Counter = Counter()
     by_branch_pc = {b.branch_pc: b for b in trace.layout.blocks}
-    for op, pc, _, _, _, addr, kind, _, _ in trace.rec[:-1]:  # [-1] is the wrap patch
+    records = islice(zip(*trace.cols), len(trace) - 1)  # the last is the wrap patch
+    for op, pc, _, _, _, addr, kind, _, _ in records:
         offset = addr - trace.base
         if op == OpClass.FP:
             paths["fp"] += 1

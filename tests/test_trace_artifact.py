@@ -23,6 +23,7 @@ from repro.trace import (
     generate_trace,
     get_profile,
     trace_cache_installed,
+    trace_cache_stats,
 )
 
 _KEY = dict(length=4000, base=1 << 30, seed=777, instance=0)
@@ -33,16 +34,16 @@ def _fresh(bench: str = "mcf", **overrides) -> SyntheticTrace:
     return SyntheticTrace(get_profile(bench), kw["length"], kw["base"], kw["seed"], kw["instance"])
 
 
-def _columns(trace: SyntheticTrace) -> dict[str, tuple]:
-    """The trace's records transposed once: field name -> one value per record."""
-    return dict(zip(RECORD_FIELDS, zip(*trace.rec)))
+def _columns(trace: SyntheticTrace) -> dict[str, list]:
+    """The trace's columns by field name: one value per record."""
+    return dict(zip(RECORD_FIELDS, trace.cols))
 
 
 def _assert_traces_equal(a: SyntheticTrace, b: SyntheticTrace) -> None:
     cols_a, cols_b = _columns(a), _columns(b)
     for field in RECORD_FIELDS:
         assert cols_a[field] == cols_b[field], field
-    assert a.rec == b.rec
+    assert a.cols == b.cols
     # Static products the simulator reads besides the record arrays.
     assert a.layout.code_base == b.layout.code_base
     assert a.layout.footprint_bytes == b.layout.footprint_bytes
@@ -323,6 +324,8 @@ class TestCLICacheCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "traces" in out and "results" in out
+        mem = trace_cache_stats()
+        assert f"{mem['mem_entries']} traces memoized ({mem['mem_records']} records)" in out
 
         rc = main([
             "cache", "clear",

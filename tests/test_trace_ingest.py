@@ -59,11 +59,11 @@ def test_export_ingest_roundtrip_bit_identical(sample_path):
     tf = ingest.read_trace_file(sample_path)
     assert tf.header.records == 600
     assert tf.header.address_mode == "canonical"
-    columns = dict(zip(RECORD_FIELDS, zip(*trace.rec)))
-    assert tf.arrays["pc"] == list(columns["pc"])
-    assert tf.arrays["op"] == list(columns["op"])
-    assert tf.arrays["addr"] == list(columns["addr"])
-    assert tf.arrays["target"] == list(columns["target"])
+    columns = dict(zip(RECORD_FIELDS, trace.cols))
+    assert tf.arrays["pc"] == columns["pc"]
+    assert tf.arrays["op"] == columns["op"]
+    assert tf.arrays["addr"] == columns["addr"]
+    assert tf.arrays["target"] == columns["target"]
     assert tf.arrays["taken"] == [1 if t else 0 for t in columns["taken"]]
 
 

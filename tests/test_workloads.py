@@ -103,7 +103,7 @@ class TestBuilder:
         assert programs[0].profile.name == programs[4].profile.name == "mcf"
         assert programs[0].trace.instance == 0
         assert programs[4].trace.instance == 1
-        first_pcs = [[pc for _, pc, *_ in p.trace.rec[:50]] for p in (programs[0], programs[4])]
+        first_pcs = [p.trace.cols[1][:50] for p in (programs[0], programs[4])]
         assert first_pcs[0] != first_pcs[1]
 
     def test_wp_supplier_shares_base(self):
@@ -117,7 +117,7 @@ class TestBuilder:
         def fingerprint(build, arg):
             clear_trace_cache()  # every build walks its own traces
             return [
-                (p.profile.name, p.trace.base, p.trace.rec, p.wp_supplier.seed)
+                (p.profile.name, p.trace.base, p.trace.cols, p.wp_supplier.seed)
                 for p in build(arg, self.CFG)
             ]
 
