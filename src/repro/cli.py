@@ -21,7 +21,7 @@ Subcommands::
     dwarn-sim version                          # package + on-disk schema versions
     dwarn-sim list                             # workloads/policies/machines
 
-The trace-artifact cache directory resolves with CLI > environment >
+The trace-cache directory resolves with CLI > environment >
 default precedence: an explicit ``--trace-cache DIR`` wins, else
 ``$DWARN_SIM_TRACE_CACHE``, else ``.cache/traces``
 (:func:`resolve_trace_cache_dir`; ``cache stats`` reports which source won).
@@ -444,8 +444,8 @@ def _simcfg(args: argparse.Namespace) -> SimulationConfig:
 
 def _cache_command(args: argparse.Namespace) -> int:
     """``dwarn-sim cache stats|clear``: the two on-disk sweep caches (JSON
-    simulation results + binary trace artifacts) without spelunking."""
-    from repro.trace import TraceArtifactCache, trace_cache_stats
+    simulation results + trace files) without spelunking."""
+    from repro.trace import TraceArtifactCache
     from repro.trace.ingest import ingest_stats
 
     result_dir = Path(args.cache_dir)
@@ -471,12 +471,6 @@ def _cache_command(args: argparse.Namespace) -> int:
         print(format_table(["cache", "directory", "entries", "bytes"],
                            rows, title="dwarn-sim caches"))
         print(f"  trace-cache directory from {trace_src}")
-        mem = trace_cache_stats()
-        print(
-            f"  this process: {mem['mem_entries']} traces memoized "
-            f"({mem['mem_records']} records), "
-            f"{mem['mem_hits']} memo hits, {mem['generated']} generated"
-        )
         return 0
 
     removed_traces = trace_cache.clear()
@@ -674,15 +668,14 @@ def _version_command() -> int:
     from repro.service.protocol import PROTOCOL_VERSION
     from repro.service.router import ROUTER_VERSION
     from repro.service.store import STORE_VERSION
-    from repro.trace.artifact import schema_info
+    from repro.trace.artifact import ARTIFACT_VERSION
     from repro.trace.ingest import ingest_schema_info
 
-    art = schema_info()
     ing = ingest_schema_info()
     print(f"dwarn-sim {repro.__version__}")
     print(
-        f"  trace-artifact schema: v{art['version']} "
-        f"(magic {art['magic']}, {art['record_bytes']} bytes/record)"
+        f"  trace-artifact schema: v{ARTIFACT_VERSION} "
+        f"(canonical-mode {ing['magic']} files)"
     )
     print(
         f"  trace-ingest schema:   v{ing['version']} "
@@ -932,10 +925,12 @@ def main(argv: list[str] | None = None) -> int:
         path = generate_report(args.output, runner)
         if runner.trace_cache is not None:
             s = runner.trace_cache.stats()
+            pool = args.parallel > 1 and args.backend == "process"
             print(
                 f"[trace-cache] {s['entries']} artifacts "
                 f"({s['total_bytes'] / 1e6:.1f} MB), "
                 f"{s['disk_hits']} loads, {s['stores']} stores this run"
+                + (" (pool workers' loads and stores not counted)" if pool else "")
             )
         if manifest is not None:
             manifest.extras["report"] = str(path)

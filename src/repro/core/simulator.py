@@ -1530,10 +1530,6 @@ class Simulator:
 
     # ---------------------------------------------------------- introspection
 
-    def active_tids(self) -> list[int]:
-        """All context ids (every thread in a workload stays resident)."""
-        return list(range(self.num_threads))
-
     def validate_state(self) -> None:
         """Audit the resource-conservation invariants; raises AssertionError
         on any violation. Cheap enough to sprinkle through long experiments

@@ -58,7 +58,7 @@ from repro.core import SimResult, Simulator, make_policy
 from repro.core.columnar import ColumnarState, SnapshotError, run_checkpointed
 from repro.core.vec import VecBatchSimulator, VecLaneError
 from repro.experiments.runner import ExperimentRunner
-from repro.trace.artifact import TraceArtifactCache
+from repro.trace.artifact import trace_cache_for
 from repro.workloads import WORKLOADS, build_programs, workloads_for_machine
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -111,20 +111,6 @@ class SweepError(RuntimeError):
 # ----------------------------------------------------------------------
 # Workers
 
-#: Per-worker-process artifact caches, one per directory: workers are
-#: long-lived and run many pairs, so the cache object (and its in-process
-#: memo hits) amortizes across everything one worker executes.
-_WORKER_CACHES: dict[str, TraceArtifactCache] = {}
-
-
-def _worker_trace_cache(trace_cache_dir: str | None) -> TraceArtifactCache | None:
-    if trace_cache_dir is None:
-        return None
-    cache = _WORKER_CACHES.get(trace_cache_dir)
-    if cache is None:
-        cache = _WORKER_CACHES[trace_cache_dir] = TraceArtifactCache(trace_cache_dir)
-    return cache
-
 
 def _simulate_one(
     machine: MachineConfig,
@@ -175,7 +161,7 @@ def simulate_resumable(
     incremental in-process wall clock.
     """
     t0 = time.perf_counter()
-    cache = _worker_trace_cache(trace_cache_dir)
+    cache = trace_cache_for(trace_cache_dir)
 
     def build() -> Simulator:
         programs = build_programs(workload, simcfg, trace_cache=cache)
@@ -289,9 +275,10 @@ def run_pairs(
 
     serial = processes is not None and processes <= 1
     if backend == "vec":
-        trace_cache = TraceArtifactCache(trace_cache_dir) if trace_cache_dir else None
         try:
-            batch = VecBatchSimulator(machine, simcfg, pairs, trace_cache=trace_cache)
+            batch = VecBatchSimulator(
+                machine, simcfg, pairs, trace_cache=trace_cache_for(trace_cache_dir)
+            )
             batch_results = batch.run()
         except VecLaneError:
             # The batch engine could not finish (one lane poisoned it at

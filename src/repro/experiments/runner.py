@@ -16,7 +16,7 @@ from typing import Iterable
 from repro.config import MachineConfig, SimulationConfig, get_preset
 from repro.core import Simulator, SimResult, make_policy
 from repro.metrics.fairness import FairnessReport
-from repro.trace.artifact import TraceArtifactCache
+from repro.trace.artifact import trace_cache_for
 from repro.utils.rng import stable_hash64
 from repro.workloads import WorkloadSpec, build_programs
 
@@ -130,11 +130,12 @@ class ExperimentRunner:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         if self.cache_dir:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        #: Persistent trace-artifact cache backing ``_simulate`` (and, via
+        #: Persistent trace cache backing ``_simulate`` (and, via
         #: ``prefetch``, every worker process): traces are much costlier to
         #: walk than to load, and are shared bit-identically by every policy
-        #: over one workload.
-        self.trace_cache = TraceArtifactCache(trace_cache_dir) if trace_cache_dir else None
+        #: over one workload. The process's one object for the directory,
+        #: so the sweeps' loads and stores count here too.
+        self.trace_cache = trace_cache_for(trace_cache_dir)
         self.verbose = verbose
         self.simulations_run = 0
 
@@ -157,8 +158,6 @@ class ExperimentRunner:
             trace_cache_dir=self.trace_cache_dir,
         )
         other._mem_cache = self._mem_cache
-        if self.trace_cache is not None:
-            other.trace_cache = self.trace_cache  # share hit/miss accounting
         return other
 
     def with_seed(self, seed: int) -> "ExperimentRunner":

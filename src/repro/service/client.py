@@ -323,59 +323,6 @@ class ServiceClient:
         finally:
             conn.close()
 
-    # -- lease endpoints (used by repro.service.worker) ------------------
-
-    def lease(self, worker: str, capacity: int = 1) -> dict[str, Any]:
-        """POST /v1/leases — pull up to ``capacity`` jobs under a lease."""
-        code, payload, _ = self.request(
-            "POST", "/v1/leases", {"worker": worker, "capacity": capacity}
-        )
-        if code != 200:
-            raise ServiceError(f"lease failed: HTTP {code}: {payload}", code, payload)
-        return payload
-
-    def heartbeat(self, lease_id: str) -> dict[str, Any]:
-        """POST /v1/leases/{id}/heartbeat — extend the lease deadline.
-
-        Raises with ``status=410`` once the lease has expired or been
-        consumed; callers treat that as "stop working on this lease".
-        """
-        code, payload, _ = self.request("POST", f"/v1/leases/{lease_id}/heartbeat", {})
-        if code != 200:
-            raise ServiceError(f"heartbeat failed: HTTP {code}: {payload}", code, payload)
-        return payload
-
-    def upload_checkpoint(
-        self, lease_id: str, job_id: str, cycle: int, data_b64: str
-    ) -> dict[str, Any]:
-        """PUT /v1/leases/{id}/checkpoint — store mid-run progress.
-
-        ``data_b64`` is a base64-encoded checkpoint envelope
-        (``repro.core.columnar.checkpoint_to_bytes``). Raises with
-        ``status=410`` once the lease is gone; a 400 means the server
-        rejected the envelope (corrupt, stale, or horizon-mismatched) —
-        both are advisory for the worker, which keeps executing either way.
-        """
-        code, payload, _ = self.request(
-            "PUT",
-            f"/v1/leases/{lease_id}/checkpoint",
-            {"job_id": job_id, "cycle": cycle, "data": data_b64},
-        )
-        if code != 200:
-            raise ServiceError(
-                f"checkpoint upload failed: HTTP {code}: {payload}", code, payload
-            )
-        return payload
-
-    def upload_results(self, lease_id: str, results: list[dict[str, Any]]) -> dict[str, Any]:
-        """POST /v1/leases/{id}/result — upload outcomes, ending the lease."""
-        code, payload, _ = self.request(
-            "POST", f"/v1/leases/{lease_id}/result", {"results": results}
-        )
-        if code != 200:
-            raise ServiceError(f"result upload failed: HTTP {code}: {payload}", code, payload)
-        return payload
-
     def healthz(self) -> dict[str, Any]:
         """GET /healthz — liveness plus every schema version."""
         code, payload, _ = self.request("GET", "/healthz")

@@ -125,8 +125,13 @@ from repro.service.protocol import (
 )
 from repro.service.queue import DEFAULT_RETRY_AFTER, JobQueue, QueueFull
 from repro.service.store import STORE_VERSION, ResultStore
-from repro.trace import PROFILES, find_ingested, trace_cache_stats
-from repro.trace.artifact import schema_info
+from repro.trace import (
+    ARTIFACT_VERSION,
+    PROFILES,
+    find_ingested,
+    ingest_schema_info,
+    trace_cache_stats,
+)
 from repro.workloads import WORKLOADS
 
 __all__ = [
@@ -1064,7 +1069,8 @@ class SimulationService:
             "protocol_version": PROTOCOL_VERSION,
             "store_version": STORE_VERSION,
             "result_cache_version": CACHE_VERSION,
-            "trace_artifact": schema_info(),
+            "trace_artifact_version": ARTIFACT_VERSION,
+            "trace_format": ingest_schema_info(),
             "uptime_secs": round(time.time() - self.started_at, 3),
             "stored_results": len(self.store),
             "active_workers": self._active_workers(),

@@ -32,16 +32,9 @@ from repro.trace.synthetic import (
     SyntheticTrace,
     generate_trace,
     clear_trace_cache,
-    get_trace_artifact_cache,
-    set_trace_artifact_cache,
     trace_cache_stats,
 )
-from repro.trace.artifact import (
-    ARTIFACT_VERSION,
-    TraceArtifactCache,
-    schema_info,
-    trace_cache_installed,
-)
+from repro.trace.artifact import ARTIFACT_VERSION, TraceArtifactCache
 from repro.trace.wrongpath import WrongPathSupplier
 from repro.trace.address_space import AddressSpace
 from repro.trace.ingest import (
@@ -65,13 +58,9 @@ __all__ = [
     "SyntheticTrace",
     "generate_trace",
     "clear_trace_cache",
-    "get_trace_artifact_cache",
-    "set_trace_artifact_cache",
     "trace_cache_stats",
     "ARTIFACT_VERSION",
     "TraceArtifactCache",
-    "schema_info",
-    "trace_cache_installed",
     "WrongPathSupplier",
     "AddressSpace",
     "TRACE_INGEST_VERSION",

@@ -21,9 +21,10 @@ File format (version 1)::
              brkind[b] taken[b] target[q]   (q = int64, b = int8)
 
 The one-line JSON header makes a trace file inspectable with ``head -1``
-while the body stays as compact as the artifact cache's binary layout
-(~30 bytes/record); the CRC-32 covers the body, and every declared count
-must reconcile exactly with the bytes on disk.
+while the body stays compact (30 bytes/record); the CRC-32 covers the
+body, and every declared count must reconcile exactly with the bytes on
+disk. The trace cache (:mod:`repro.trace.artifact`) stores every trace it
+persists as a canonical-mode file of this format.
 
 Two address modes:
 
@@ -65,7 +66,7 @@ from repro.trace.address_space import (
 )
 from repro.trace.codegen import INSTR_BYTES
 from repro.trace.profiles import PROFILES, get_profile
-from repro.trace.synthetic import RECORD_FIELDS, SyntheticTrace
+from repro.trace.synthetic import RECORD_FIELDS, SyntheticTrace, memoized_trace
 
 __all__ = [
     "DEFAULT_INGEST_DIR",
@@ -77,6 +78,7 @@ __all__ = [
     "IngestHeader",
     "IngestedTraceFile",
     "convert_jsonl",
+    "decode_trace",
     "export_trace",
     "find_ingested",
     "ingest_dir",
@@ -103,8 +105,7 @@ INGEST_DIR_ENV = "DWARN_SIM_INGEST_DIR"
 #: Fallback ingested-workload directory (registered names live here).
 DEFAULT_INGEST_DIR = ".cache/ingested"
 
-#: (typecode, field) pairs in body order — deliberately the same
-#: layout as the artifact cache's payload so tooling for one reads the other.
+#: (typecode, field) pairs in body order.
 _FIELDS: tuple[tuple[str, str], ...] = (
     ("q", "pc"),
     ("b", "op"),
@@ -192,11 +193,11 @@ class IngestedTraceFile:
 
 
 def ingest_schema_info() -> dict[str, Any]:
-    """Machine-readable description of the ingest file format.
+    """Machine-readable description of the trace file format.
 
-    ``dwarn-sim version`` prints this next to the artifact-cache schema so
-    two deployments can check at a glance whether their trace files are
-    mutually readable.
+    ``dwarn-sim version`` prints this and the service's ``/healthz``
+    reports it, so two deployments can check at a glance whether their
+    trace files, ingested and trace-cache ones alike, are mutually readable.
     """
     return {
         "version": TRACE_INGEST_VERSION,
@@ -355,9 +356,18 @@ def _validate_arrays(
 # read / write
 
 
-def _decode_payload(
-    payload: bytes, header: IngestHeader, path: Path | None
-) -> dict[str, list[int]]:
+def decode_trace(
+    data: bytes, path: Path | None = None
+) -> tuple[IngestHeader, dict[str, array[int]]]:
+    """Parse one trace file's bytes into its header and its nine columns.
+
+    Checks the framing: the header, the body's length against it and the
+    body's CRC-32; any fault raises :class:`IngestError`. It does not check
+    the records themselves: :func:`read_trace_file` adds that for external
+    files, and the trace cache, which reads only files it wrote, skips it.
+    """
+    header, body_at = _parse_header(data, path)
+    payload = memoryview(data)[body_at:]
     if len(payload) != header.payload_bytes:
         raise _fail(
             path,
@@ -366,18 +376,17 @@ def _decode_payload(
         )
     if zlib.crc32(payload) != header.crc32:
         raise _fail(path, "body CRC-32 mismatch (corrupt or tampered file)")
-    arrays: dict[str, list[int]] = {}
+    columns: dict[str, array[int]] = {}
     offset = 0
-    records = header.records
     for typecode, field in _FIELDS:
-        nbytes = records * (8 if typecode == "q" else 1)
-        arr = array(typecode)
-        arr.frombytes(payload[offset : offset + nbytes])
+        nbytes = header.records * (8 if typecode == "q" else 1)
+        col = array(typecode)
+        col.frombytes(payload[offset : offset + nbytes])
         if sys.byteorder != "little":  # pragma: no cover - exotic hosts
-            arr.byteswap()
-        arrays[field] = arr.tolist()
+            col.byteswap()
+        columns[field] = col
         offset += nbytes
-    return arrays
+    return header, columns
 
 
 def read_header(path: str | Path) -> IngestHeader:
@@ -409,8 +418,8 @@ def read_trace_file(path: str | Path) -> IngestedTraceFile:
         data = p.read_bytes()
     except OSError as exc:
         raise _fail(p, f"cannot read: {exc}") from None
-    header, body_at = _parse_header(data, p)
-    arrays = _decode_payload(data[body_at:], header, p)
+    header, columns = decode_trace(data, p)
+    arrays = {field: col.tolist() for field, col in columns.items()}
     _validate_arrays(arrays, header.records, p)
     return IngestedTraceFile(header=header, arrays=arrays, path=p)
 
@@ -427,7 +436,7 @@ def write_trace_file(
 
     The writer runs the same semantic validation as the reader (so a file
     this module writes always reads back), packs the body, and publishes
-    the file atomically (temp + ``os.replace``) like the artifact cache.
+    the file atomically (temp + ``os.replace``).
     """
     p = Path(path)
     records = len(arrays.get("pc", []))
@@ -441,20 +450,33 @@ def write_trace_file(
     if profile not in PROFILES:
         raise IngestError(f"unknown profile {profile!r}; valid: {sorted(PROFILES)}")
     _validate_arrays(arrays, records, None)
+    return _write(p, name, profile, arrays, address_mode, base)
 
+
+def _write(
+    p: Path,
+    name: str,
+    profile: str,
+    columns: Mapping[str, Sequence[int]],
+    address_mode: str,
+    base: int,
+) -> Path:
+    """Pack ``columns`` under a header and publish the file atomically, so
+    a reader racing a writer (or two writers racing each other) sees the
+    old file, the new one or none, never a torn one."""
     parts: list[bytes] = []
     for typecode, field in _FIELDS:
-        arr = array(typecode, [int(v) for v in arrays[field]])
+        col = array(typecode, columns[field])
         if sys.byteorder != "little":  # pragma: no cover - exotic hosts
-            arr.byteswap()
-        parts.append(arr.tobytes())
+            col.byteswap()
+        parts.append(col.tobytes())
     payload = b"".join(parts)
     header = IngestHeader(
         name=name,
         profile=profile,
         address_mode=address_mode,
         base=base,
-        records=records,
+        records=len(columns["pc"]),
         payload_bytes=len(payload),
         crc32=zlib.crc32(payload),
     )
@@ -474,15 +496,16 @@ def export_trace(
     This is the self-contained fixture path: CI (and any test) can export
     a deterministic synthetic trace, ingest it back, and require the
     round trip to be bit-identical — no proprietary trace inputs needed.
+    The trace cache writes its files through here too. A trace is well
+    formed by construction, so its records are not validated again.
     """
-    arrays = dict(zip(RECORD_FIELDS, trace.cols))
-    return write_trace_file(
-        path,
-        name=name or trace.profile.name,
-        profile=trace.profile.name,
-        arrays=arrays,
-        address_mode="canonical",
-        base=trace.base,
+    return _write(
+        Path(path),
+        name or trace.profile.name,
+        trace.profile.name,
+        dict(zip(RECORD_FIELDS, trace.cols)),
+        "canonical",
+        trace.base,
     )
 
 
@@ -665,11 +688,6 @@ def _rebase_canonical(
     return out
 
 
-#: Materialized-trace memo: six policies over one ingested workload pay the
-#: intern/validate cost once, exactly like the synthetic in-process memo.
-_MATERIALIZE_CACHE: dict[tuple[str, int, int, int, int, int], SyntheticTrace] = {}
-
-
 def materialize(
     tf: IngestedTraceFile, base: int, seed: int
 ) -> SyntheticTrace:
@@ -679,31 +697,31 @@ def materialize(
     address and target), wrap-to-index-0 patching, code layout and address
     space of a generated trace, so everything downstream (simulator,
     columnar snapshots, vec backend) runs it unchanged. Deterministic given
-    (file contents, base, seed).
+    (file contents, base, seed), and memoized with the generated traces
+    (:func:`~repro.trace.synthetic.memoized_trace`), so six policies over
+    one ingested workload intern it once.
     """
     header = tf.header
-    key = (
-        header.name, header.crc32, header.records, header.base, base, seed
-    )
-    cached = _MATERIALIZE_CACHE.get(key)
-    if cached is not None:
-        return cached
 
-    profile = get_profile(header.profile)
-    if header.address_mode == "canonical":
-        arrays = _rebase_canonical(tf.arrays, header.base, base)
-    else:
-        # _intern_raw needs the target layout/aspace; build a throwaway
-        # shell with the static products only (no walk) to intern against.
-        shell = object.__new__(SyntheticTrace)
-        shell._init_static(profile, header.records, base, seed, 0)
-        arrays = _intern_raw(tf.arrays, shell)
-    trace = SyntheticTrace.from_arrays(
-        profile, header.records, base, seed, 0, arrays
-    )
-    trace._patch_wrap()
-    _MATERIALIZE_CACHE[key] = trace
-    return trace
+    def build() -> SyntheticTrace:
+        profile = get_profile(header.profile)
+        if header.address_mode == "canonical":
+            arrays = _rebase_canonical(tf.arrays, header.base, base)
+        else:
+            # _intern_raw needs the target layout/aspace; build a throwaway
+            # shell with the static products only (no walk) to intern against.
+            shell = object.__new__(SyntheticTrace)
+            shell._init_static(profile, header.records, base, seed, 0)
+            arrays = _intern_raw(tf.arrays, shell)
+        trace = SyntheticTrace.from_arrays(
+            profile, header.records, base, seed, 0, arrays
+        )
+        trace._patch_wrap()
+        return trace
+
+    # A str first element: never equal to a generated trace's key.
+    key = (header.name, header.crc32, header.records, header.base, base, seed)
+    return memoized_trace(key, build)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ Index ``i+1`` is always the architectural successor of index ``i``; the
 final record is patched into an unconditional jump back to index 0 so
 traces wrap seamlessly when a simulated thread outruns its trace.
 
-Traces are cached per (profile, length, seed, base, instance): the cache
-makes sweeping 6 policies over the same workload pay generation cost once.
+Traces are memoized per (profile, length, seed, base, instance): sweeping
+6 policies over the same workload pays generation cost once.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ __all__ = [
     "RECORD_FIELDS",
     "SyntheticTrace",
     "generate_trace",
+    "memoized_trace",
     "clear_trace_cache",
-    "set_trace_artifact_cache",
-    "get_trace_artifact_cache",
     "trace_cache_stats",
 ]
 
@@ -91,9 +90,9 @@ class SyntheticTrace:
         """Set every field that is a cheap deterministic function of the key
         (metadata, code layout, address space); returns the walk seed.
 
-        Shared by generation and artifact loading: the *walk* is the only
-        expensive step, so a disk-loaded trace redoes everything here and
-        skips only the walk.
+        Shared by generation, trace-cache loads and ingestion: the *walk* is
+        the only expensive step, so a disk-loaded trace redoes everything
+        here and skips only the walk.
         """
         self.profile = profile
         self.length = length
@@ -136,16 +135,18 @@ class SyntheticTrace:
         table: dict[int, int] = {}
         intern: Callable[[int, int], int] = table.setdefault
         pc, addr, target = arrays["pc"], arrays["addr"], arrays["target"]
+        # A map has no length, so list() over-allocates it; the copy is
+        # exactly ``length`` slots, as a walked trace's columns are.
         self.cols = (
             list(arrays["op"]),
-            list(map(intern, pc, pc)),
+            list(map(intern, pc, pc)).copy(),
             list(arrays["dest"]),
             list(arrays["src1"]),
             list(arrays["src2"]),
-            list(map(intern, addr, addr)),
+            list(map(intern, addr, addr)).copy(),
             list(arrays["brkind"]),
-            list(map(bool, arrays["taken"])),
-            list(map(intern, target, target)),
+            list(map(bool, arrays["taken"])).copy(),
+            list(map(intern, target, target)).copy(),
         )
         return self
 
@@ -357,29 +358,26 @@ class SyntheticTrace:
         return dict(Counter(self.cols[0]))
 
 
-_TRACE_CACHE: dict[tuple[BenchmarkProfile, int, int, int, int], SyntheticTrace] = {}
+#: The in-process trace memo: every trace this process holds, generated,
+#: loaded from the trace cache or materialized from an ingested file.
+_TRACE_CACHE: dict[tuple[object, ...], SyntheticTrace] = {}
 _STATS = {"mem_hits": 0, "generated": 0}
 
-#: Optional disk layer (a :class:`repro.trace.artifact.TraceArtifactCache`).
-#: Held here (not in artifact.py) so the hot ``generate_trace`` path needs no
-#: import of the artifact module; installed via ``set_trace_artifact_cache``
-#: or the ``trace_cache_installed`` context manager.
-_ARTIFACT_CACHE: TraceArtifactCache | None = None
 
+def memoized_trace(
+    key: tuple[object, ...], build: Callable[[], SyntheticTrace]
+) -> SyntheticTrace:
+    """The memoized trace for ``key``, built once by ``build()`` on a miss.
 
-def set_trace_artifact_cache(cache: TraceArtifactCache | None) -> TraceArtifactCache | None:
-    """Install (or with ``None`` remove) the persistent artifact cache that
-    backs ``generate_trace``; returns the previously installed cache so
-    callers can scope the installation and restore it."""
-    global _ARTIFACT_CACHE
-    prev = _ARTIFACT_CACHE
-    _ARTIFACT_CACHE = cache
-    return prev
-
-
-def get_trace_artifact_cache() -> TraceArtifactCache | None:
-    """The currently installed persistent trace cache (or ``None``)."""
-    return _ARTIFACT_CACHE
+    Six policies over one workload then pay each trace's walk, load or
+    materialization once per process.
+    """
+    trace = _TRACE_CACHE.get(key)
+    if trace is None:
+        trace = _TRACE_CACHE[key] = build()
+    else:
+        _STATS["mem_hits"] += 1
+    return trace
 
 
 def generate_trace(
@@ -388,6 +386,7 @@ def generate_trace(
     base: int,
     seed: int,
     instance: int = 0,
+    cache: TraceArtifactCache | None = None,
 ) -> SyntheticTrace:
     """Generate (or fetch from cache) a trace for one benchmark instance.
 
@@ -395,39 +394,33 @@ def generate_trace(
     paper's boldfaced duplicates): each instance gets a decorrelated walk and
     its own address space base.
 
-    Lookup order: in-process memo (six policies over one workload pay
-    generation once), then the installed artifact cache's disk layer (repeat
-    sweeps and sibling worker processes pay it zero times), then a fresh
-    walk — which is persisted back to disk when an artifact cache is
-    installed.
+    Lookup order: the in-process memo, then ``cache``'s directory when a
+    trace cache is given (repeat sweeps and sibling worker processes pay
+    the walk zero times), then a fresh walk, which is stored to ``cache``.
     """
-    key = (profile, length, base, seed, instance)
-    trace = _TRACE_CACHE.get(key)
-    if trace is not None:
-        _STATS["mem_hits"] += 1
+
+    def build() -> SyntheticTrace:
+        trace = None if cache is None else cache.load(profile, length, base, seed, instance)
+        if trace is None:
+            trace = SyntheticTrace(profile, length, base, seed, instance)
+            _STATS["generated"] += 1
+            if cache is not None:
+                cache.store(trace)
         return trace
-    disk = _ARTIFACT_CACHE
-    if disk is not None:
-        trace = disk.load(profile, length, base, seed, instance)
-    if trace is None:
-        trace = SyntheticTrace(profile, length, base, seed, instance)
-        _STATS["generated"] += 1
-        if disk is not None:
-            disk.store(trace)
-    _TRACE_CACHE[key] = trace
-    return trace
+
+    return memoized_trace((profile, length, base, seed, instance), build)
 
 
 def clear_trace_cache() -> None:
-    """Drop all in-memory cached traces (tests use this to bound memory;
-    the persistent artifact cache, if any, is unaffected)."""
+    """Drop every memoized trace, ingested ones included (tests use this to
+    bound memory; trace-cache files on disk are unaffected)."""
     _TRACE_CACHE.clear()
 
 
 def trace_cache_stats() -> dict[str, int]:
-    """In-process trace-cache counters: memoized entries, the records they
-    hold (about 72 bytes each), memo hits, and traces actually generated
-    (walked) since interpreter start."""
+    """In-process trace-memo counters: memoized traces (generated, loaded or
+    ingested), the records they hold (about 72 bytes each), memo hits, and
+    traces actually generated (walked) since interpreter start."""
     return {
         "mem_entries": len(_TRACE_CACHE),
         # list() copies the values atomically: a service job thread may be

@@ -216,7 +216,7 @@ def collect_sweep(processes: int = _SWEEP_PROCESSES) -> dict[str, float]:
     import tempfile
 
     from repro.experiments.parallel import run_pairs
-    from repro.trace.artifact import TraceArtifactCache, trace_cache_installed
+    from repro.trace.artifact import TraceArtifactCache
     from repro.workloads import build_programs
 
     calib = calibration_score()
@@ -224,9 +224,8 @@ def collect_sweep(processes: int = _SWEEP_PROCESSES) -> dict[str, float]:
     machine = get_preset("baseline")
     with tempfile.TemporaryDirectory(prefix="perfguard-traces-") as tmp:
         cache = TraceArtifactCache(tmp)
-        with trace_cache_installed(cache):  # pre-warm the artifact cache
-            for wl, _pol in SWEEP_PAIRS:
-                build_programs(wl, simcfg)
+        for wl, _pol in SWEEP_PAIRS:  # pre-warm the trace cache
+            build_programs(wl, simcfg, trace_cache=cache)
         t0 = time.perf_counter()
         run_pairs(machine, simcfg, list(SWEEP_PAIRS), processes, trace_cache_dir=tmp)
         sweep_secs = time.perf_counter() - t0
@@ -257,7 +256,7 @@ def collect_ingest(repeats: int = _INGEST_REPEATS) -> dict[str, float]:
     """
     import tempfile
 
-    from repro.trace import generate_trace, get_profile
+    from repro.trace import clear_trace_cache, generate_trace, get_profile
     from repro.trace import ingest as ingest_mod
 
     calib = calibration_score()
@@ -266,7 +265,7 @@ def collect_ingest(repeats: int = _INGEST_REPEATS) -> dict[str, float]:
         path = ingest_mod.export_trace(trace, Path(tmp) / "guard.dwit")
 
         def cold_ingest() -> Callable[[], Any]:
-            ingest_mod._MATERIALIZE_CACHE.clear()
+            clear_trace_cache()
             return lambda: ingest_mod.materialize(
                 ingest_mod.read_trace_file(path), base=0, seed=777
             )
@@ -291,12 +290,12 @@ def collect_walk() -> dict[str, float]:
     """Measure a fresh trace build: every trace of a workload walked anew.
 
     Times ``build_programs`` for :data:`_WALK_WORKLOAD` with the in-process
-    trace memo cleared before each run and no artifact cache installed, so
-    each trace pays the synthetic CFG walk (best of :data:`_WALK_REPEATS`).
+    trace memo cleared before each run and no trace cache, so each trace
+    pays the synthetic CFG walk (best of :data:`_WALK_REPEATS`).
     ``normalized_walk_secs`` is host-normalized like the sweep metric
     (lower is better).
     """
-    from repro.trace import clear_trace_cache, set_trace_artifact_cache
+    from repro.trace import clear_trace_cache
     from repro.workloads import build_programs, get_workload
 
     calib = calibration_score()
@@ -307,11 +306,9 @@ def collect_walk() -> dict[str, float]:
         clear_trace_cache()
         return lambda: build_programs(workload, simcfg)
 
-    prev = set_trace_artifact_cache(None)
     try:
         (best,), _ = _best_of(_WALK_REPEATS, [fresh_build])
     finally:
-        set_trace_artifact_cache(prev)
         clear_trace_cache()
     return {
         "walk_secs": round(best, 4),

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from repro.config.simulation import SimulationConfig
 from repro.trace import ingest
-from repro.trace.artifact import TraceArtifactCache, trace_cache_installed
+from repro.trace.artifact import TraceArtifactCache
 from repro.trace.profiles import PROFILES, BenchmarkProfile, get_profile
 from repro.trace.synthetic import SyntheticTrace, generate_trace
 from repro.trace.wrongpath import WrongPathSupplier
@@ -42,7 +42,11 @@ class ThreadProgram:
 
 
 def _make_program(
-    bench: str, tid: int, instance: int, simcfg: SimulationConfig
+    bench: str,
+    tid: int,
+    instance: int,
+    simcfg: SimulationConfig,
+    trace_cache: TraceArtifactCache | None,
 ) -> ThreadProgram:
     profile = get_profile(bench)
     base = tid * _THREAD_BASE_STRIDE
@@ -52,6 +56,7 @@ def _make_program(
         base,
         simcfg.seed,
         instance=instance,
+        cache=trace_cache,
     )
     wp_seed = derive_seed(simcfg.seed, "wrongpath", bench, instance)
     return ThreadProgram(profile, trace, WrongPathSupplier(profile, base, wp_seed))
@@ -70,11 +75,10 @@ def build_programs(
     listing all three kinds.
 
     ``trace_cache`` optionally backs trace generation with the persistent
-    artifact cache for the duration of the build: the six-policies-over-one-
-    workload sweep then pays each trace walk once per machine *ever*, not
-    once per process. Traces are keyed by (bench, length, base, seed,
-    instance), all of which this builder determines, so cached replay is
-    bit-identical to regeneration.
+    trace cache: the six-policies-over-one-workload sweep then pays each
+    trace walk once per machine *ever*, not once per process. Traces are
+    keyed by (bench, length, base, seed, instance), all of which this
+    builder determines, so cached replay is bit-identical to regeneration.
     """
     if isinstance(spec, str):
         if spec not in WORKLOADS:
@@ -88,11 +92,10 @@ def build_programs(
         spec = WORKLOADS[spec]
     instance_count: dict[str, int] = {}
     programs = []
-    with trace_cache_installed(trace_cache):
-        for tid, bench in enumerate(spec.benchmarks):
-            instance = instance_count.get(bench, 0)
-            instance_count[bench] = instance + 1
-            programs.append(_make_program(bench, tid, instance, simcfg))
+    for tid, bench in enumerate(spec.benchmarks):
+        instance = instance_count.get(bench, 0)
+        instance_count[bench] = instance + 1
+        programs.append(_make_program(bench, tid, instance, simcfg, trace_cache))
     return programs
 
 
@@ -138,5 +141,4 @@ def build_single(
         path = ingest.find_ingested(bench)
         if path is not None:
             return [build_ingested_program(bench, path, 0, simcfg)]
-    with trace_cache_installed(trace_cache):
-        return [_make_program(bench, 0, 0, simcfg)]
+    return [_make_program(bench, 0, 0, simcfg, trace_cache)]

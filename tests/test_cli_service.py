@@ -34,7 +34,7 @@ class TestVersionCommand:
     def test_artifact_details_shown(self, capsys):
         main(["version"])
         out = capsys.readouterr().out
-        assert "DWTR" in out          # artifact magic
+        assert "canonical-mode DWIT files" in out  # the trace cache's format
         assert "bytes/record" in out  # record size
 
 

@@ -166,6 +166,19 @@ class TestPrefetch:
         # Workers persisted their generated traces for the next sweep.
         assert r1.trace_cache.stats()["entries"] > 0
 
+    def test_vec_prefetch_counts_on_the_runners_trace_cache(self, tmp_path):
+        from repro.trace import clear_trace_cache
+
+        runner = ExperimentRunner("baseline", TINY, trace_cache_dir=tmp_path / "traces")
+        pairs = [("2-MEM", "dwarn"), ("gzip", "icount")]
+        prefetch(runner, pairs, 1, backend="vec")  # walks and stores
+        assert runner.trace_cache.stats()["stores"] > 0
+        clear_trace_cache()
+        runner._mem_cache.clear()
+        prefetch(runner, pairs, 1, backend="vec")  # loads the filled cache
+        clear_trace_cache()
+        assert runner.trace_cache.stats()["disk_hits"] > 0
+
     def test_seed_sweep_feeds_run_multi(self, tmp_path):
         from repro.experiments import prefetch_seed_sweep
 

@@ -179,7 +179,8 @@ class TestValidationAndRouting:
         h = server.client.healthz()
         assert h["status"] == "ok"
         assert h["protocol_version"] == 1
-        assert h["trace_artifact"]["magic"] == "DWTR"
+        assert h["trace_format"]["magic"] == "DWIT"
+        assert h["trace_artifact_version"] >= 1
         assert h["result_cache_version"] >= 4
 
 

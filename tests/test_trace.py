@@ -255,6 +255,12 @@ class TestCompactRecords:
     def test_loaded_records_equal_generated(self, traces):
         assert traces["loaded"].cols == traces["generated"].cols
 
+    @pytest.mark.parametrize("kind", ["loaded", "ingested"])
+    def test_columns_sized_like_walked_ones(self, traces, kind):
+        """No spare slots: each column is as big as the walked trace's."""
+        sizes = [sys.getsizeof(col) for col in traces[kind].cols]
+        assert sizes == [sys.getsizeof(col) for col in traces["generated"].cols]
+
     def test_ingested_records_equal_generated(self, traces):
         assert traces["ingested"].cols == traces["generated"].cols
 

@@ -1,6 +1,6 @@
-"""Tests for the persistent binary trace-artifact cache.
+"""Tests for the persistent trace cache.
 
-The contract under test: a trace loaded from a binary artifact is
+The contract under test: a trace loaded from the cache's DWIT file is
 *bit-identical* to a freshly generated one (field by field, and through a
 full simulation), and every failure mode — corruption, truncation, key
 mismatch, concurrent writers — degrades to regeneration, never to wrong
@@ -22,9 +22,10 @@ from repro.trace import (
     clear_trace_cache,
     generate_trace,
     get_profile,
-    trace_cache_installed,
+    ingest,
     trace_cache_stats,
 )
+from repro.trace.artifact import trace_cache_for
 
 _KEY = dict(length=4000, base=1 << 30, seed=777, instance=0)
 
@@ -82,6 +83,54 @@ class TestRoundTrip:
         assert cache.load(get_profile("mcf"), **_KEY) is None
 
 
+class TestOneFormat:
+    """A trace-cache file is a canonical-mode DWIT file, both ways round."""
+
+    def test_stored_file_reads_as_a_trace_file(self, tmp_path, capsys):
+        from repro.cli import main
+
+        fresh = _fresh()
+        path = TraceArtifactCache(tmp_path).store(fresh)
+        assert path.suffix == ".dwit"
+        tf = ingest.read_trace_file(path)
+        assert tf.header.address_mode == "canonical"
+        assert tf.header.name == "mcf-l4000-b1073741824-s777-i0"
+        assert tf.arrays["pc"] == _columns(fresh)["pc"]
+        assert main(["ingest", "inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "valid trace file" in out and "records:      4000" in out
+
+    def test_exported_file_at_the_key_path_is_a_hit(self, tmp_path):
+        cache = TraceArtifactCache(tmp_path)
+        fresh = _fresh()
+        profile = get_profile("mcf")
+        path = cache.path_for(profile, **_KEY)
+        ingest.export_trace(fresh, path, name="mcf-l4000-b1073741824-s777-i0")
+        loaded = cache.load(profile, **_KEY)
+        assert loaded is not None and cache.disk_hits == 1
+        _assert_traces_equal(fresh, loaded)
+
+    def test_loads_and_stores_skip_record_validation(self, tmp_path, monkeypatch):
+        # The cache reads only files it wrote; external files keep the checks.
+        def refuse(*args):
+            raise AssertionError("per-record validation on the trace-cache path")
+
+        monkeypatch.setattr(ingest, "_validate_arrays", refuse)
+        cache = TraceArtifactCache(tmp_path)
+        cache.store(_fresh())
+        assert cache.load(get_profile("mcf"), **_KEY) is not None
+        with pytest.raises(AssertionError):
+            ingest.read_trace_file(cache.path_for(get_profile("mcf"), **_KEY))
+
+    def test_exported_file_under_another_name_is_rejected(self, tmp_path):
+        cache = TraceArtifactCache(tmp_path)
+        profile = get_profile("mcf")
+        path = cache.path_for(profile, **_KEY)
+        ingest.export_trace(_fresh(), path)  # name "mcf": not the key
+        assert cache.load(profile, **_KEY) is None
+        assert cache.rejected == 1 and not path.exists()
+
+
 class TestCorruption:
     @pytest.mark.parametrize("mutation", ["truncate", "garbage", "flip", "empty"])
     def test_corrupt_artifact_falls_back(self, tmp_path, mutation):
@@ -106,13 +155,12 @@ class TestCorruption:
         cache = TraceArtifactCache(tmp_path)
         profile = get_profile("mcf")
         clear_trace_cache()
-        with trace_cache_installed(cache):
-            first = generate_trace(profile, **_KEY)
-            path = cache.path_for(profile, **_KEY)
-            assert path.exists()
-            path.write_bytes(path.read_bytes()[:100])  # truncate
-            clear_trace_cache()
-            second = generate_trace(profile, **_KEY)
+        first = generate_trace(profile, **_KEY, cache=cache)
+        path = cache.path_for(profile, **_KEY)
+        assert path.exists()
+        path.write_bytes(path.read_bytes()[:100])  # truncate
+        clear_trace_cache()
+        second = generate_trace(profile, **_KEY, cache=cache)
         clear_trace_cache()
         _assert_traces_equal(first, second)
         assert path.exists()  # rewritten after the corrupt read
@@ -124,21 +172,35 @@ class TestGenerateTraceIntegration:
         cache = TraceArtifactCache(tmp_path)
         profile = get_profile("twolf")
         clear_trace_cache()
-        with trace_cache_installed(cache):
-            generated = generate_trace(profile, **_KEY)
-            assert cache.stores == 1
-            clear_trace_cache()  # force the memo miss -> disk path
-            loaded = generate_trace(profile, **_KEY)
-            assert cache.disk_hits == 1
+        generated = generate_trace(profile, **_KEY, cache=cache)
+        assert cache.stores == 1
+        clear_trace_cache()  # force the memo miss -> disk path
+        loaded = generate_trace(profile, **_KEY, cache=cache)
+        assert cache.disk_hits == 1
         clear_trace_cache()
         assert loaded is not generated
         _assert_traces_equal(generated, loaded)
 
-    def test_none_cache_scope_is_noop(self):
+    def test_none_cache_scope_is_noop(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         clear_trace_cache()
-        with trace_cache_installed(None):
-            t = generate_trace(get_profile("gzip"), 2000, 0, 5, 0)
+        t = generate_trace(get_profile("gzip"), 2000, 0, 5, 0, cache=None)
         assert len(t) == 2000
+        assert list(tmp_path.iterdir()) == []  # nothing written to the cwd
+        clear_trace_cache()
+
+    def test_clear_trace_cache_drops_ingested_traces(self, tmp_path):
+        clear_trace_cache()
+        path = ingest.export_trace(_fresh("gzip", length=2000), tmp_path / "t.dwit")
+        tf = ingest.read_trace_file(path)
+        first = ingest.materialize(tf, base=0, seed=5)
+        assert ingest.materialize(tf, base=0, seed=5) is first  # memoized
+        assert trace_cache_stats()["mem_entries"] == 1
+        clear_trace_cache()
+        assert trace_cache_stats()["mem_entries"] == 0
+        again = ingest.materialize(tf, base=0, seed=5)
+        assert again is not first
+        assert again.cols == first.cols
         clear_trace_cache()
 
 
@@ -236,7 +298,7 @@ class TestConcurrency:
         first = run_pairs(
             machine, simcfg, pairs, 1, trace_cache_dir=str(tmp_path)
         )
-        artifacts = sorted(tmp_path.glob("*.dwtrace"))
+        artifacts = sorted(tmp_path.glob("*.dwit"))
         assert artifacts, list(tmp_path.iterdir())
         blob = bytearray(artifacts[0].read_bytes())
         blob[len(blob) // 2] ^= 0xFF
@@ -270,6 +332,16 @@ class TestMaintenance:
         assert cache.stats()["entries"] == 0
         assert cache.clear() == 0
 
+    def test_clear_removes_older_format_files(self, tmp_path):
+        # Files of the binary-header format earlier versions wrote.
+        for name in ("gzip-l3000-i0-0123456789abcdef.dwtrace", "x.dwtrace.tmp-7"):
+            (tmp_path / name).write_bytes(b"DWTR")
+        cache = TraceArtifactCache(tmp_path)
+        cache.store(_fresh("gzip"))
+        assert cache.stats()["entries"] == 2
+        assert cache.clear() == 2
+        assert list(tmp_path.iterdir()) == []
+
 
 def _store_repeatedly(directory: str, n: int) -> bool:
     """Worker for the write-race test: hammer one artifact path."""
@@ -294,15 +366,12 @@ def _fingerprint(trace: SyntheticTrace) -> tuple:
 
 def _load_or_regenerate(directory: str, length: int) -> tuple[int, tuple]:
     """Worker for the concurrent-corruption test: the exact read path a
-    distributed worker's simulation process takes (per-process cache memo
+    distributed worker's simulation process takes (per-process cache object
     over a shared directory), returning (rejected count, fingerprint)."""
-    from repro.experiments.parallel import _worker_trace_cache
-
-    cache = _worker_trace_cache(directory)
+    cache = trace_cache_for(directory)
     profile = get_profile("gzip")
     clear_trace_cache()
-    with trace_cache_installed(cache):
-        trace = generate_trace(profile, length, 0, 5, 0)
+    trace = generate_trace(profile, length, 0, 5, 0, cache=cache)
     clear_trace_cache()
     return cache.rejected, _fingerprint(trace)
 
@@ -324,8 +393,7 @@ class TestCLICacheCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "traces" in out and "results" in out
-        mem = trace_cache_stats()
-        assert f"{mem['mem_entries']} traces memoized ({mem['mem_records']} records)" in out
+        assert "memoized" not in out  # a fresh process holds no memo
 
         rc = main([
             "cache", "clear",
