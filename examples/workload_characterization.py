@@ -24,7 +24,7 @@ def characterize(bench: str, length: int = 60_000):
 
     counts = trace.op_counts()
     branches = counts.get(int(OpClass.BRANCH), 0)
-    # One list per field, in repro.trace.RECORD_FIELDS order.
+    # One column per field, in repro.trace.RECORD_FIELDS order.
     ops, brkinds, takens = trace.cols[0], trace.cols[6], trace.cols[7]
     taken = sum(t for op, t in zip(ops, takens) if op == OpClass.BRANCH)
     calls = brkinds.count(BranchKind.CALL)
@@ -38,7 +38,7 @@ def characterize(bench: str, length: int = 60_000):
         round(counts.get(int(OpClass.LOAD), 0) / length, 3),
         round(branches / length, 3),
         round(taken / branches, 2) if branches else 0,
-        f"{trace.layout.footprint_bytes // 1024}K",
+        f"{trace.code_bytes // 1024}K",
         calls,
     ]
 

@@ -239,10 +239,8 @@ class Simulator:
             for addr in aspace.l2_resident_lines():
                 l2.fill(addr >> shift)
                 dtlb.access(addr)
-            layout = tc.trace.layout
-            for addr in range(
-                layout.code_base, layout.code_base + layout.footprint_bytes, line_bytes
-            ):
+            code_base = tc.trace.code_base
+            for addr in range(code_base, code_base + tc.trace.code_bytes, line_bytes):
                 l2.fill(addr >> shift)
         dtlb.reset_stats()
         self.hierarchy.dcache.reset_stats()

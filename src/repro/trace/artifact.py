@@ -13,9 +13,12 @@ Each trace is one canonical-mode trace file in the DWIT v1 format of
 :mod:`repro.trace.ingest` (``dwarn-sim ingest inspect`` reads it), at
 ``<profile>-l<length>-i<instance>-<hash>.dwit``. The header's ``name`` holds
 the full key, ``<profile>-l<length>-b<base>-s<seed>-i<instance>``, so a load
-checks every key field. The ``CodeLayout`` and ``AddressSpace`` are *not*
+checks every key field. The code range and ``AddressSpace`` are *not*
 stored: both are cheap deterministic functions of the key, so the loader
-rebuilds them and only the walk — the expensive part — is skipped.
+rebuilds them and only the walk — the expensive part — is skipped. A load
+copies the six signed-byte columns as they decode and interns the three
+address columns; like a walked trace, the loaded one keeps no
+``CodeLayout``.
 
 Durability rules:
 

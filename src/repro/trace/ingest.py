@@ -86,6 +86,7 @@ __all__ = [
     "ingest_stats",
     "ingested_workloads",
     "materialize",
+    "materialize_file",
     "read_header",
     "read_trace_file",
     "register_workload",
@@ -466,6 +467,7 @@ def _write(
     old file, the new one or none, never a torn one."""
     parts: list[bytes] = []
     for typecode, field in _FIELDS:
+        # A trace's own ``array('b')`` columns copy with one memcpy.
         col = array(typecode, columns[field])
         if sys.byteorder != "little":  # pragma: no cover - exotic hosts
             col.byteswap()
@@ -608,7 +610,7 @@ def _intern_raw(
     records = len(arrays["pc"])
 
     # --- PC interning: first-seen order into the code region.
-    code_base = trace.layout.code_base
+    code_base = trace.code_base
     pc_map: dict[int, int] = {}
     for pc in arrays["pc"]:
         if pc not in pc_map:
@@ -688,40 +690,70 @@ def _rebase_canonical(
     return out
 
 
+def _memo_key(header: IngestHeader, base: int, seed: int) -> tuple[object, ...]:
+    """The trace memo's key for one file materialized at ``base``/``seed``.
+
+    A str first element: never equal to a generated trace's key. The CRC
+    makes a file whose body was rewritten a new key.
+    """
+    return (header.name, header.crc32, header.records, header.base, base, seed)
+
+
+def _materialize(tf: IngestedTraceFile, base: int, seed: int) -> SyntheticTrace:
+    """Materialize ``tf`` at ``base``/``seed`` (no memo); ``tf.arrays`` is
+    only read."""
+    header = tf.header
+    profile = get_profile(header.profile)
+    if header.address_mode == "canonical":
+        arrays = _rebase_canonical(tf.arrays, header.base, base)
+    else:
+        # _intern_raw needs the target code range/aspace; build a throwaway
+        # shell with the static products only (no walk) to intern against.
+        shell = object.__new__(SyntheticTrace)
+        shell._init_static(profile, header.records, base, seed, 0)
+        arrays = _intern_raw(tf.arrays, shell)
+    trace = SyntheticTrace.from_arrays(profile, header.records, base, seed, 0, arrays)
+    trace._patch_wrap()  # on the trace's own copy of each column
+    return trace
+
+
 def materialize(
     tf: IngestedTraceFile, base: int, seed: int
 ) -> SyntheticTrace:
     """Build a :class:`SyntheticTrace`-compatible trace from a read file.
 
-    The result has the nine field columns (one shared int per distinct PC,
-    address and target), wrap-to-index-0 patching, code layout and address
-    space of a generated trace, so everything downstream (simulator,
-    columnar snapshots, vec backend) runs it unchanged. Deterministic given
+    The result has the nine field columns (signed bytes for the six small
+    fields, one shared int per distinct PC, address and target),
+    wrap-to-index-0 patching, code range and address space of a generated
+    trace, so everything downstream (simulator, columnar snapshots, vec
+    backend) runs it unchanged. ``tf.arrays`` is left as it was, so one
+    read file materializes at any number of bases. Deterministic given
     (file contents, base, seed), and memoized with the generated traces
     (:func:`~repro.trace.synthetic.memoized_trace`), so six policies over
     one ingested workload intern it once.
     """
-    header = tf.header
+    return memoized_trace(_memo_key(tf.header, base, seed), lambda: _materialize(tf, base, seed))
+
+
+def materialize_file(path: str | Path, base: int, seed: int) -> SyntheticTrace:
+    """:func:`materialize` of the trace file at ``path``, reading its body
+    only when the trace is not memoized.
+
+    The memo key comes from the header alone (one small read); on a miss
+    the whole file is read and fully validated by :func:`read_trace_file`,
+    as every external input is. A file rewritten since its header was read
+    raises :class:`IngestError` rather than memoizing its new body under
+    the old header's key.
+    """
+    header = read_header(path)
 
     def build() -> SyntheticTrace:
-        profile = get_profile(header.profile)
-        if header.address_mode == "canonical":
-            arrays = _rebase_canonical(tf.arrays, header.base, base)
-        else:
-            # _intern_raw needs the target layout/aspace; build a throwaway
-            # shell with the static products only (no walk) to intern against.
-            shell = object.__new__(SyntheticTrace)
-            shell._init_static(profile, header.records, base, seed, 0)
-            arrays = _intern_raw(tf.arrays, shell)
-        trace = SyntheticTrace.from_arrays(
-            profile, header.records, base, seed, 0, arrays
-        )
-        trace._patch_wrap()
-        return trace
+        tf = read_trace_file(path)
+        if tf.header != header:
+            raise _fail(tf.path, "file changed while it was being read")
+        return _materialize(tf, base, seed)
 
-    # A str first element: never equal to a generated trace's key.
-    key = (header.name, header.crc32, header.records, header.base, base, seed)
-    return memoized_trace(key, build)
+    return memoized_trace(_memo_key(header, base, seed), build)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
 """The synthetic trace generator: a dynamic walk over the CFG.
 
 A trace is the *correct-path* dynamic instruction sequence of one thread,
-stored once: ``SyntheticTrace.cols`` is a tuple of nine lists, one per
+stored once: ``SyntheticTrace.cols`` is a tuple of nine columns, one per
 ``RECORD_FIELDS`` entry (``DynInstr`` argument order), each exactly
 ``length`` long, so record ``i`` is ``col[i]`` of every column and the hot
-fetch loop reads each field with one list index. A record costs nine list
-slots (72 bytes) and no object of its own. Each distinct PC, address and
-branch target is a single shared ``int`` (one intern table per trace): a
-trace has a few thousand distinct values but tens of thousands of records.
-Index ``i+1`` is always the architectural successor of index ``i``; the
-final record is patched into an unconditional jump back to index 0 so
-traces wrap seamlessly when a simulated thread outruns its trace.
+fetch loop reads each field with one index. The six small fields (``op``,
+``dest``, ``src1``, ``src2``, ``brkind``, ``taken``) are ``array('b')``
+columns, one byte a record, the typecode the DWIT file stores them with;
+``pc``, ``addr`` and ``target`` are lists of ints, three slots (24 bytes) a
+record. Each distinct PC, address and branch target is a single shared
+``int`` (one intern table per trace): a trace has a few thousand distinct
+values but tens of thousands of records. Index ``i+1`` is always the
+architectural successor of index ``i``; the final record is patched into
+an unconditional jump back to index 0 so traces wrap seamlessly when a
+simulated thread outruns its trace.
+
+The code layout the walk follows is not kept: a trace holds only the code
+range the simulator pre-warms (``code_base`` and ``code_bytes``).
 
 Traces are memoized per (profile, length, seed, base, instance): sweeping
 6 policies over the same workload pays generation cost once.
@@ -18,6 +24,7 @@ Traces are memoized per (profile, length, seed, base, instance): sweeping
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
@@ -47,12 +54,14 @@ _MAX_CALL_DEPTH = 64
 RECORD_FIELDS = ("op", "pc", "dest", "src1", "src2", "addr", "brkind", "taken", "target")
 
 #: One trace record, laid out as ``RECORD_FIELDS``.
-Record = tuple[int, int, int, int, int, int, int, bool, int]
+Record = tuple[int, int, int, int, int, int, int, int, int]
 
-#: A trace's records as one list per ``RECORD_FIELDS`` entry, in that order.
+#: A trace's records as one column per ``RECORD_FIELDS`` entry, in that
+#: order: the six small fields as signed bytes, ``pc``, ``addr`` and
+#: ``target`` as lists of interned ints.
 Columns = tuple[
-    list[int], list[int], list[int], list[int], list[int],
-    list[int], list[int], list[bool], list[int],
+    "array[int]", list[int], "array[int]", "array[int]", "array[int]",
+    list[int], "array[int]", "array[int]", list[int],
 ]
 
 
@@ -65,7 +74,8 @@ class SyntheticTrace:
         "base",
         "seed",
         "instance",
-        "layout",
+        "code_base",
+        "code_bytes",
         "aspace",
         "cols",
     )
@@ -73,22 +83,28 @@ class SyntheticTrace:
     def __init__(
         self, profile: BenchmarkProfile, length: int, base: int, seed: int, instance: int
     ) -> None:
-        walk_seed = self._init_static(profile, length, base, seed, instance)
-        # Preallocated, so each column is exactly ``length`` slots; the walk
-        # writes by index and leaves the prefilled defaults of the fields a
-        # record does not use (no address, not a branch).
+        layout = self._init_static(profile, length, base, seed, instance)
+        # The walk writes lists by index: the interpreter specializes a list
+        # store and not an ``array`` one. Preallocated, so it leaves the
+        # zeros of the fields a record does not use (no address; not a
+        # branch, ``BranchKind.NONE`` being 0), and each column is exactly
+        # ``length`` slots.
+        cols = [[0] * length for _ in RECORD_FIELDS]
+        walk_seed = derive_seed(seed, "walk", profile.name, instance)
+        self._walk(layout, splitmix64_stream(walk_seed).__next__, cols)
+        op, pc, dest, src1, src2, addr, brkind, taken, target = cols
         self.cols: Columns = (
-            [0] * length, [0] * length, [0] * length, [0] * length, [0] * length,
-            [0] * length, [int(BranchKind.NONE)] * length, [False] * length, [0] * length,
+            array("b", op), pc, array("b", dest), array("b", src1), array("b", src2),
+            addr, array("b", brkind), array("b", taken), target,
         )
-        self._walk(splitmix64_stream(walk_seed).__next__, self.aspace)
         self._patch_wrap()
 
     def _init_static(
         self, profile: BenchmarkProfile, length: int, base: int, seed: int, instance: int
-    ) -> int:
+    ) -> CodeLayout:
         """Set every field that is a cheap deterministic function of the key
-        (metadata, code layout, address space); returns the walk seed.
+        (metadata, code range, address space); returns the code layout,
+        which the walk follows and the trace does not keep.
 
         Shared by generation, trace-cache loads and ingestion: the *walk* is
         the only expensive step, so a disk-loaded trace redoes everything
@@ -99,14 +115,15 @@ class SyntheticTrace:
         self.base = base
         self.seed = seed
         self.instance = instance
-        walk_seed = derive_seed(seed, "walk", profile.name, instance)
         code_seed = derive_seed(seed, "code", profile.name, instance)
         addr_seed = derive_seed(seed, "addr", profile.name, instance)
         code_base = base + CODE_OFFSET + set_stagger(base) * LINE_BYTES
-        self.layout = CodeLayout(profile, code_base, code_seed)
+        layout = CodeLayout(profile, code_base, code_seed)
+        self.code_base = code_base
+        self.code_bytes = layout.footprint_bytes
         expected_loads = int(length * profile.load_frac)
         self.aspace = AddressSpace(profile, base, addr_seed, expected_loads=expected_loads)
-        return walk_seed
+        return layout
 
     @classmethod
     def from_arrays(
@@ -122,13 +139,16 @@ class SyntheticTrace:
 
         ``arrays`` maps the nine ``RECORD_FIELDS`` names to full-length
         sequences, lists or ``array`` objects (``taken`` as 0/1 ints), and is
-        only read; each becomes its column. PCs, addresses and targets go
-        through one intern table, as in the walk, so a loaded trace is as
-        compact as a generated one. The code layout and address space are
-        regenerated from the key — they are deterministic and cheap, and the
-        simulator only reads their static products (resident-line sets, code
-        footprint), so the result is behaviorally identical to a freshly
-        generated trace; the parity tests enforce this record by record.
+        only read: every column is a copy, so patching the trace (as
+        :func:`~repro.trace.ingest.materialize` does) never writes through
+        to the caller. A decoded ``array('b')`` column copies with one
+        memcpy. PCs, addresses and targets go through one intern table, as
+        in the walk, so a loaded trace is as compact as a generated one. The
+        code range and address space are regenerated from the key — they are
+        deterministic and cheap, and the simulator only reads their static
+        products (resident-line sets, code footprint), so the result is
+        behaviorally identical to a freshly generated trace; the parity
+        tests enforce this record by record.
         """
         self = object.__new__(cls)
         self._init_static(profile, length, base, seed, instance)
@@ -138,32 +158,34 @@ class SyntheticTrace:
         # A map has no length, so list() over-allocates it; the copy is
         # exactly ``length`` slots, as a walked trace's columns are.
         self.cols = (
-            list(arrays["op"]),
+            array("b", arrays["op"]),
             list(map(intern, pc, pc)).copy(),
-            list(arrays["dest"]),
-            list(arrays["src1"]),
-            list(arrays["src2"]),
+            array("b", arrays["dest"]),
+            array("b", arrays["src1"]),
+            array("b", arrays["src2"]),
             list(map(intern, addr, addr)).copy(),
-            list(arrays["brkind"]),
-            list(map(bool, arrays["taken"])).copy(),
+            array("b", arrays["brkind"]),
+            array("b", arrays["taken"]),
             list(map(intern, target, target)).copy(),
         )
         return self
 
     # ------------------------------------------------------------------
 
-    def _walk(self, draw: Callable[[], int], aspace: AddressSpace) -> None:
+    def _walk(
+        self, layout: CodeLayout, draw: Callable[[], int], cols: list[list[int]]
+    ) -> None:
         # ``draw()`` is a raw 64-bit SplitMix64 value: ``draw() <
         # float_threshold(p)`` holds exactly when ``next_float() < p`` would,
         # and ``draw() % n`` is ``next_below(n)``. Every trace depends on the
         # order of draws (tests/test_trace.py pins four by hash).
-        layout = self.layout
         blocks = layout.blocks
         length = self.length
         profile = self.profile
+        aspace = self.aspace
 
         (op_col, pc_col, dest_col, src1_col, src2_col, addr_col, brkind_col,
-         taken_col, target_col) = self.cols
+         taken_col, target_col) = cols
         # One intern table for PCs, addresses and targets: each distinct
         # value is one int object across the whole trace (a taken target is
         # the next record's PC, so they share it too).
@@ -339,7 +361,7 @@ class SyntheticTrace:
         dest[-1] = src1[-1] = src2[-1] = REG_NONE
         addr[-1] = 0
         brkind[-1] = int(BranchKind.JUMP)
-        taken[-1] = True
+        taken[-1] = 1
         target[-1] = pc[0]
 
     # ------------------------------------------------------------------
@@ -419,8 +441,9 @@ def clear_trace_cache() -> None:
 
 def trace_cache_stats() -> dict[str, int]:
     """In-process trace-memo counters: memoized traces (generated, loaded or
-    ingested), the records they hold (about 72 bytes each), memo hits, and
-    traces actually generated (walked) since interpreter start."""
+    ingested), the records they hold (about 31 bytes each for a long trace,
+    more for a short one), memo hits, and traces actually generated (walked)
+    since interpreter start."""
     return {
         "mem_entries": len(_TRACE_CACHE),
         # list() copies the values atomically: a service job thread may be

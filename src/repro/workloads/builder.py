@@ -108,11 +108,11 @@ def build_ingested_program(
     not apply — a recorded trace is as long as it is); everything else
     (address-space slice per tid, wrong-path supply derived from the run
     seed) matches the synthetic path, so an ingested workload is a drop-in
-    thread anywhere a synthetic one is.
+    thread anywhere a synthetic one is. The file's body is read and
+    validated only when its trace is not already memoized.
     """
-    tf = ingest.read_trace_file(path)
     base = tid * _THREAD_BASE_STRIDE
-    trace = ingest.materialize(tf, base, simcfg.seed)
+    trace = ingest.materialize_file(path, base, simcfg.seed)
     # Seed wrong-path supply from the *profile* (not the workload name):
     # wrong-path instructions are synthesized from profile statistics
     # either way, and this makes an exported-then-reingested benchmark

@@ -225,11 +225,11 @@ class TestPrewarmContents:
     def test_code_footprint_l2_resident(self, tiny_simcfg):
         sim = run_sim("gzip", simcfg=tiny_simcfg)
         tc = sim.threads[0]
-        layout = tc.trace.layout
+        trace = tc.trace
         shift = sim.hierarchy.line_shift
         lines = range(
-            layout.code_base >> shift,
-            (layout.code_base + layout.footprint_bytes) >> shift,
+            trace.code_base >> shift,
+            (trace.code_base + trace.code_bytes) >> shift,
         )
         resident = sum(sim.hierarchy.l2.contains(ln) for ln in lines)
         assert resident >= 0.9 * len(list(lines))

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import sys
 import tracemalloc
+import types
 from array import array
 from collections import Counter
 from itertools import islice
@@ -34,8 +35,9 @@ from repro.trace.address_space import (
     set_stagger,
 )
 from repro.trace.artifact import TraceArtifactCache
-from repro.trace.codegen import INSTR_BYTES, CodeLayout
-from repro.trace.synthetic import RECORD_FIELDS, SyntheticTrace
+from repro.trace.codegen import INSTR_BYTES, BasicBlock, CodeLayout
+from repro.trace.synthetic import RECORD_FIELDS, SyntheticTrace, clear_trace_cache
+from repro.utils.rng import derive_seed
 
 
 def _columns(trace) -> dict[str, list]:
@@ -207,16 +209,38 @@ class TestSyntheticTrace:
         assert trace.record(0) == tuple(t[field][0] for field in RECORD_FIELDS)
 
     def test_pcs_inside_code_region(self, trace):
-        lo = trace.layout.code_base
-        hi = lo + trace.layout.footprint_bytes
+        lo = trace.code_base
+        hi = lo + trace.code_bytes
         assert all(lo <= pc < hi for pc in _columns(trace)["pc"])
+
+
+#: The fields a trace holds as ``array('b')`` columns (the DWIT file's
+#: signed-byte fields); the other three are lists of interned ints.
+_BYTE_FIELDS = ("op", "dest", "src1", "src2", "brkind", "taken")
+
+
+def _reachable(root: object) -> list[object]:
+    """Every object reachable from ``root`` through instance data, by
+    ``gc.get_referents``. Classes, modules and functions are not entered:
+    through them everything in the process is reachable."""
+    opaque = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen: dict[int, object] = {}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, opaque):
+            continue
+        seen[id(obj)] = obj
+        stack.extend(gc.get_referents(obj))
+    return list(seen.values())
 
 
 class TestCompactRecords:
     """The nine field columns in ``cols`` are a trace's only per-record
-    store, and each distinct PC, address and target is one shared int,
-    whether the trace was walked, loaded from an artifact or ingested from
-    a DWIT file."""
+    store: the six small fields as ``array('b')``, and ``pc``, ``addr`` and
+    ``target`` as lists in which each distinct value is one shared int. The
+    code layout the walk followed is not kept. All of this holds whether the
+    trace was walked, loaded from an artifact or ingested from a DWIT file."""
 
     KINDS = ["generated", "loaded", "ingested"]
 
@@ -235,8 +259,12 @@ class TestCompactRecords:
     def test_cols_are_the_only_per_record_store(self, traces, kind):
         trace = traces[kind]
         assert len(trace.cols) == len(RECORD_FIELDS)
-        for col in trace.cols:
-            assert type(col) is list and len(col) == len(trace)
+        for field, col in zip(RECORD_FIELDS, trace.cols):
+            if field in _BYTE_FIELDS:
+                assert type(col) is array and col.typecode == "b", field
+            else:
+                assert type(col) is list, field
+            assert len(col) == len(trace), field
         per_record = [
             name
             for name in SyntheticTrace.__slots__
@@ -264,15 +292,47 @@ class TestCompactRecords:
     def test_ingested_records_equal_generated(self, traces):
         assert traces["ingested"].cols == traces["generated"].cols
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_no_code_layout_is_reachable(self, traces, kind):
+        trace = traces[kind]
+        reachable = _reachable(trace)
+        assert {id(trace.cols), id(trace.aspace)} <= {id(obj) for obj in reachable}
+        assert not [obj for obj in reachable if isinstance(obj, (CodeLayout, BasicBlock))]
+
+    def test_materializing_leaves_the_file_arrays_alone(self, traces, tmp_path):
+        """A materialized trace patches its wrap record into its own columns,
+        never into the read file's, so one file materializes at any base."""
+        arrays = {field: list(col) for field, col in zip(RECORD_FIELDS, traces["generated"].cols)}
+        # A last record the wrap patch rewrites: a plain INT op.
+        for field, value in (("op", int(OpClass.INT)), ("dest", 5), ("src1", 6),
+                             ("brkind", int(BranchKind.NONE)), ("taken", 0), ("target", 0)):
+            arrays[field][-1] = value
+        path = ingest.write_trace_file(
+            tmp_path / "open.dwit", "gcc-open-end", "gcc", arrays, "canonical", 1 << 30
+        )
+        tf = ingest.read_trace_file(path)
+        assert tf.arrays == arrays
+        clear_trace_cache()  # each materialization builds its own trace
+        for base in (1 << 30, 2 << 30):  # the file's own base, then another
+            trace = ingest.materialize(tf, base=base, seed=4242)
+            assert trace.record(len(trace) - 1)[0] == OpClass.BRANCH
+        clear_trace_cache()
+        assert tf.arrays == arrays
+
 
 class TestTraceMemory:
-    """What an 80,000-record gcc trace (the default length, the largest
-    code footprint) retains, counted by tracemalloc: nine list slots a
-    record plus its share of interned values and static products. Rows of
-    9-tuples retained about 129 bytes a record."""
+    """What a gcc trace (the largest code footprint) retains, counted by
+    tracemalloc: six bytes and three list slots a record, plus its share of
+    interned values and static products. An 80,000-record trace (the
+    default length) retains about 31 bytes a record, a 6,000-record one
+    (the length of report-vec's and the service's traces) about 40. Nine
+    list columns retained about 80 and 168, and a kept code layout was
+    about half of the latter."""
 
     LENGTH = 80_000
-    BOUND = 90  # bytes a record
+    BOUND = 36  # bytes a record
+    SHORT_LENGTH = 6_000
+    SHORT_BOUND = 48  # bytes a record
 
     @staticmethod
     def _retained_per_record(build, length):
@@ -299,6 +359,13 @@ class TestTraceMemory:
         assert loaded is not None
         assert walked_bytes <= self.BOUND, walked_bytes
         assert loaded_bytes <= self.BOUND, loaded_bytes
+
+    def test_short_trace_bytes_per_record(self):
+        profile, n = get_profile("gcc"), self.SHORT_LENGTH
+        _, walked_bytes = self._retained_per_record(
+            lambda: SyntheticTrace(profile, n, 1 << 30, 4242, 0), n
+        )
+        assert walked_bytes <= self.SHORT_BOUND, walked_bytes
 
 
 _PIN_FIELDS = ("pc", "op", "dest", "src1", "src2", "addr", "brkind", "taken", "target")
@@ -330,7 +397,10 @@ def _trace_sha256(trace) -> str:
 def _walk_paths(trace) -> Counter:
     """Count the records each path of the walk produced."""
     paths: Counter = Counter()
-    by_branch_pc = {b.branch_pc: b for b in trace.layout.blocks}
+    # The trace keeps no layout; rebuild the one its walk followed.
+    code_seed = derive_seed(trace.seed, "code", trace.profile.name, trace.instance)
+    layout = CodeLayout(trace.profile, trace.code_base, code_seed)
+    by_branch_pc = {b.branch_pc: b for b in layout.blocks}
     records = islice(zip(*trace.cols), len(trace) - 1)  # the last is the wrap patch
     for op, pc, _, _, _, addr, kind, _, _ in records:
         offset = addr - trace.base

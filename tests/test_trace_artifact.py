@@ -46,8 +46,8 @@ def _assert_traces_equal(a: SyntheticTrace, b: SyntheticTrace) -> None:
         assert cols_a[field] == cols_b[field], field
     assert a.cols == b.cols
     # Static products the simulator reads besides the record arrays.
-    assert a.layout.code_base == b.layout.code_base
-    assert a.layout.footprint_bytes == b.layout.footprint_bytes
+    assert a.code_base == b.code_base
+    assert a.code_bytes == b.code_bytes
     assert a.aspace.l1_resident_lines() == b.aspace.l1_resident_lines()
     assert a.aspace.l2_resident_lines() == b.aspace.l2_resident_lines()
 
@@ -61,11 +61,12 @@ class TestRoundTrip:
         assert loaded is not None
         _assert_traces_equal(fresh, loaded)
 
-    def test_taken_roundtrips_as_bool(self, tmp_path):
+    def test_taken_roundtrips_as_0_or_1(self, tmp_path):
         cache = TraceArtifactCache(tmp_path)
         cache.store(_fresh())
         loaded = cache.load(get_profile("mcf"), **_KEY)
-        assert all(isinstance(t, bool) for t in _columns(loaded)["taken"])
+        taken = _columns(loaded)["taken"]
+        assert {type(t) for t in taken} == {int} and set(taken) == {0, 1}
 
     def test_key_mismatch_returns_none(self, tmp_path):
         cache = TraceArtifactCache(tmp_path)
@@ -360,7 +361,7 @@ def _fingerprint(trace: SyntheticTrace) -> tuple:
         sum(columns["pc"]),
         sum(columns["addr"]),
         sum(columns["taken"]),
-        trace.layout.footprint_bytes,
+        trace.code_bytes,
     )
 
 

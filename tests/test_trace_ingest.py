@@ -33,7 +33,13 @@ from repro import quick_run  # noqa: E402
 from repro.cli import main as cli_main  # noqa: E402
 from repro.config import SimulationConfig, baseline  # noqa: E402
 from repro.core import Simulator, make_policy  # noqa: E402
-from repro.trace import RECORD_FIELDS, generate_trace, get_profile  # noqa: E402
+from repro.trace import (  # noqa: E402
+    RECORD_FIELDS,
+    clear_trace_cache,
+    generate_trace,
+    get_profile,
+    trace_cache_stats,
+)
 from repro.trace import ingest  # noqa: E402
 from repro.workloads import build_single  # noqa: E402
 from repro.workloads.builder import build_ingested_program  # noqa: E402
@@ -59,12 +65,12 @@ def test_export_ingest_roundtrip_bit_identical(sample_path):
     tf = ingest.read_trace_file(sample_path)
     assert tf.header.records == 600
     assert tf.header.address_mode == "canonical"
-    columns = dict(zip(RECORD_FIELDS, trace.cols))
+    columns = {field: list(col) for field, col in zip(RECORD_FIELDS, trace.cols)}
     assert tf.arrays["pc"] == columns["pc"]
     assert tf.arrays["op"] == columns["op"]
     assert tf.arrays["addr"] == columns["addr"]
     assert tf.arrays["target"] == columns["target"]
-    assert tf.arrays["taken"] == [1 if t else 0 for t in columns["taken"]]
+    assert tf.arrays["taken"] == columns["taken"]
 
 
 def test_reexport_preserves_payload_crc(sample_path, tmp_path):
@@ -205,6 +211,44 @@ def test_registered_name_resolves_through_build_single(sample_path):
         assert len(programs[0].trace) == 600
     finally:
         ingest._REGISTRY.pop("ingest-test-wl", None)
+
+
+def test_ingested_builds_read_the_file_once(monkeypatch):
+    """Builds of one ingested workload at one seed share its memoized trace:
+    the first reads and validates the file, the rest read only its header."""
+    simcfg = SimulationConfig(
+        warmup_cycles=0, measure_cycles=200, trace_length=2_000, seed=31337
+    )
+    read_trace_file = ingest.read_trace_file
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read_trace_file(path)
+
+    monkeypatch.setattr(ingest, "read_trace_file", counting_read)
+    monkeypatch.setitem(ingest._REGISTRY, "read-once-mcf", FIXTURE)
+    clear_trace_cache()
+    try:
+        traces = [build_single("read-once-mcf", simcfg)[0].trace for _ in range(7)]
+    finally:
+        clear_trace_cache()
+    assert reads == [FIXTURE]
+    assert all(trace is traces[0] for trace in traces)
+
+
+def test_file_rewritten_between_header_and_body_is_refused(sample_path, tmp_path, monkeypatch):
+    """The memo key comes from the header: a body read from another file
+    than that header's is refused, never memoized under its key."""
+    other = ingest.export_trace(
+        generate_trace(get_profile("mcf"), 600, 0, 4243), tmp_path / "other.dwit", name="sample"
+    )
+    read_trace_file = ingest.read_trace_file
+    monkeypatch.setattr(ingest, "read_trace_file", lambda path: read_trace_file(other))
+    clear_trace_cache()
+    with pytest.raises(ingest.IngestError, match="changed while it was being read"):
+        ingest.materialize_file(sample_path, 0, 99)
+    assert trace_cache_stats()["mem_entries"] == 0
 
 
 def test_native_names_shadow_ingested(sample_path):
