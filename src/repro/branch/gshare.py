@@ -73,10 +73,6 @@ class GShare:
 
     # -- introspection ------------------------------------------------------
 
-    @property
-    def num_entries(self) -> int:
-        return self._mask + 1
-
     def counter_at(self, pc: int, hist: int) -> int:
         """Raw 2-bit counter value (testing hook)."""
         return self._pht[((pc >> 2) ^ hist) & self._mask]

@@ -23,8 +23,6 @@ class SimulationConfig:
     warmup_cycles: int = 5_000
     #: Cycles over which IPC and all other statistics are measured.
     measure_cycles: int = 40_000
-    #: Hard safety cap on total simulated cycles (0 = warmup + measure).
-    max_cycles: int = 0
     #: Early stop: end measurement once any thread commits this many
     #: instructions inside the window (0 = disabled). The default stops fast
     #: threads before they exhaust their trace: a wrapped trace replays its
@@ -50,8 +48,6 @@ class SimulationConfig:
             raise ValueError("warmup_cycles must be non-negative")
         if self.measure_cycles <= 0:
             raise ValueError("measure_cycles must be positive")
-        if self.max_cycles and self.max_cycles < self.warmup_cycles + 1:
-            raise ValueError("max_cycles too small for the warm-up window")
         if self.commit_limit < 0:
             raise ValueError("commit_limit must be non-negative")
         if self.trace_length <= 0:
@@ -59,15 +55,14 @@ class SimulationConfig:
 
     @property
     def total_cycles(self) -> int:
-        """Upper bound on simulated cycles."""
-        return self.max_cycles or (self.warmup_cycles + self.measure_cycles)
+        """Upper bound on simulated cycles: warm-up plus measurement."""
+        return self.warmup_cycles + self.measure_cycles
 
     def scaled(self, factor: float) -> "SimulationConfig":
         """A proportionally shorter/longer run (used by tests and CI)."""
         return SimulationConfig(
             warmup_cycles=max(0, int(self.warmup_cycles * factor)),
             measure_cycles=max(1, int(self.measure_cycles * factor)),
-            max_cycles=int(self.max_cycles * factor) if self.max_cycles else 0,
             commit_limit=self.commit_limit,
             trace_length=max(1024, int(self.trace_length * factor)),
             seed=self.seed,

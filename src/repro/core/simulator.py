@@ -774,10 +774,9 @@ class Simulator:
         queues hold (gseq, instr) tuples: heap ordering resolves on the int
         key at C speed without calling back into Python.
 
-        Stores execute here: ``MemoryHierarchy.store_access`` written out —
-        write-allocate, no bank conflict, latency hidden by the store
-        buffer, so only the stats and line movement matter, plus a fill
-        event on a fresh miss.
+        Stores execute here, through ``MemoryHierarchy.store_access``: the
+        store buffer hides their latency, so the access only moves lines
+        and counts stats, plus a fill event on a fresh miss.
         """
         ready = self.ready
         r0 = ready[0]
@@ -789,26 +788,7 @@ class Simulator:
         latency = self._latency
         store_lat = latency[_OP_STORE]
         stats = self.stats
-        hierarchy = self.hierarchy
-        memcfg = hierarchy.cfg
-        d_lat = memcfg.dcache.latency
-        l2_lat = memcfg.l2.latency
-        mem_lat = memcfg.memory_latency
-        dcache = hierarchy.dcache
-        dc_tags = dcache._tags
-        dc_set_mask = dcache._set_mask
-        dc_assoc = dcache._assoc
-        dtlb = hierarchy.dtlb
-        tlb_sets = dtlb._sets
-        tlb_page_shift = dtlb._page_shift
-        tlb_set_mask = dtlb._set_mask
-        tlb_assoc = dtlb._assoc
-        l2 = hierarchy.l2
-        out_d = hierarchy._outstanding_d
-        h_stores = hierarchy.stores
-        h_store_l1m = hierarchy.store_l1_misses
-        h_tlb_misses = hierarchy.tlb_misses
-        line_shift = self._line_shift
+        store_access = self.hierarchy.store_access
         cycle = self.cycle
         budget = self._issue_width
         c0 = units[0]
@@ -858,55 +838,13 @@ class Simulator:
             if op == _OP_LOAD:
                 self._execute_load(i, cycle)
             elif op == _OP_STORE:
-                wrongpath = i.wrongpath
-                addr = i.addr
-                line = addr >> line_shift
-                if not wrongpath:
-                    h_stores[tid] += 1
-                dtlb.accesses += 1
-                page = addr >> tlb_page_shift
-                tset = tlb_sets[page & tlb_set_mask]
-                tn = len(tset)
-                if not (tn and tset[tn - 1] == page):
-                    tlbm = True
-                    for ti in range(tn - 1):
-                        if tset[ti] == page:
-                            tset.append(tset.pop(ti))
-                            tlbm = False
-                            break
-                    if tlbm:
-                        dtlb.misses += 1
-                        if tn >= tlb_assoc:
-                            tset.pop(0)
-                        tset.append(page)
-                        if not wrongpath:
-                            h_tlb_misses[tid] += 1
-                outs = out_d.get(line)
-                if outs is not None and outs[0] > cycle:
-                    # merged with an in-flight fill: no new event
-                    if not wrongpath:
-                        h_store_l1m[tid] += 1
-                else:
-                    if outs is not None:
-                        del out_d[line]
-                    if dc_tags[(line & dc_set_mask) * dc_assoc] == line:
-                        dcache.accesses += 1  # MRU hit
-                    elif not dcache.probe(line):
-                        if not wrongpath:
-                            h_store_l1m[tid] += 1
-                        lat = d_lat + l2_lat
-                        if l2.probe(line):
-                            l2m = False
-                        else:
-                            l2m = True
-                            lat += mem_lat
-                            l2.fill(line)
-                        dcache.fill(line)
-                        fill_cycle = cycle + lat
-                        out_d[line] = (fill_cycle, l2m)
-                        # a fresh store miss: the fill event releases the
-                        # outstanding-line entry and policy gates
-                        self._schedule(fill_cycle, (EV_FILL, i))
+                lat, fill_cycle, l1m, l2m, tlbm, merged = store_access(
+                    tid, i.addr, cycle, not i.wrongpath
+                )
+                if l1m and not merged:
+                    # a fresh store miss: the fill event releases the
+                    # outstanding-line entry and policy gates
+                    self._schedule(fill_cycle, (EV_FILL, i))
                 self._complete_after(i, store_lat)
             else:
                 self._complete_after(i, latency[op])
@@ -917,118 +855,21 @@ class Simulator:
     def _execute_load(self, i: DynInstr, cycle: int) -> None:
         """Execute load ``i`` issued at ``cycle``.
 
-        ``MemoryHierarchy.load_access`` written out — bank conflict, D-TLB,
-        outstanding-fill merge (secondary miss) and the cache probe's MRU-way
-        test, with its exact stat side effects; the other ways go through
-        ``Cache.probe``, and only the refills call ``Cache.fill`` and the L2
-        probe. Then the policy hooks and the miss events.
+        ``MemoryHierarchy.load_access`` times and classifies the access
+        (bank conflict, D-TLB, outstanding-fill merge, L1 and L2 probes and
+        refills, with their stats); this stage completes the load, sets its
+        miss flags, schedules the miss events and calls the policy hooks.
         """
-        hierarchy = self.hierarchy
-        memcfg = hierarchy.cfg
-        d_lat = memcfg.dcache.latency
-        l2_lat = memcfg.l2.latency
-        mem_lat = memcfg.memory_latency
-        tlb_penalty = memcfg.dtlb.miss_penalty
-        dcache = hierarchy.dcache
-        dc_tags = dcache._tags
-        dc_set_mask = dcache._set_mask
-        dc_assoc = dcache._assoc
-        dc_bank_mask = dcache._bank_mask
-        dtlb = hierarchy.dtlb
-        tlb_sets = dtlb._sets
-        tlb_page_shift = dtlb._page_shift
-        tlb_set_mask = dtlb._set_mask
-        tlb_assoc = dtlb._assoc
-        l2 = hierarchy.l2
-        out_d = hierarchy._outstanding_d
-        h_loads = hierarchy.loads
-        h_load_l1m = hierarchy.load_l1_misses
-        h_load_l2m = hierarchy.load_l2_misses
-        h_tlb_misses = hierarchy.tlb_misses
+        load_access = self.hierarchy.load_access
         policy = self.policy
         on_load_executed = policy.on_load_executed
         wants_load_exec = self._wants_load_exec
-        line_shift = self._line_shift
         l1_detect_extra = self._l1_detect_extra
         l2_declare_cycles = self._l2_declare_cycles
-        tid = i.tid
         wrongpath = i.wrongpath
-        addr = i.addr
-        line = addr >> line_shift
-        if not wrongpath:
-            h_loads[tid] += 1
-        lat = d_lat
-        # one access per bank per cycle; a conflict costs one retry cycle
-        bbit = 1 << (line & dc_bank_mask)
-        if cycle != dcache._bank_busy_cycle:
-            dcache._bank_busy_cycle = cycle
-            dcache._bank_busy = bbit
-        elif dcache._bank_busy & bbit:
-            dcache.bank_conflicts += 1
-            lat += 1
-        else:
-            dcache._bank_busy |= bbit
-        # D-TLB (MRU-last sets)
-        dtlb.accesses += 1
-        page = addr >> tlb_page_shift
-        tset = tlb_sets[page & tlb_set_mask]
-        tn = len(tset)
-        if tn and tset[tn - 1] == page:
-            tlbm = False
-        else:
-            tlbm = True
-            for ti in range(tn - 1):
-                if tset[ti] == page:
-                    tset.append(tset.pop(ti))
-                    tlbm = False
-                    break
-            if tlbm:
-                dtlb.misses += 1
-                if tn >= tlb_assoc:
-                    tset.pop(0)
-                tset.append(page)
-                lat += tlb_penalty
-                if not wrongpath:
-                    h_tlb_misses[tid] += 1
-        l1m = False
-        l2m = False
-        outs = out_d.get(line)
-        if outs is not None:
-            ofc = outs[0]
-            if ofc > cycle + d_lat:
-                # secondary miss: merge with the in-flight fill
-                l1m = True
-                l2m = outs[1]
-                fill_cycle = ofc
-                if not wrongpath:
-                    h_load_l1m[tid] += 1
-                    if l2m:
-                        h_load_l2m[tid] += 1
-                if ofc - cycle > lat:
-                    lat = ofc - cycle
-            else:
-                del out_d[line]  # fill already arrived; stale entry
-                outs = None
-        if outs is None:
-            if dc_tags[(line & dc_set_mask) * dc_assoc] == line:
-                dcache.accesses += 1  # MRU hit
-                fill_cycle = cycle + lat
-            elif dcache.probe(line):
-                fill_cycle = cycle + lat
-            else:
-                l1m = True
-                if not wrongpath:
-                    h_load_l1m[tid] += 1
-                lat += l2_lat
-                if not l2.probe(line):
-                    l2m = True
-                    lat += mem_lat
-                    if not wrongpath:
-                        h_load_l2m[tid] += 1
-                    l2.fill(line)
-                dcache.fill(line)
-                fill_cycle = cycle + lat
-                out_d[line] = (fill_cycle, l2m)
+        lat, fill_cycle, l1m, l2m, tlbm, merged = load_access(
+            i.tid, i.addr, cycle, not wrongpath
+        )
         i.fill_cycle = fill_cycle
         self._complete_after(i, lat)
         if tlbm:

@@ -177,7 +177,7 @@ class ExperimentRunner:
             policy,
             sim.warmup_cycles,
             sim.measure_cycles,
-            sim.max_cycles,
+            0,  # the removed max_cycles field's slot, so every cache key stays the same
             sim.commit_limit,
             sim.trace_length,
             sim.seed,
@@ -321,7 +321,7 @@ class ExperimentRunner:
             data = json.loads(path.read_text())
             data["benchmarks"] = tuple(data["benchmarks"])
             return SimResult(**data)
-        except (json.JSONDecodeError, TypeError, KeyError):  # corrupt cache
+        except (UnicodeDecodeError, json.JSONDecodeError, TypeError, KeyError):  # corrupt
             path.unlink(missing_ok=True)
             return None
 

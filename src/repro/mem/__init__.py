@@ -10,6 +10,6 @@ paper's SMTSIM substrate (DESIGN.md §5).
 
 from repro.mem.cache import Cache
 from repro.mem.tlb import TLB
-from repro.mem.hierarchy import MemoryHierarchy, LoadResult
+from repro.mem.hierarchy import MemoryHierarchy
 
-__all__ = ["Cache", "TLB", "MemoryHierarchy", "LoadResult"]
+__all__ = ["Cache", "TLB", "MemoryHierarchy"]

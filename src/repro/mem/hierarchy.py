@@ -12,6 +12,10 @@ entry records when the data actually arrives; accesses to a line whose fill
 is still in flight merge with it (secondary misses). The pipeline is told the
 fill cycle so it can schedule completion, policy callbacks (DWarn's counter
 decrement) and the STALL/FLUSH "declared L2 miss" events.
+
+:meth:`MemoryHierarchy.load_access` and :meth:`MemoryHierarchy.store_access`
+are the data side's only written form: the pipeline's load and store stages
+and the Table 2(a) calibration replay all call them.
 """
 
 from __future__ import annotations
@@ -20,35 +24,7 @@ from repro.config.memory import MemoryConfig
 from repro.mem.cache import Cache
 from repro.mem.tlb import TLB
 
-__all__ = ["LoadResult", "MemoryHierarchy"]
-
-
-class LoadResult:
-    """Timing and classification of one data-cache access."""
-
-    __slots__ = ("latency", "fill_cycle", "l1_miss", "l2_miss", "tlb_miss", "merged")
-
-    def __init__(
-        self,
-        latency: int,
-        fill_cycle: int,
-        l1_miss: bool,
-        l2_miss: bool,
-        tlb_miss: bool,
-        merged: bool,
-    ) -> None:
-        self.latency = latency
-        self.fill_cycle = fill_cycle
-        self.l1_miss = l1_miss
-        self.l2_miss = l2_miss
-        self.tlb_miss = tlb_miss
-        self.merged = merged
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"LoadResult(lat={self.latency}, l1_miss={self.l1_miss}, "
-            f"l2_miss={self.l2_miss}, tlb={self.tlb_miss}, merged={self.merged})"
-        )
+__all__ = ["MemoryHierarchy"]
 
 
 class MemoryHierarchy:
@@ -93,8 +69,19 @@ class MemoryHierarchy:
 
     # ------------------------------------------------------------------ data
 
-    def load_access(self, tid: int, addr: int, cycle: int, count_stats: bool = True) -> LoadResult:
-        """Access the data side for a load issued at ``cycle``."""
+    def load_access(
+        self, tid: int, addr: int, cycle: int, count_stats: bool = True
+    ) -> tuple[int, int, bool, bool, bool, bool]:
+        """Access the data side for a load issued at ``cycle``.
+
+        Returns ``(latency, fill_cycle, l1_miss, l2_miss, tlb_miss, merged)``:
+        cycles until the data is available, the cycle its line is in L1, the
+        miss classification, and whether the access merged with a fill
+        already in flight (a secondary miss). A plain tuple, since the
+        pipeline makes one call per executed load. ``count_stats=False``
+        (wrong-path loads) moves lines and timing but counts nothing in the
+        per-thread counters.
+        """
         cfg = self.cfg
         line = addr >> self.line_shift
         if count_stats:
@@ -121,11 +108,11 @@ class MemoryHierarchy:
                     if was_l2:
                         self.load_l2_misses[tid] += 1
                 lat = max(latency, fill_cycle - cycle)
-                return LoadResult(lat, fill_cycle, True, was_l2, tlb_miss, True)
+                return lat, fill_cycle, True, was_l2, tlb_miss, True
             del self._outstanding_d[line]  # fill already arrived; stale entry
 
         if self.dcache.probe(line):
-            return LoadResult(latency, cycle + latency, False, False, tlb_miss, False)
+            return latency, cycle + latency, False, False, tlb_miss, False
 
         # L1 miss: go to L2.
         if count_stats:
@@ -140,12 +127,15 @@ class MemoryHierarchy:
         self.dcache.fill(line)
         fill_cycle = cycle + latency
         self._outstanding_d[line] = (fill_cycle, not l2_hit)
-        return LoadResult(latency, fill_cycle, True, not l2_hit, tlb_miss, False)
+        return latency, fill_cycle, True, not l2_hit, tlb_miss, False
 
-    def store_access(self, tid: int, addr: int, cycle: int, count_stats: bool = True) -> LoadResult:
-        """Write-allocate store access. Stores never block commit in this
-        model (the store buffer hides their latency) but they do move lines
-        and occupy fills, which later loads observe."""
+    def store_access(
+        self, tid: int, addr: int, cycle: int, count_stats: bool = True
+    ) -> tuple[int, int, bool, bool, bool, bool]:
+        """Write-allocate store access, returning the same tuple as
+        :meth:`load_access`. Stores never block commit in this model (the
+        store buffer hides their latency) and take no bank, but they do move
+        lines and occupy fills, which later loads observe."""
         cfg = self.cfg
         line = addr >> self.line_shift
         if count_stats:
@@ -161,13 +151,11 @@ class MemoryHierarchy:
             if fill_cycle > cycle:
                 if count_stats:
                     self.store_l1_misses[tid] += 1
-                return LoadResult(cfg.dcache.latency, fill_cycle, True, was_l2, tlb_miss, True)
+                return cfg.dcache.latency, fill_cycle, True, was_l2, tlb_miss, True
             del self._outstanding_d[line]
 
         if self.dcache.probe(line):
-            return LoadResult(
-                cfg.dcache.latency, cycle + cfg.dcache.latency, False, False, tlb_miss, False
-            )
+            return cfg.dcache.latency, cycle + cfg.dcache.latency, False, False, tlb_miss, False
 
         if count_stats:
             self.store_l1_misses[tid] += 1
@@ -179,7 +167,7 @@ class MemoryHierarchy:
         self.dcache.fill(line)
         fill_cycle = cycle + latency
         self._outstanding_d[line] = (fill_cycle, not l2_hit)
-        return LoadResult(latency, fill_cycle, True, not l2_hit, tlb_miss, False)
+        return latency, fill_cycle, True, not l2_hit, tlb_miss, False
 
     def fill_arrived(self, line_addr: int) -> None:
         """Drop the outstanding-fill entry once the pipeline's fill event has
@@ -215,21 +203,6 @@ class MemoryHierarchy:
         return ready
 
     # ------------------------------------------------------------------ stats
-
-    def load_miss_rates(self, tid: int) -> tuple[float, float, float]:
-        """(L1 load miss rate, L2 load miss rate, L1->L2 ratio) for a thread,
-        as percentages-of-dynamic-loads like the paper's Table 2(a)."""
-        loads = self.loads[tid]
-        if not loads:
-            return 0.0, 0.0, 0.0
-        l1 = self.load_l1_misses[tid] / loads
-        l2 = self.load_l2_misses[tid] / loads
-        ratio = (
-            self.load_l2_misses[tid] / self.load_l1_misses[tid]
-            if self.load_l1_misses[tid]
-            else 0.0
-        )
-        return l1, l2, ratio
 
     def snapshot(self) -> dict[str, list[int]]:
         """Copy of the per-thread counters (window-delta support)."""

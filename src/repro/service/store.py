@@ -88,24 +88,25 @@ class ResultStore:
     def load(self) -> int:
         """Rebuild the index from the JSONL file; returns live record count.
 
-        Unparsable lines (torn final write, foreign content) and records
-        from other schema versions are counted in ``skipped_lines`` and
-        ignored; expired records are dropped. Newest record per cache key
-        wins, so a key re-executed after TTL expiry resolves to the rerun.
+        Unparsable lines (torn final write, foreign content, bytes that are
+        not UTF-8) and records from other schema versions are counted in
+        ``skipped_lines`` and ignored; expired records are dropped. Newest
+        record per cache key wins, so a key re-executed after TTL expiry
+        resolves to the rerun.
         """
         self._by_key.clear()
         self._by_id.clear()
         if self.path is None or not self.path.exists():
             return 0
         now = time.time()
-        with self.path.open("r", encoding="utf-8") as fh:
+        with self.path.open("rb") as fh:  # decoded per line, so a bad byte skips one line
             for line in fh:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
+                    rec = json.loads(line.decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError):
                     self.skipped_lines += 1
                     continue
                 if not isinstance(rec, dict) or rec.get("version") != STORE_VERSION:

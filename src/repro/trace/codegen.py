@@ -37,7 +37,7 @@ _P_CALL = 0.93
 class BasicBlock:
     """One static basic block: a body length plus a terminal branch."""
 
-    __slots__ = ("index", "pc", "body_len", "brkind", "bias", "taken_index", "is_entry")
+    __slots__ = ("index", "pc", "body_len", "brkind", "bias", "taken_index")
 
     def __init__(
         self,
@@ -54,7 +54,6 @@ class BasicBlock:
         self.brkind = brkind
         self.bias = bias          # P(taken) for COND; unused otherwise
         self.taken_index = taken_index  # target block for COND/JUMP/CALL
-        self.is_entry = False
 
     @property
     def num_instrs(self) -> int:
@@ -134,11 +133,6 @@ class CodeLayout:
         last.brkind = int(BranchKind.JUMP)
         last.bias = 1.0
         last.taken_index = 0
-
-        # Mark call targets as function entries (informational).
-        for blk in self.blocks:
-            if blk.brkind == BranchKind.CALL:
-                self.blocks[blk.taken_index].is_entry = True
 
     # ------------------------------------------------------------------
 

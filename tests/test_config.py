@@ -171,10 +171,6 @@ class TestSimulationConfig:
         cfg = SimulationConfig(warmup_cycles=100, measure_cycles=400)
         assert cfg.total_cycles == 500
 
-    def test_total_cycles_capped(self):
-        cfg = SimulationConfig(warmup_cycles=100, measure_cycles=400, max_cycles=300)
-        assert cfg.total_cycles == 300
-
     def test_scaled(self):
         cfg = SimulationConfig(warmup_cycles=1000, measure_cycles=10_000).scaled(0.5)
         assert cfg.warmup_cycles == 500

@@ -251,3 +251,31 @@ class TestPrewarmContents:
         sim = run_sim("gzip", simcfg=tiny_simcfg)
         assert sim.hierarchy.l2.accesses == 0
         assert sim.hierarchy.dtlb.accesses == 0
+
+
+class TestDataAccessRule:
+    def test_stages_call_the_hierarchy_access_methods(self, monkeypatch):
+        """The load and store stages run every data access through
+        ``MemoryHierarchy.load_access``/``store_access``, the methods the
+        Table 2(a) calibration replay calls, so the rule is written once.
+        The class has ``__slots__``, so the wrappers go on the class."""
+        from repro.mem import MemoryHierarchy
+
+        cfg = SimulationConfig(
+            warmup_cycles=200, measure_cycles=1000, trace_length=6000, seed=777
+        )
+        expected = run_sim("2-MEM", "dwarn", simcfg=cfg).run()
+        calls = {"load_access": 0, "store_access": 0}
+        for name in calls:
+            orig = getattr(MemoryHierarchy, name)
+
+            def wrapper(self, *args, _orig=orig, _name=name):
+                calls[_name] += 1
+                return _orig(self, *args)
+
+            monkeypatch.setattr(MemoryHierarchy, name, wrapper)
+        sim = run_sim("2-MEM", "dwarn", simcfg=cfg)
+        assert sim._fast_eligible()  # the generated loop, not the staged path
+        assert sim.run() == expected
+        assert calls["load_access"] >= sum(sim.hierarchy.loads) > 0
+        assert calls["store_access"] >= sum(sim.hierarchy.stores) > 0

@@ -52,6 +52,18 @@ class TestRunnerCaching:
         assert fresh.simulations_run == 1
         assert res.policy == "icount"
 
+    def test_non_utf8_disk_cache_recovers(self, runner, tmp_path):
+        runner.run("2-MIX", "icount")
+        paths = list(tmp_path.glob("*.json"))
+        assert paths
+        for f in paths:
+            f.write_bytes(b"\xff\xfe\x00junk")
+        fresh = ExperimentRunner("baseline", TINY, cache_dir=tmp_path)
+        assert fresh.cached_result("2-MIX", "icount") is None
+        assert not any(f.exists() for f in paths)  # unlinked, like any corrupt file
+        assert fresh.run("2-MIX", "icount").policy == "icount"
+        assert fresh.simulations_run == 1
+
     def test_single_benchmark_runs(self, runner):
         res = runner.run_single("gzip")
         assert res.benchmarks == ("gzip",)

@@ -1,8 +1,10 @@
-"""Tests for the memory hierarchy: latencies, MSHR merging, TLB, stats."""
+"""Tests for the memory hierarchy: latencies, MSHR merging, TLB, stats.
+
+``load_access``/``store_access`` return
+``(latency, fill_cycle, l1_miss, l2_miss, tlb_miss, merged)``.
+"""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.config.memory import MemoryConfig, TLBConfig
 from repro.mem import MemoryHierarchy, TLB
@@ -21,9 +23,9 @@ class TestLoadTiming:
     def test_l1_hit_latency(self):
         h = make_hier()
         h.load_access(0, A, 0)          # cold: install line + page
-        res = h.load_access(0, A, 400)  # hot (past the fill cycle)
-        assert res.latency == 1
-        assert not res.l1_miss
+        lat, _, l1m, _, _, _ = h.load_access(0, A, 400)  # hot (past the fill cycle)
+        assert lat == 1
+        assert not l1m
 
     def test_l2_hit_latency(self):
         h = make_hier()
@@ -33,62 +35,59 @@ class TestLoadTiming:
         conflict2 = A + 2 * 512 * 64
         h.load_access(0, conflict1, 200)
         h.load_access(0, conflict2, 400)
-        res = h.load_access(0, A, 600)
-        assert res.l1_miss and not res.l2_miss
-        assert res.latency == 11  # 1 (L1) + 10 (L2)
+        lat, _, l1m, l2m, _, _ = h.load_access(0, A, 600)
+        assert l1m and not l2m
+        assert lat == 11  # 1 (L1) + 10 (L2)
 
     def test_memory_latency(self):
         h = make_hier()
-        res = h.load_access(0, A, 0)
-        assert res.l1_miss and res.l2_miss
+        lat, _, l1m, l2m, tlbm, _ = h.load_access(0, A, 0)
+        assert l1m and l2m
         # 1 + 10 + 100 (+160 TLB miss on first touch of the page)
-        assert res.latency == 111 + 160
-        assert res.tlb_miss
+        assert lat == 111 + 160
+        assert tlbm
 
     def test_fill_cycle_reported(self):
         h = make_hier()
         h.load_access(0, B, 0)  # warm the page
-        res = h.load_access(0, A + (1 << 25), 50)
-        assert res.fill_cycle == 50 + res.latency
+        lat, fill, _, _, _, _ = h.load_access(0, A + (1 << 25), 50)
+        assert fill == 50 + lat
 
 
 class TestMSHRMerging:
     def test_second_access_merges(self):
         h = make_hier()
         h.load_access(0, B, 0)
-        r1 = h.load_access(0, A, 100)   # miss, fill at 100+lat
-        r2 = h.load_access(0, A + 8, 110)  # same line, still outstanding
-        assert r2.merged
-        assert r2.l1_miss
-        assert r2.l2_miss == r1.l2_miss
-        assert r2.fill_cycle == r1.fill_cycle
-        assert r2.latency == r1.fill_cycle - 110
+        _, fill1, _, l2m1, _, merged1 = h.load_access(0, A, 100)  # miss, fill at 100+lat
+        lat2, fill2, l1m2, l2m2, _, merged2 = h.load_access(0, A + 8, 110)  # still outstanding
+        assert not merged1 and merged2
+        assert l1m2
+        assert l2m2 == l2m1
+        assert fill2 == fill1
+        assert lat2 == fill1 - 110
 
     def test_access_after_fill_hits(self):
         h = make_hier()
-        r1 = h.load_access(0, A, 0)
-        res = h.load_access(0, A, r1.fill_cycle + 1)
-        assert not res.l1_miss
+        fill = h.load_access(0, A, 0)[1]
+        assert not h.load_access(0, A, fill + 1)[2]
 
     def test_fill_arrived_cleans_outstanding(self):
         h = make_hier()
-        r1 = h.load_access(0, A, 0)
+        fill = h.load_access(0, A, 0)[1]
         line = A >> h.line_shift
         assert line in h._outstanding_d
         h.fill_arrived(line)
         assert line not in h._outstanding_d
         # And the tag array still holds the line.
-        res = h.load_access(0, A, r1.fill_cycle + 5)
-        assert not res.l1_miss
+        assert not h.load_access(0, A, fill + 5)[2]
 
 
 class TestStores:
     def test_store_allocates_line_for_later_load(self):
         h = make_hier()
-        r = h.store_access(0, A, 0)
-        assert r.l1_miss
-        res = h.load_access(0, A, r.fill_cycle + 1)
-        assert not res.l1_miss
+        _, fill, l1m, _, _, _ = h.store_access(0, A, 0)
+        assert l1m
+        assert not h.load_access(0, A, fill + 1)[2]
 
     def test_store_stats_separate(self):
         h = make_hier()
@@ -147,10 +146,8 @@ class TestTLB:
 
     def test_tlb_penalty_in_load(self):
         h = make_hier()
-        r1 = h.load_access(0, A, 0)
-        assert r1.tlb_miss
-        r2 = h.load_access(0, A + 64, 500)  # same page
-        assert not r2.tlb_miss
+        assert h.load_access(0, A, 0)[4]
+        assert not h.load_access(0, A + 64, 500)[4]  # same page
 
 
 class TestPerThreadStats:
@@ -161,15 +158,6 @@ class TestPerThreadStats:
         h.load_access(1, B + (1 << 30), 300)
         assert h.loads == [1, 2]
         assert h.load_l1_misses == [1, 1]
-
-    def test_miss_rates_helper(self):
-        h = make_hier()
-        h.load_access(0, A, 0)             # L1+L2 miss
-        h.load_access(0, A, 300)           # hit
-        l1, l2, ratio = h.load_miss_rates(0)
-        assert l1 == pytest.approx(0.5)
-        assert l2 == pytest.approx(0.5)
-        assert ratio == pytest.approx(1.0)
 
     def test_count_stats_false_skips_counting(self):
         h = make_hier()

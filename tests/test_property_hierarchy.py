@@ -64,16 +64,14 @@ def test_hierarchy_matches_reference_when_fills_settle(accesses):
     for is_store, line in accesses:
         addr = line << hier.line_shift
         expect_l1, expect_l2 = ref.access(line)
-        if is_store:
-            res = hier.store_access(0, addr, cycle)
-        else:
-            res = hier.load_access(0, addr, cycle)
-        assert res.l1_miss == (not expect_l1), f"L1 divergence at line {line}"
-        if res.l1_miss:
-            assert res.l2_miss == (not expect_l2), f"L2 divergence at line {line}"
+        access = hier.store_access if is_store else hier.load_access
+        _, fill, l1m, l2m, _, _ = access(0, addr, cycle)
+        assert l1m == (not expect_l1), f"L1 divergence at line {line}"
+        if l1m:
+            assert l2m == (not expect_l2), f"L2 divergence at line {line}"
         # Let every fill land before the next access ("settled" regime): the
         # timed model's extra states (outstanding fills) must be invisible.
-        cycle = res.fill_cycle + 1
+        cycle = fill + 1
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -88,11 +86,9 @@ def test_merged_misses_share_primary_outcome(lines):
     cycle = 0
     for line in lines:
         addr = line << hier.line_shift
-        res = hier.load_access(0, addr, cycle)
-        if res.merged:
-            fill, was_l2 = outstanding[line]
-            assert res.fill_cycle == fill
-            assert res.l2_miss == was_l2
-        elif res.l1_miss:
-            outstanding[line] = (res.fill_cycle, res.l2_miss)
+        _, fill, l1m, l2m, _, merged = hier.load_access(0, addr, cycle)
+        if merged:
+            assert (fill, l2m) == outstanding[line]
+        elif l1m:
+            outstanding[line] = (fill, l2m)
         cycle += 1  # dense accesses: fills stay in flight

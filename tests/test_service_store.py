@@ -73,6 +73,18 @@ class TestPersistence:
         assert reloaded.load() == 1
         assert reloaded.skipped_lines == 1
 
+    def test_non_utf8_line_skipped(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        store = ResultStore(path)
+        store.add(_record(0))
+        with path.open("ab") as fh:
+            fh.write(b"\xff\xfe\x00junk\n")
+        store.add(_record(1))
+
+        reloaded = ResultStore(path)
+        assert reloaded.load() == 2
+        assert reloaded.skipped_lines == 1
+
     def test_foreign_and_versioned_lines_skipped(self, tmp_path):
         path = tmp_path / "results.jsonl"
         good = _record(0)
