@@ -13,7 +13,7 @@ __all__ = ["BTB"]
 class BTB:
     """PC -> predicted target mapping for taken branches."""
 
-    __slots__ = ("_sets", "_set_mask", "_assoc", "hits", "misses")
+    __slots__ = ("_sets", "_set_mask", "_assoc")
 
     def __init__(self, entries: int, assoc: int) -> None:
         if entries % assoc:
@@ -25,8 +25,6 @@ class BTB:
         self._sets: list[list[tuple[int, int]]] = [[] for _ in range(num_sets)]
         self._set_mask = num_sets - 1
         self._assoc = assoc
-        self.hits = 0
-        self.misses = 0
 
     def lookup(self, pc: int) -> int | None:
         """Predicted target for the branch at ``pc``, or None on a BTB miss."""
@@ -35,9 +33,7 @@ class BTB:
             if tag == pc:
                 if i != len(s) - 1:  # move to MRU position
                     s.append(s.pop(i))
-                self.hits += 1
                 return target
-        self.misses += 1
         return None
 
     def update(self, pc: int, target: int) -> None:
@@ -51,7 +47,3 @@ class BTB:
             if len(s) >= self._assoc:
                 s.pop(0)  # evict LRU
         s.append((pc, target))
-
-    @property
-    def num_sets(self) -> int:
-        return self._set_mask + 1

@@ -43,18 +43,15 @@ class Prediction(NamedTuple):
 class FrontEndPredictor:
     """Per-machine predictor bundle; RAS replicated per context."""
 
-    __slots__ = ("gshare", "btb", "ras", "lookups", "mispredicts")
+    __slots__ = ("gshare", "btb", "ras")
 
     def __init__(self, cfg: BranchPredictorConfig, num_contexts: int) -> None:
         self.gshare = GShare(cfg.gshare_entries, num_contexts, cfg.history_bits)
         self.btb = BTB(cfg.btb_entries, cfg.btb_assoc)
         self.ras = [ReturnAddressStack(cfg.ras_entries) for _ in range(num_contexts)]
-        self.lookups = 0
-        self.mispredicts = 0
 
     def predict(self, tid: int, pc: int, brkind: int, fallthrough_pc: int) -> Prediction:
         """Predict one fetched branch and speculatively update front-end state."""
-        self.lookups += 1
         hist = self.gshare.history(tid)
         ras = self.ras[tid]
         ras_tos = ras.tos

@@ -29,10 +29,11 @@ interval callback) encodes as a named marker and is re-bound to the restored
 policy. Any other closure (external ``schedule_call`` users) cannot be
 snapshotted and raises :class:`SnapshotError`.
 
-Lazily-initialized slots (the fetch stage skips ~13 stores per non-branch
-instruction, on both paths) are preserved exactly: every column carries a presence bitmap,
-and restore only assigns slots that were set — a restored instruction raises
-``AttributeError`` on exactly the reads the original would have.
+Lazily-initialized slots (the fetch stage leaves the branch-only and
+load-only slots of other instructions unset, on both paths) are preserved
+exactly: every column carries a presence bitmap, and restore only assigns
+slots that were set — a restored instruction raises ``AttributeError`` on
+exactly the reads the original would have.
 
 The wrong-path suppliers' memo tables are *not* captured: ``supply(pc)`` is
 a memoized pure function, so a restored run re-derives identical records at
@@ -81,7 +82,8 @@ __all__ = [
 #: Bump on any change to the column set, codec layout, or structural schema.
 #: v2: serializable policy-bound ``EV_CALL`` markers + meta-policy state.
 #: v3: each cache's tags as one packed, zlib-compressed array.
-SNAPSHOT_VERSION = 3
+#: v4: no write-only counters and seven fewer instruction columns.
+SNAPSHOT_VERSION = 4
 
 #: Version of the checkpoint *envelope* (the resume unit shipped over the
 #: lease protocol): a small header binding the captured cycle and run horizon
@@ -106,13 +108,10 @@ _Q_FIELDS: tuple[str, ...] = (
     "target",
     "gseq",
     "fetch_cycle",
-    "dispatch_cycle",
     "issue_cycle",
-    "complete_cycle",
     "fill_cycle",
     "ghist_snapshot",
     "ras_snapshot",
-    "pred_target",
 )
 
 #: 8-bit signed columns (register ids, op/branch kinds, small counters).
@@ -129,7 +128,6 @@ _B_FIELDS: tuple[str, ...] = (
 #: Boolean columns (stored as 8-bit, re-inflated to bool).
 _BOOL_FIELDS: tuple[str, ...] = (
     "taken",
-    "pred_taken",
     "mispredicted",
     "wrongpath",
     "dispatched",
@@ -138,10 +136,7 @@ _BOOL_FIELDS: tuple[str, ...] = (
     "squashed",
     "l1_miss",
     "l2_miss",
-    "tlb_miss",
     "dmiss_counted",
-    "declared",
-    "flushed_after",
 )
 
 #: ``DynInstr.pmeta`` codes (the policy scratch slot holds None/"F"/"W").
@@ -393,8 +388,6 @@ class ColumnarState:
                     "dmiss": tc.dmiss,
                     "brcount": tc.brcount,
                     "seq_next": tc.seq_next,
-                    "fetched": tc.fetched,
-                    "committed": tc.committed,
                     "rob": [index[id(i)] for i in tc.rob],
                     "renmap": [
                         None if p is None else index[id(p)] for p in tc.renmap
@@ -417,11 +410,7 @@ class ColumnarState:
                         ("l2", hier.l2),
                     )
                 },
-                "dtlb": {
-                    "sets": [list(s) for s in hier.dtlb._sets],
-                    "accesses": hier.dtlb.accesses,
-                    "misses": hier.dtlb.misses,
-                },
+                "dtlb_sets": [list(s) for s in hier.dtlb._sets],
                 "outstanding_d": [
                     [line, fill, l2m]
                     for line, (fill, l2m) in hier._outstanding_d.items()
@@ -432,15 +421,11 @@ class ColumnarState:
                 "counters": hier.snapshot(),
             },
             "predictor": {
-                "lookups": pred.lookups,
-                "mispredicts": pred.mispredicts,
                 "gshare_pht": list(pred.gshare._pht),
                 "gshare_hist": list(pred.gshare._hist),
                 "btb_sets": [
                     [[pc, tgt] for pc, tgt in s] for s in pred.btb._sets
                 ],
-                "btb_hits": pred.btb.hits,
-                "btb_misses": pred.btb.misses,
                 "ras": [
                     {"stack": list(r._stack), "tos": r._tos} for r in pred.ras
                 ],
@@ -548,8 +533,6 @@ class ColumnarState:
             tc.dmiss = tmeta["dmiss"]
             tc.brcount = tmeta["brcount"]
             tc.seq_next = tmeta["seq_next"]
-            tc.fetched = tmeta["fetched"]
-            tc.committed = tmeta["committed"]
             tc.rob = deque(instrs[s] for s in tmeta["rob"])
             tc.renmap = [
                 None if s is None else instrs[s] for s in tmeta["renmap"]
@@ -584,8 +567,6 @@ class ColumnarState:
             "mispredicts",
             "branches_resolved",
             "gated_cycles",
-            "loads_committed",
-            "stores_committed",
         ):
             setattr(stats, name, list(st[name]))
         for name in ("cycles", "fetch_slots_used", "dispatched", "issued"):
@@ -609,9 +590,7 @@ class ColumnarState:
         ):
             state = hmeta["caches"][name]
             _restore_cache(c, state, _unpack_tags(state["tags"]))
-        hier.dtlb._sets = [list(s) for s in hmeta["dtlb"]["sets"]]
-        hier.dtlb.accesses = hmeta["dtlb"]["accesses"]
-        hier.dtlb.misses = hmeta["dtlb"]["misses"]
+        hier.dtlb._sets = [list(s) for s in hmeta["dtlb_sets"]]
         hier._outstanding_d = {
             line: (fill, bool(l2m)) for line, fill, l2m in hmeta["outstanding_d"]
         }
@@ -624,15 +603,11 @@ class ColumnarState:
         # -- branch predictor -------------------------------------------------
         pmeta = meta["predictor"]
         pred = sim.predictor
-        pred.lookups = pmeta["lookups"]
-        pred.mispredicts = pmeta["mispredicts"]
         pred.gshare._pht = bytearray(pmeta["gshare_pht"])
         pred.gshare._hist = list(pmeta["gshare_hist"])
         pred.btb._sets = [
             [(pc, tgt) for pc, tgt in s] for s in pmeta["btb_sets"]
         ]
-        pred.btb.hits = pmeta["btb_hits"]
-        pred.btb.misses = pmeta["btb_misses"]
         for r, rmeta in zip(pred.ras, pmeta["ras"]):
             r._stack = list(rmeta["stack"])
             r._tos = rmeta["tos"]
@@ -773,9 +748,6 @@ def _cache_state(c: Any, tags: Any) -> dict[str, Any]:
         "tags": tags,
         "bank_busy_cycle": c._bank_busy_cycle,
         "bank_busy": c._bank_busy,
-        "accesses": c.accesses,
-        "misses": c.misses,
-        "bank_conflicts": c.bank_conflicts,
     }
 
 
@@ -787,25 +759,14 @@ def _restore_cache(c: Any, state: dict[str, Any], tags: list[int]) -> None:
     c._tags = tags
     c._bank_busy_cycle = state["bank_busy_cycle"]
     c._bank_busy = state["bank_busy"]
-    c.accesses = state["accesses"]
-    c.misses = state["misses"]
-    c.bank_conflicts = state["bank_conflicts"]
 
 
 def _miss_predictor_state(mp: Any) -> dict[str, Any]:
-    return {
-        "table": list(mp._table),
-        "lookups": mp.lookups,
-        "predicted_miss": mp.predicted_miss,
-        "correct": mp.correct,
-    }
+    return {"table": list(mp._table)}
 
 
 def _restore_miss_predictor(mp: Any, state: dict[str, Any]) -> None:
     mp._table = bytearray(state["table"])
-    mp.lookups = state["lookups"]
-    mp.predicted_miss = state["predicted_miss"]
-    mp.correct = state["correct"]
 
 
 def _sub_policy_state(sub: Any) -> dict[str, Any]:
@@ -944,8 +905,6 @@ def capture_warm_hierarchy(hier: Any) -> dict[str, Any]:
         "dcache": _cache_state(hier.dcache, list(hier.dcache._tags)),
         "l2": _cache_state(hier.l2, list(hier.l2._tags)),
         "dtlb_sets": [list(s) for s in hier.dtlb._sets],
-        "dtlb_accesses": hier.dtlb.accesses,
-        "dtlb_misses": hier.dtlb.misses,
     }
 
 
@@ -956,5 +915,3 @@ def restore_warm_hierarchy(hier: Any, state: dict[str, Any]) -> None:
         cstate = state[name]
         _restore_cache(getattr(hier, name), cstate, list(cstate["tags"]))
     hier.dtlb._sets = [list(s) for s in state["dtlb_sets"]]
-    hier.dtlb.accesses = state["dtlb_accesses"]
-    hier.dtlb.misses = state["dtlb_misses"]

@@ -82,7 +82,6 @@ class DCPredPolicy(FetchPolicy):
     def on_load_executed(self, i: DynInstr) -> None:
         predicted = i.pmeta == "F"
         self.predictor.train(i.pc, i.l2_miss)
-        self.predictor.record_outcome(predicted, i.l2_miss)
         if i.l2_miss:
             if predicted:
                 i.pmeta = "W"  # release at fill

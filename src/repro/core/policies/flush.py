@@ -35,7 +35,6 @@ class FlushPolicy(GatingMixin, FetchPolicy):
         # otherwise squashing would cost refetches with no resource gain.
         if self.gate_until_fill(i):
             self.sim.flush_after(i)
-            i.flushed_after = True
 
     def on_l2_declared(self, i: DynInstr) -> None:
         self._flush_and_gate(i)

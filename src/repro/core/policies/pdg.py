@@ -65,7 +65,6 @@ class PredictiveDataGatingPolicy(FetchPolicy):
     def on_load_executed(self, i: DynInstr) -> None:
         predicted = i.pmeta == "F"
         self.predictor.train(i.pc, i.l1_miss)
-        self.predictor.record_outcome(predicted, i.l1_miss)
         if i.l1_miss:
             if not predicted:
                 self._count[i.tid] += 1  # predicted hit, actually missed

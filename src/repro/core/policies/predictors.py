@@ -17,24 +17,17 @@ _MAX = 3
 class MissPredictor:
     """2-bit-counter cache-miss predictor, indexed by load PC."""
 
-    __slots__ = ("_table", "_mask", "lookups", "predicted_miss", "correct")
+    __slots__ = ("_table", "_mask")
 
     def __init__(self, entries: int = 4096) -> None:
         if entries & (entries - 1):
             raise ValueError("predictor entries must be a power of two")
         self._table = bytearray(entries)  # init 0: strongly predict hit
         self._mask = entries - 1
-        self.lookups = 0
-        self.predicted_miss = 0
-        self.correct = 0
 
     def predict(self, pc: int) -> bool:
         """True = predicted to miss."""
-        self.lookups += 1
-        miss = self._table[(pc >> 2) & self._mask] >= _PREDICT_THRESHOLD
-        if miss:
-            self.predicted_miss += 1
-        return miss
+        return self._table[(pc >> 2) & self._mask] >= _PREDICT_THRESHOLD
 
     def train(self, pc: int, missed: bool) -> None:
         """Update the 2-bit counter for ``pc`` with the actual outcome."""
@@ -46,12 +39,3 @@ class MissPredictor:
         else:
             if ctr > 0:
                 self._table[idx] = ctr - 1
-
-    def record_outcome(self, predicted: bool, actual: bool) -> None:
-        """Accuracy bookkeeping (reported by experiments, not used to gate)."""
-        if predicted == actual:
-            self.correct += 1
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.lookups if self.lookups else 0.0

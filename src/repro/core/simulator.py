@@ -242,9 +242,6 @@ class Simulator:
             code_base = tc.trace.code_base
             for addr in range(code_base, code_base + tc.trace.code_bytes, line_bytes):
                 l2.fill(addr >> shift)
-        dtlb.reset_stats()
-        self.hierarchy.dcache.reset_stats()
-        self.hierarchy.l2.reset_stats()
 
     # ------------------------------------------------------------------ API
 
@@ -623,7 +620,6 @@ class Simulator:
         if i.squashed:
             return
         i.completed = True
-        i.complete_cycle = self.cycle
         deps = i.dependents
         if deps:
             for d in deps:
@@ -703,7 +699,6 @@ class Simulator:
         on_l2_declared = self.policy.on_l2_declared
         if i.squashed or i.completed:
             return
-        i.declared = True
         on_l2_declared(i)
 
     def _detect(self, i: DynInstr) -> None:
@@ -724,8 +719,6 @@ class Simulator:
         nthreads = self.num_threads
         stats = self.stats
         committed_stat = stats.committed
-        loads_stat = stats.loads_committed
-        stores_stat = stats.stores_committed
         budget = self._commit_width
         free_int = self.free_int_regs
         free_fp = self.free_fp_regs
@@ -744,13 +737,7 @@ class Simulator:
                 rob.popleft()
                 popped += 1
                 budget -= 1
-                tc.committed += 1
                 committed_stat[idx] += 1
-                op = i.op
-                if op == _OP_LOAD:
-                    loads_stat[idx] += 1
-                elif op == _OP_STORE:
-                    stores_stat[idx] += 1
                 d = i.dest
                 if d >= 0:
                     if d < 32:
@@ -775,8 +762,8 @@ class Simulator:
         key at C speed without calling back into Python.
 
         Stores execute here, through ``MemoryHierarchy.store_access``: the
-        store buffer hides their latency, so the access only moves lines
-        and counts stats, plus a fill event on a fresh miss.
+        store buffer hides their latency, so the access only moves lines,
+        plus a fill event on a fresh miss.
         """
         ready = self.ready
         r0 = ready[0]
@@ -838,9 +825,7 @@ class Simulator:
             if op == _OP_LOAD:
                 self._execute_load(i, cycle)
             elif op == _OP_STORE:
-                lat, fill_cycle, l1m, l2m, tlbm, merged = store_access(
-                    tid, i.addr, cycle, not i.wrongpath
-                )
+                lat, fill_cycle, l1m, l2m, tlbm, merged = store_access(i.addr, cycle)
                 if l1m and not merged:
                     # a fresh store miss: the fill event releases the
                     # outstanding-line entry and policy gates
@@ -872,10 +857,8 @@ class Simulator:
         )
         i.fill_cycle = fill_cycle
         self._complete_after(i, lat)
-        if tlbm:
-            i.tlb_miss = True
-            if not wrongpath:
-                policy.on_dtlb_miss(i)
+        if tlbm and not wrongpath:
+            policy.on_dtlb_miss(i)
         if l1m:
             i.l1_miss = True
             if l1_detect_extra == 0:
@@ -978,7 +961,6 @@ class Simulator:
             rob.append(i)
             dispatched += 1
             i.dispatched = True
-            i.dispatch_cycle = cycle
             budget -= 1
             if nw == 0:
                 heappush(ready[q], (i.gseq, i))
@@ -1011,9 +993,8 @@ class Simulator:
         gs_mask = gshare._mask
         gs_hist = gshare._hist
         gs_hist_mask = gshare._hist_mask
-        btb = predictor.btb
-        btb_sets = btb._sets
-        btb_set_mask = btb._set_mask
+        btb_sets = predictor.btb._sets
+        btb_set_mask = predictor.btb._set_mask
         ras_list = predictor.ras
         instr_new = DynInstr.__new__
         line_shift = self._line_shift
@@ -1112,13 +1093,12 @@ class Simulator:
                     i.taken = c_taken[ri]
                     i.target = c_target[ri]
                     i.wrongpath = False
-                # Branch-only fields (pred_*, mispredicted, *_snapshot) and
-                # load-only fields (pmeta, miss flags, fill_cycle) are set in
-                # the per-op arms below — every reader is op-guarded, so
-                # INT/FP/STORE skip ~13 slot stores each. num_wait is left
-                # unset too: it is only read on instructions registered as
-                # some producer's dependent, and dispatch writes it for
-                # exactly those.
+                # Branch-only fields (mispredicted, *_snapshot) and load-only
+                # fields (pmeta, miss flags, fill_cycle) are set in the per-op
+                # arms below — every reader is op-guarded, so INT/FP/STORE
+                # skip 8 slot stores each. num_wait is left unset too: it is
+                # only read on instructions registered as some producer's
+                # dependent, and dispatch writes it for exactly those.
                 i.fetch_cycle = cycle
                 i.dispatched = False
                 i.issued = False
@@ -1137,7 +1117,6 @@ class Simulator:
                     if i.brkind == _BK_COND:
                         # FrontEndPredictor.predict for the dominant COND
                         # case; RET/CALL/JUMP take _fetch_branch.
-                        predictor.lookups += 1
                         hist = gs_hist[tid]
                         gidx = ((pc >> 2) ^ hist) & gs_mask
                         ptaken = gs_pht[gidx] >= 2
@@ -1152,17 +1131,13 @@ class Simulator:
                                 if ent[0] == pc:
                                     if bi != bn - 1:
                                         bset.append(bset.pop(bi))
-                                    btb.hits += 1
                                     ptarget = ent[1]
                                     break
                             if ptarget is None:
-                                btb.misses += 1
                                 btbm = True
                                 ptarget = 0
                         else:
                             ptarget = pc + 4
-                        i.pred_taken = ptaken
-                        i.pred_target = ptarget
                         i.ghist_snapshot = hist
                         i.ras_snapshot = ras_list[tid]._tos
                         if tc.wrongpath:
@@ -1204,7 +1179,6 @@ class Simulator:
                         i.pmeta = None
                         i.l1_miss = False
                         i.l2_miss = False
-                        i.tlb_miss = False
                         i.dmiss_counted = False
                         i.fill_cycle = -1
                         if wants_load_fetch:
@@ -1217,7 +1191,6 @@ class Simulator:
                 tc.seq_next = seq
                 tc.pipe_count += burst
                 tc.icount += burst
-                tc.fetched += burst
                 fetched_stat[tid] += burst
                 slots_used += burst
         if slots_used:
@@ -1236,8 +1209,6 @@ class Simulator:
         """
         pc = i.pc
         pred = self.predictor.predict(i.tid, pc, i.brkind, pc + 4)
-        i.pred_taken = pred.taken
-        i.pred_target = pred.target
         i.ghist_snapshot = pred.hist_snapshot
         i.ras_snapshot = pred.ras_snapshot
 

@@ -20,8 +20,6 @@ _PER_THREAD_FIELDS = (
     "mispredicts",
     "branches_resolved",
     "gated_cycles",
-    "loads_committed",
-    "stores_committed",
 )
 
 _GLOBAL_FIELDS = (
@@ -87,15 +85,3 @@ class SimStats:
         for f in _GLOBAL_FIELDS:
             out[f] = getattr(self, f)
         return out
-
-    # -- conveniences ---------------------------------------------------------
-
-    def window_ipc(self) -> list[float]:
-        """Per-thread IPC over the measurement window."""
-        w = self.window()
-        cycles = w["cycles"] or 1
-        return [c / cycles for c in w["committed"]]
-
-    def window_throughput(self) -> float:
-        """Sum of per-thread IPCs over the window (the paper's throughput)."""
-        return sum(self.window_ipc())

@@ -41,8 +41,6 @@ class ThreadContext:
                            # maintained incrementally by the simulator so
                            # BRCOUNT never rescans the pipe/ROB per cycle
         "seq_next",        # per-thread program-order sequence numbers
-        "fetched",
-        "committed",
     )
 
     def __init__(self, tid: int, trace: SyntheticTrace, wp_supplier: WrongPathSupplier) -> None:
@@ -60,8 +58,6 @@ class ThreadContext:
         self.dmiss = 0
         self.brcount = 0
         self.seq_next = 0
-        self.fetched = 0
-        self.committed = 0
 
     @property
     def inflight(self) -> int:

@@ -46,17 +46,13 @@ class DynInstr:
         "taken",        # actual branch outcome
         "target",       # actual next PC if taken
         # fetch-time prediction state
-        "pred_taken",
-        "pred_target",
         "mispredicted",  # direction or target wrong; resolves at complete
         "ghist_snapshot",  # thread branch-history register before this branch
         "ras_snapshot",    # RAS top-of-stack index before this branch
         "wrongpath",    # fetched down a mispredicted path
         # pipeline state
         "fetch_cycle",
-        "dispatch_cycle",
         "issue_cycle",
-        "complete_cycle",
         "dispatched",
         "issued",
         "completed",
@@ -72,11 +68,8 @@ class DynInstr:
         # memory behaviour (filled at execute)
         "l1_miss",
         "l2_miss",
-        "tlb_miss",
         "dmiss_counted",  # this load raised the thread's in-flight-miss counter
         "fill_cycle",   # when the cache line arrives (misses only)
-        "declared",     # L2 miss declared to the policy (STALL/FLUSH DM)
-        "flushed_after",  # this load triggered a FLUSH
     )
 
     def __init__(
@@ -107,17 +100,13 @@ class DynInstr:
         self.taken = taken
         self.target = target
 
-        self.pred_taken = False
-        self.pred_target = 0
         self.mispredicted = False
         self.ghist_snapshot = 0
         self.ras_snapshot = 0
         self.wrongpath = False
 
         self.fetch_cycle = -1
-        self.dispatch_cycle = -1
         self.issue_cycle = -1
-        self.complete_cycle = -1
         self.dispatched = False
         self.issued = False
         self.completed = False
@@ -134,11 +123,8 @@ class DynInstr:
 
         self.l1_miss = False
         self.l2_miss = False
-        self.tlb_miss = False
         self.dmiss_counted = False
         self.fill_cycle = -1
-        self.declared = False
-        self.flushed_after = False
 
     def __lt__(self, other: "DynInstr") -> bool:
         """Global fetch-order (age) comparison.
@@ -148,24 +134,6 @@ class DynInstr:
         so this fallback never actually fires on the hot path.
         """
         return self.gseq < other.gseq
-
-    # -- conveniences (not used on the hot path) ---------------------------
-
-    @property
-    def is_load(self) -> bool:
-        return self.op == OpClass.LOAD
-
-    @property
-    def is_store(self) -> bool:
-        return self.op == OpClass.STORE
-
-    @property
-    def is_branch(self) -> bool:
-        return self.op == OpClass.BRANCH
-
-    @property
-    def is_mem(self) -> bool:
-        return self.op == OpClass.LOAD or self.op == OpClass.STORE
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(

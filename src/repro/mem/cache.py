@@ -1,4 +1,4 @@
-"""Set-associative LRU cache with bank-conflict accounting.
+"""Set-associative LRU cache with per-cycle bank arbitration.
 
 A cache's tags live in one flat list, ``_tags``: set ``s`` owns
 ``_tags[s * assoc:(s + 1) * assoc]`` in LRU order, MRU way first, and
@@ -35,9 +35,6 @@ class Cache:
         "_bank_mask",
         "_bank_busy_cycle",
         "_bank_busy",
-        "accesses",
-        "misses",
-        "bank_conflicts",
     )
 
     def __init__(self, cfg: CacheConfig) -> None:
@@ -53,15 +50,11 @@ class Cache:
         # cycle, which banks have been used; stale entries are reset lazily.
         self._bank_busy_cycle = -1
         self._bank_busy = 0  # bitmask over banks used this cycle
-        self.accesses = 0
-        self.misses = 0
-        self.bank_conflicts = 0
 
     # -- tag array ----------------------------------------------------------
 
     def probe(self, line_addr: int) -> bool:
-        """True if the line is present; updates LRU on hit. Counts stats."""
-        self.accesses += 1
+        """True if the line is present; updates LRU on hit."""
         tags = self._tags
         base = (line_addr & self._set_mask) * self._assoc
         if tags[base] == line_addr:  # MRU fast path
@@ -76,11 +69,10 @@ class Cache:
                 tags[base] = line_addr
                 return True
             w += 1
-        self.misses += 1
         return False
 
     def contains(self, line_addr: int) -> bool:
-        """Presence check without LRU update or stats (testing/policy hook)."""
+        """Presence check without LRU update (testing/policy hook)."""
         base = (line_addr & self._set_mask) * self._assoc
         return line_addr in self._tags[base : base + self._assoc]
 
@@ -111,32 +103,21 @@ class Cache:
     def bank_conflict(self, line_addr: int, cycle: int) -> bool:
         """Claim the bank for ``line_addr`` at ``cycle``.
 
-        Returns True — and counts a conflict — if the bank was already used
-        this cycle (caller then delays the access by one cycle). Lines map to
-        banks by low line-address bits, the usual interleaving.
+        Returns True if the bank was already used this cycle (caller then
+        delays the access by one cycle). Lines map to banks by low
+        line-address bits, the usual interleaving.
         """
         if cycle != self._bank_busy_cycle:
             self._bank_busy_cycle = cycle
             self._bank_busy = 0
         bit = 1 << (line_addr & self._bank_mask)
         if self._bank_busy & bit:
-            self.bank_conflicts += 1
             return True
         self._bank_busy |= bit
         return False
 
     # -- introspection --------------------------------------------------------
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
     def occupancy(self) -> int:
         """Number of valid lines (testing hook)."""
         return len(self._tags) - self._tags.count(-1)
-
-    def reset_stats(self) -> None:
-        """Zero the access/miss/conflict counters (tag state untouched)."""
-        self.accesses = 0
-        self.misses = 0
-        self.bank_conflicts = 0

@@ -43,10 +43,6 @@ class MemoryHierarchy:
         "loads",
         "load_l1_misses",
         "load_l2_misses",
-        "stores",
-        "store_l1_misses",
-        "ifetch_misses",
-        "tlb_misses",
     )
 
     def __init__(self, cfg: MemoryConfig, num_contexts: int) -> None:
@@ -62,10 +58,6 @@ class MemoryHierarchy:
         self.loads = [0] * num_contexts
         self.load_l1_misses = [0] * num_contexts
         self.load_l2_misses = [0] * num_contexts
-        self.stores = [0] * num_contexts
-        self.store_l1_misses = [0] * num_contexts
-        self.ifetch_misses = [0] * num_contexts
-        self.tlb_misses = [0] * num_contexts
 
     # ------------------------------------------------------------------ data
 
@@ -95,8 +87,6 @@ class MemoryHierarchy:
         tlb_miss = not self.dtlb.access(addr)
         if tlb_miss:
             latency += cfg.dtlb.miss_penalty
-            if count_stats:
-                self.tlb_misses[tid] += 1
 
         outstanding = self._outstanding_d.get(line)
         if outstanding is not None:
@@ -129,36 +119,25 @@ class MemoryHierarchy:
         self._outstanding_d[line] = (fill_cycle, not l2_hit)
         return latency, fill_cycle, True, not l2_hit, tlb_miss, False
 
-    def store_access(
-        self, tid: int, addr: int, cycle: int, count_stats: bool = True
-    ) -> tuple[int, int, bool, bool, bool, bool]:
+    def store_access(self, addr: int, cycle: int) -> tuple[int, int, bool, bool, bool, bool]:
         """Write-allocate store access, returning the same tuple as
         :meth:`load_access`. Stores never block commit in this model (the
-        store buffer hides their latency) and take no bank, but they do move
-        lines and occupy fills, which later loads observe."""
+        store buffer hides their latency), take no bank and count nothing,
+        but they do move lines and occupy fills, which later loads observe."""
         cfg = self.cfg
         line = addr >> self.line_shift
-        if count_stats:
-            self.stores[tid] += 1
-
         tlb_miss = not self.dtlb.access(addr)
-        if tlb_miss and count_stats:
-            self.tlb_misses[tid] += 1
 
         outstanding = self._outstanding_d.get(line)
         if outstanding is not None:
             fill_cycle, was_l2 = outstanding
             if fill_cycle > cycle:
-                if count_stats:
-                    self.store_l1_misses[tid] += 1
                 return cfg.dcache.latency, fill_cycle, True, was_l2, tlb_miss, True
             del self._outstanding_d[line]
 
         if self.dcache.probe(line):
             return cfg.dcache.latency, cycle + cfg.dcache.latency, False, False, tlb_miss, False
 
-        if count_stats:
-            self.store_l1_misses[tid] += 1
         latency = cfg.dcache.latency + cfg.l2.latency
         l2_hit = self.l2.probe(line)
         if not l2_hit:
@@ -181,7 +160,8 @@ class MemoryHierarchy:
         fetch can proceed — equal to ``cycle`` on a hit, later on a miss,
         and the thread cannot fetch before it. Returning a bare int keeps
         the per-cycle fetch loop free of tuple allocation (one call per
-        offered thread per cycle)."""
+        offered thread per cycle). ``tid`` is the fetching context; the
+        probe and refill do not depend on it."""
         line = pc >> self.line_shift
         outstanding = self._outstanding_i
         ready = outstanding.get(line)
@@ -191,7 +171,6 @@ class MemoryHierarchy:
             del outstanding[line]
         if self.icache.probe(line):
             return cycle
-        self.ifetch_misses[tid] += 1
         cfg = self.cfg
         latency = cfg.icache.latency + cfg.l2.latency
         if not self.l2.probe(line):
@@ -210,8 +189,4 @@ class MemoryHierarchy:
             "loads": list(self.loads),
             "load_l1_misses": list(self.load_l1_misses),
             "load_l2_misses": list(self.load_l2_misses),
-            "stores": list(self.stores),
-            "store_l1_misses": list(self.store_l1_misses),
-            "ifetch_misses": list(self.ifetch_misses),
-            "tlb_misses": list(self.tlb_misses),
         }

@@ -15,7 +15,7 @@ __all__ = ["TLB"]
 class TLB:
     """Page-number cache with LRU sets, mirroring :class:`repro.mem.cache.Cache`."""
 
-    __slots__ = ("cfg", "_page_shift", "_set_mask", "_assoc", "_sets", "accesses", "misses")
+    __slots__ = ("cfg", "_page_shift", "_set_mask", "_assoc", "_sets")
 
     def __init__(self, cfg: TLBConfig) -> None:
         cfg.validate()
@@ -27,13 +27,10 @@ class TLB:
         self._set_mask = num_sets - 1
         self._assoc = cfg.assoc
         self._sets: list[list[int]] = [[] for _ in range(num_sets)]
-        self.accesses = 0
-        self.misses = 0
 
     def access(self, addr: int) -> bool:
         """Translate ``addr``; True on hit. A miss installs the page (the
         walk itself is charged by the hierarchy as ``miss_penalty``)."""
-        self.accesses += 1
         page = addr >> self._page_shift
         s = self._sets[page & self._set_mask]
         n = len(s)
@@ -43,17 +40,7 @@ class TLB:
             if s[i] == page:
                 s.append(s.pop(i))
                 return True
-        self.misses += 1
         if n >= self._assoc:
             s.pop(0)
         s.append(page)
         return False
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    def reset_stats(self) -> None:
-        """Zero the access/miss counters (translations stay installed)."""
-        self.accesses = 0
-        self.misses = 0

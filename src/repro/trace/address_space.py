@@ -211,7 +211,3 @@ class AddressSpace:
             self._p_warm_cum - self._p_cold_cum,
             self._p_cold_cum,
         )
-
-    @property
-    def warm_footprint_bytes(self) -> int:
-        return self.warm_groups * self.warm_tags * LINE_BYTES

@@ -77,7 +77,7 @@ def replay_miss_rates(
         if op == _OP_LOAD:
             hier.load_access(0, addrs[i], cycle)
         elif op == _OP_STORE:
-            hier.store_access(0, addrs[i], cycle)
+            hier.store_access(addrs[i], cycle)
         cycle += cycles_per_op
 
     base = snap or (0, 0, 0)

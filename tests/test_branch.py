@@ -109,12 +109,13 @@ class TestBTB:
         assert btb.lookup(pcs[1]) is None
 
     def test_stats(self):
+        """A lookup miss allocates nothing; only ``update`` installs."""
         btb = BTB(256, 4)
-        btb.lookup(0x1)
+        assert btb.lookup(0x1) is None
+        assert not any(btb._sets)
         btb.update(0x1, 0x2)
-        btb.lookup(0x1)
-        assert btb.misses == 1
-        assert btb.hits == 1
+        assert btb.lookup(0x1) == 0x2
+        assert sum(map(len, btb._sets)) == 1
 
     def test_bad_geometry(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,8 @@ Three layers are pinned here, mirroring the service's preemption path:
   pins for the ingest boundary.
 
 Plus: a worker restores the checkpoint its lease ships whether or not it
-captures checkpoints itself.
+captures checkpoints itself, and a snapshot of an older codec version in a
+valid envelope (a fleet mid-upgrade) is stored but runs cold.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import base64
 import json
 import struct
+import zlib
 
 import pytest
 
@@ -49,6 +51,7 @@ from repro.workloads import build_programs, get_workload
 POLICIES = ("icount", "stall", "flush", "dg", "pdg", "dwarn")
 
 _CKPT_HEADER = struct.Struct("<4sHQQI")
+_SNAP_HEADER = struct.Struct("<4sHQQQI")
 
 
 def _simcfg(**kw) -> SimulationConfig:
@@ -604,6 +607,69 @@ class TestWorkerRestoresShippedCheckpoint:
         assert entry["job_id"] == "job-1" and entry["ok"], entry
         assert entry.get("resumed_from") == 200
         assert worker.stats["resumes"] == 1
+        simcfg = JobSpec.from_dict(spec).sim_config()
+        cold, _, _ = simulate_resumable(baseline(), simcfg, "2-MEM", "dwarn")
+        assert entry["result"] == result_payload(cold)
+
+
+def _with_snapshot_version(envelope: bytes, version: int) -> bytes:
+    """``envelope`` relabelled as holding a snapshot of codec ``version``,
+    header and JSON section alike, with the snapshot's and the envelope's
+    CRCs recomputed: only the version differs."""
+    blob = envelope[_CKPT_HEADER.size:]
+    magic, _, n, json_len, col_len, _ = _SNAP_HEADER.unpack_from(blob)
+    payload = blob[_SNAP_HEADER.size:]
+    meta = json.loads(payload[:json_len])
+    meta["version"] = version
+    json_blob = json.dumps(meta, separators=(",", ":")).encode()
+    payload = json_blob + payload[json_len:]
+    blob = _SNAP_HEADER.pack(
+        magic, version, n, len(json_blob), col_len, zlib.crc32(payload)
+    ) + payload
+    ckpt_magic, ckpt_version, cycle, total, _ = _CKPT_HEADER.unpack_from(envelope)
+    return _CKPT_HEADER.pack(ckpt_magic, ckpt_version, cycle, total, zlib.crc32(blob)) + blob
+
+
+class TestSnapshotVersionSkew:
+    def test_v3_snapshot_in_valid_envelope_runs_cold(self, envelope_500):
+        """An older worker uploads a v3 snapshot in a valid envelope. The
+        daemon stores it (its upload check reads only the envelope); the
+        grant decodes to no resume point, and a worker runs the job cold
+        and counts the rejected resume."""
+        from repro.service.protocol import JobSpec, decode_checkpoint_grant, result_payload
+        from repro.service.worker import Worker, WorkerConfig
+
+        old = _with_snapshot_version(envelope_500, 3)
+        assert peek_checkpoint(old) == (200, 500)
+        with pytest.raises(SnapshotError, match="version 3"):
+            checkpoint_from_bytes(old)
+
+        svc, lease_id, job_id = _svc_with_lease()
+        status, payload = _put_checkpoint(
+            svc,
+            lease_id,
+            {"job_id": job_id, "cycle": 200, "data": base64.b64encode(old).decode()},
+        )
+        assert (status, payload["stored"], payload["cycle"]) == (200, True, 200)
+        grant = svc.checkpoints[svc.jobs[job_id].key].grant_dict()
+        assert decode_checkpoint_grant(grant, 500) is None
+
+        spec = {
+            "workload": "2-MEM",
+            "policy": "dwarn",
+            "seed": 2024,
+            "warmup_cycles": 0,
+            "measure_cycles": 500,
+            "trace_length": 3_000,
+        }
+        transport = _OneLeaseTransport({"id": "job-1", "spec": spec, "checkpoint": grant})
+        worker = Worker(WorkerConfig(worker_id="w", max_leases=1, quiet=True), transport=transport)
+        assert worker.run() == 0
+
+        (upload,) = transport.uploads
+        (entry,) = upload["results"]
+        assert entry["ok"] and entry["resumed_from"] == 0, entry
+        assert (worker.stats["resumes"], worker.stats["resumes_rejected"]) == (0, 1)
         simcfg = JobSpec.from_dict(spec).sim_config()
         cold, _, _ = simulate_resumable(baseline(), simcfg, "2-MEM", "dwarn")
         assert entry["result"] == result_payload(cold)

@@ -136,7 +136,8 @@ def test_resume_on_staged_engine_matches_fused():
 def test_snapshot_version_constant():
     # v2: policy-bound EV_CALL markers + meta-policy state (checkpoint PR).
     # v3: each cache's tags as one packed array.
-    assert SNAPSHOT_VERSION == 3
+    # v4: no write-only counters; seven fewer instruction columns.
+    assert SNAPSHOT_VERSION == 4
 
 
 def test_restored_cache_tags_equal_captured():
@@ -158,7 +159,8 @@ def test_restored_cache_tags_equal_captured():
 def test_checkpoint_smaller_than_per_set_lists():
     """The 2-MIX/dwarn checkpoint at cycle 512 of a 200 + 1,200-cycle run
     over 6,000-record traces: with one JSON list per cache set it took
-    38,606 bytes; the packed tag arrays must keep it below that."""
+    38,606 bytes, and 21,045 with packed tag arrays (v3); without the
+    write-only counters and instruction columns it must stay below that."""
     simcfg = SimulationConfig(warmup_cycles=200, measure_cycles=1200, trace_length=6_000)
     sim = _fresh_sim("2-MIX", "dwarn", simcfg)
     sizes: list[int] = []
@@ -168,7 +170,7 @@ def test_checkpoint_smaller_than_per_set_lists():
             sizes.append(len(checkpoint_to_bytes(s)))
 
     run_checkpointed(sim, 512, capture)
-    assert sizes and sizes[0] < 38_606
+    assert sizes and sizes[0] < 21_045
 
 
 def test_bad_tag_array_raises_snapshot_error():

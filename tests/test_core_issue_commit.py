@@ -6,6 +6,7 @@ from __future__ import annotations
 from repro.config import SimulationConfig, baseline
 from repro.core import Simulator, make_policy
 from repro.isa.opcodes import OpClass
+from repro.mem import Cache, MemoryHierarchy
 from repro.workloads import build_programs, build_single, get_workload
 
 CFG = SimulationConfig(warmup_cycles=0, measure_cycles=2500, trace_length=9000, seed=23)
@@ -53,17 +54,25 @@ class TestIssueLimits:
 
     def test_issue_is_oldest_first_within_class(self):
         sim = fresh("2-ILP")
+        # Issue order must respect dataflow, and among simultaneously-ready
+        # instrs, age order. Proxy check: every instruction issues no
+        # earlier than the cycle after it dispatched.
+        dispatched_at = {}
+        orig = sim._dispatch
+
+        def spy_dispatch():
+            pending = list(sim.pipe)
+            orig()
+            for i in pending:
+                if i.dispatched:
+                    dispatched_at[i] = sim.cycle
+
+        sim._dispatch = spy_dispatch
         sim.run_cycles(800)
-        # For each thread, issued instructions' issue order must respect
-        # dataflow, and among simultaneously-ready instrs, age order. Proxy
-        # check: an issued instr's producers issued no later than it.
-        for tc in sim.threads:
-            for i in tc.rob:
-                if not i.issued:
-                    continue
-                # dependencies resolved before issue
-                if i.dispatch_cycle >= 0:
-                    assert i.issue_cycle >= i.dispatch_cycle + 1
+        issued = [(i, cyc) for i, cyc in dispatched_at.items() if i.issued]
+        assert issued
+        for i, cyc in issued:
+            assert i.issue_cycle >= cyc + 1
 
 
 class TestCommit:
@@ -79,13 +88,18 @@ class TestCommit:
     def test_commit_is_in_order_per_thread(self):
         """Committed count can never exceed the oldest uncommitted seq."""
         sim = fresh("2-ILP")
-        sim.run_cycles(1000)
-        for tc in sim.threads:
-            if tc.rob:
-                # Everything older than the ROB head has committed (correct
-                # path) or was squashed; committed instructions are a prefix
-                # of the architectural stream, whose length is tc.committed.
-                assert tc.rob[0].idx >= tc.committed
+        checked = 0
+        for _ in range(20):
+            sim.run_cycles(50)
+            for tc in sim.threads:
+                if tc.rob:
+                    # Everything older than the ROB head has committed
+                    # (correct path) or was squashed; committed instructions
+                    # are a prefix of the architectural stream, whose length
+                    # is the thread's committed count.
+                    assert tc.rob[0].idx >= sim.stats.committed[tc.tid]
+                    checked += 1
+        assert checked
 
     def test_rotating_commit_start_is_fair(self):
         sim = fresh("8-ILP")
@@ -100,27 +114,59 @@ class TestCommit:
 class TestLoadTimingInPipeline:
     def test_l2_missing_load_takes_memory_latency(self):
         sim = fresh("mcf", simcfg=CFG)
+        completed_at = {}
+        orig = sim._complete
+
+        def spy_complete(i):
+            completed_at[i] = sim.cycle
+            orig(i)
+
+        sim._complete = spy_complete
         sim.run_cycles(2500)
-        # Find committed L2-missing loads and check their lifetime.
+        # Find completed L2-missing loads and check their lifetime.
         long_loads = 0
         for tc in sim.threads:
             for i in tc.rob:
                 if i.op == OpClass.LOAD and i.l2_miss and i.completed:
-                    dur = i.complete_cycle - i.issue_cycle
+                    dur = completed_at[i] - i.issue_cycle
                     assert dur >= sim.machine.mem.l2_miss_latency - 1
                     long_loads += 1
         # mcf misses constantly; the window should contain some in-ROB.
         # (not asserting >0 strictly: commit may have drained them)
 
-    def test_tlb_miss_charged(self):
+    def test_tlb_miss_charged(self, monkeypatch):
+        """D-TLB misses happen and each one adds the walk penalty to the
+        load. ``MemoryHierarchy`` has ``__slots__``: wrap on the class."""
+        orig = MemoryHierarchy.load_access
+        latencies = []
+
+        def spy(self, *args):
+            out = orig(self, *args)
+            if out[4]:  # tlb_miss
+                latencies.append(out[0])
+            return out
+
+        monkeypatch.setattr(MemoryHierarchy, "load_access", spy)
         sim = fresh("mcf", simcfg=CFG)
         sim.run_cycles(2500)
-        assert sim.hierarchy.tlb_misses[0] > 0
+        assert latencies
+        assert min(latencies) > sim.machine.mem.dtlb.miss_penalty
 
-    def test_bank_conflicts_occur_under_load(self):
+    def test_bank_conflicts_occur_under_load(self, monkeypatch):
+        """Eight ILP threads issue enough loads per cycle that some find
+        their D-cache bank already taken."""
+        orig = Cache.bank_conflict
+        conflicts = [0]
+
+        def spy(self, line_addr, cycle):
+            hit = orig(self, line_addr, cycle)
+            conflicts[0] += hit
+            return hit
+
+        monkeypatch.setattr(Cache, "bank_conflict", spy)
         sim = fresh("8-ILP")
         sim.run_cycles(2500)
-        assert sim.hierarchy.dcache.bank_conflicts >= 0  # counter wired up
+        assert conflicts[0] > 0
 
 
 class TestGatingMixinRules:

@@ -48,15 +48,10 @@ class TestMispredictRecovery:
         orig_commit = sim._commit
 
         def spy_commit():
-            before = [tc.committed for tc in sim.threads]
-            heads = {
-                tc.tid: [i.idx for i in tc.rob] for tc in sim.threads
-            }
+            before = sim.stats.committed[0]
+            head = [i.idx for i in sim.threads[0].rob]
             orig_commit()
-            for tc in sim.threads:
-                if tc.tid == 0:
-                    n = tc.committed - before[0]
-                    committed_idx.extend(heads[0][:n])
+            committed_idx.extend(head[: sim.stats.committed[0] - before])
 
         sim._commit = spy_commit
         sim.run_cycles(4000)
@@ -116,7 +111,7 @@ class TestFlushMachinery:
         sim.run_cycles(8000)
         # The run exercises this continuously; the invariant audit plus
         # forward progress is the observable contract.
-        assert all(tc.committed > 50 for tc in sim.threads)
+        assert all(n > 50 for n in sim.stats.committed)
         assert_invariants(sim)
 
     def test_stall_vs_flush_same_detection_different_action(self):

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.isa import (
     NUM_ARCH_REGS,
@@ -72,14 +77,6 @@ class TestDynInstr:
         assert not i.dependents  # lazily allocated: None until first waiter
         assert i.fill_cycle == -1
 
-    def test_class_predicates(self):
-        assert self.make(op=int(OpClass.LOAD)).is_load
-        assert self.make(op=int(OpClass.STORE)).is_store
-        assert self.make(op=int(OpClass.BRANCH), brkind=int(BranchKind.COND)).is_branch
-        assert self.make(op=int(OpClass.LOAD)).is_mem
-        assert self.make(op=int(OpClass.STORE)).is_mem
-        assert not self.make(op=int(OpClass.INT)).is_mem
-
     def test_slots_reject_adhoc_attributes(self):
         i = self.make()
         with pytest.raises(AttributeError):
@@ -89,3 +86,20 @@ class TestDynInstr:
         i = self.make()
         i.dispatched = True
         assert "D" in repr(i)
+
+    def test_every_slot_is_read(self):
+        """Each ``DynInstr`` slot is read somewhere in the package, outside
+        the class itself and the checkpoint codec (which copies every slot):
+        a slot only the pipeline writes costs a store per instruction and a
+        checkpoint column, and buys nothing."""
+        root = Path(repro.__file__).resolve().parent
+        skip = {root / "isa" / "instruction.py", root / "core" / "columnar.py"}
+        read: set[str] = set()
+        for path in root.rglob("*.py"):
+            if path in skip:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+        unread = [name for name in DynInstr.__slots__ if name not in read]
+        assert not unread, f"DynInstr slots never read: {unread}"

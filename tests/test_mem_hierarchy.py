@@ -85,16 +85,14 @@ class TestMSHRMerging:
 class TestStores:
     def test_store_allocates_line_for_later_load(self):
         h = make_hier()
-        _, fill, l1m, _, _, _ = h.store_access(0, A, 0)
+        _, fill, l1m, _, _, _ = h.store_access(A, 0)
         assert l1m
         assert not h.load_access(0, A, fill + 1)[2]
 
     def test_store_stats_separate(self):
         h = make_hier()
-        h.store_access(0, A, 0)
-        assert h.stores[0] == 1
+        assert h.store_access(A, 0)[2]  # an L1 miss the load counters never see
         assert h.loads[0] == 0
-        assert h.store_l1_misses[0] == 1
         assert h.load_l1_misses[0] == 0
 
 
@@ -124,9 +122,13 @@ class TestIFetch:
         assert h.ifetch_ready(0, pc, cycle) == cycle + 1 + 10  # a miss that hits in L2
 
     def test_ifetch_miss_stat(self):
+        """A miss reserves the line at miss time and records its fill."""
         h = make_hier()
-        h.ifetch_ready(0, 0x6000_0000, 0)
-        assert h.ifetch_misses[0] == 1
+        ready = h.ifetch_ready(0, 0x6000_0000, 0)
+        line = 0x6000_0000 >> h.line_shift
+        assert ready > 0
+        assert h.icache.contains(line) and h.l2.contains(line)
+        assert h._outstanding_i == {line: ready}
 
 
 class TestTLB:

@@ -183,8 +183,9 @@ class TestPDG:
     def test_predictor_trains(self):
         sim = sim_for("2-MEM", "pdg")
         sim.run()
-        assert sim.policy.predictor.lookups > 100
-        assert 0.0 <= sim.policy.predictor.accuracy <= 1.0
+        # The table starts all-zero (predict hit); missing loads train
+        # their counters up.
+        assert any(sim.policy.predictor._table)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -219,12 +220,6 @@ class TestMissPredictor:
         for _ in range(4):
             p.train(0x40, False)
         assert not p.predict(0x40)
-
-    def test_accuracy_bookkeeping(self):
-        p = MissPredictor(256)
-        p.predict(0x40)
-        p.record_outcome(False, False)
-        assert p.accuracy == 1.0
 
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):

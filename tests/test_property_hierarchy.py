@@ -64,8 +64,10 @@ def test_hierarchy_matches_reference_when_fills_settle(accesses):
     for is_store, line in accesses:
         addr = line << hier.line_shift
         expect_l1, expect_l2 = ref.access(line)
-        access = hier.store_access if is_store else hier.load_access
-        _, fill, l1m, l2m, _, _ = access(0, addr, cycle)
+        if is_store:
+            _, fill, l1m, l2m, _, _ = hier.store_access(addr, cycle)
+        else:
+            _, fill, l1m, l2m, _, _ = hier.load_access(0, addr, cycle)
         assert l1m == (not expect_l1), f"L1 divergence at line {line}"
         if l1m:
             assert l2m == (not expect_l2), f"L2 divergence at line {line}"
